@@ -4,15 +4,11 @@ from .algorithms import (
     AgentState,
     GradientBundle,
     HyperParams,
-    RoundInbox,
     apply_lr_schedule,
     bias_terms,
-    compngc_round,
-    dpsgd_round,
     gossip_step,
     momentum_update,
     ngc_mix,
-    ngc_round,
 )
 from .compression import (
     CompressedTensor,
@@ -25,7 +21,7 @@ from .compression import (
 )
 from .errors import (
     ConfigurationError,
-    NumericalError,
+    DecentsimError,
     ParseError,
     PartitionError,
     ProtocolError,

@@ -15,8 +15,7 @@ neighborhood. They differ in what the mixed gradient uses:
 
 Each round is split into a prepare step (local work plus outgoing
 messages) and a finalize step (consume the inbox), so an engine can run
-the exchange phases between them. Fused single-agent rounds are provided
-for the degenerate inboxes used in tests.
+the exchange phases between them.
 """
 from __future__ import annotations
 
@@ -122,16 +121,19 @@ def bias_terms(bundle: GradientBundle) -> tuple[np.ndarray, np.ndarray]:
     vals = list(bundle.weights.values())
     if max(vals) != min(vals):
         raise ConfigurationError("bias terms need uniform neighborhood weights")
-    m = len(vals)
-    peers = sorted(set(bundle.weights) - {bundle.agent_id})
-    if set(bundle.model_variant) != set(peers) or set(bundle.data_variant) != set(peers):
+    peers = set(bundle.weights) - {bundle.agent_id}
+    if set(bundle.model_variant) != peers or set(bundle.data_variant) != peers:
         raise ProtocolError("bias terms need complete cross-gradient maps")
-    eps = np.zeros_like(bundle.self_grad)
-    omega = np.zeros_like(bundle.self_grad)
-    for j in peers:
-        eps += bundle.model_variant[j] - bundle.self_grad
-        omega += bundle.data_variant[j] - bundle.self_grad
-    return eps / m, omega / m
+    return (cluster_deviation(bundle, bundle.model_variant),
+            cluster_deviation(bundle, bundle.data_variant))
+
+
+def cluster_deviation(bundle: GradientBundle, terms: dict[int, np.ndarray]) -> np.ndarray:
+    """sum_j (terms[j] - self_grad) / |N(i)|, peers in ascending order; unchecked."""
+    dev = np.zeros_like(bundle.self_grad)
+    for j in sorted(terms):
+        dev += terms[j] - bundle.self_grad
+    return dev / len(bundle.weights)
 
 
 def momentum_update(v: np.ndarray, grad: np.ndarray, beta: float, eta: float) -> np.ndarray:
@@ -181,14 +183,6 @@ class AgentState:
         return self.batch_queue.pop(0)
 
 
-@dataclass(frozen=True)
-class RoundInbox:
-    """Messages addressed to one agent: neighbor params, then cross-gradients."""
-
-    params: dict[int, np.ndarray] = field(default_factory=dict)
-    cross: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------- dpsgd
 
 
@@ -214,15 +208,6 @@ def dpsgd_finalize(state: AgentState, work: DpsgdWork, tilde_in: dict[int, np.nd
     operands[state.agent_id] = work.x_tilde
     x_next = gossip_step(work.x_tilde, state.agent_id, operands, weights, hp.gamma)
     return replace(state, params=x_next, momentum=work.v_next)
-
-
-def dpsgd_round(state: AgentState, inbox: RoundInbox, hp: HyperParams,
-                weights: dict[int, float], batch_size: int):
-    """Full per-agent round; inbox.params holds neighbors' updated x_tilde."""
-    work = dpsgd_prepare(state, hp, batch_size)
-    new_state = dpsgd_finalize(state, work, inbox.params, weights, hp)
-    outbox = {j: work.x_tilde for j in weights if j != state.agent_id}
-    return new_state, outbox, None
 
 
 # ------------------------------------------------------------ ngc / compngc
@@ -306,23 +291,3 @@ def ngc_apply(state: AgentState, work: NgcWork, x_tilde: np.ndarray, v_next: np.
         err_self=work.err_self if work.err_self is not None else state.err_self,
         err_out=dict(work.err_out) if work.err_out is not None else state.err_out,
     )
-
-
-def _fused_round(prepare, state: AgentState, inbox: RoundInbox, hp: HyperParams,
-                 weights: dict[int, float], batch_size: int):
-    work = prepare(state, inbox.params, hp, batch_size)
-    x_tilde, v_next, bundle = ngc_update(state, work, inbox.cross, hp, weights)
-    new_state = ngc_apply(state, work, x_tilde, v_next, inbox.params, weights, hp)
-    return new_state, work.outgoing, bundle
-
-
-def ngc_round(state: AgentState, inbox: RoundInbox, hp: HyperParams,
-              weights: dict[int, float], batch_size: int):
-    """Full per-agent round given a complete inbox (pre-round param gossip)."""
-    return _fused_round(ngc_prepare, state, inbox, hp, weights, batch_size)
-
-
-def compngc_round(state: AgentState, inbox: RoundInbox, hp: HyperParams,
-                  weights: dict[int, float], batch_size: int):
-    """Compressed round; inbox.cross holds CompressedTensor messages."""
-    return _fused_round(compngc_prepare, state, inbox, hp, weights, batch_size)

@@ -15,48 +15,28 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
 from .compression import compress, decode, decompress, ef_step, encode, wire_size_bytes
-from .errors import (
-    ConfigurationError,
-    ParseError,
-    PartitionError,
-    RunAbortError,
-    UsageError,
-)
+from .errors import ConfigurationError, DecentsimError, ParseError, RunAbortError, UsageError
 from .metrics import MetricsRow
 from .models import evaluate
 from .simulator import RunConfig, run
 
 SCHEMA_LINE = "# decentsim metrics schema v1"
-CSV_HEADER = ("round,epoch,train_loss,val_loss,val_acc,consensus_error,"
-              "eps_l1,omega_l1,param_bytes,crossgrad_bytes")
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {
-    "agents", "epochs", "batch_size", "seed", "classes", "dim", "per_class",
-    "val_per_class", "hidden_dim", "workers", "metric_every", "torus_rows",
-    "data_seed",
-}
-_FLOAT_FIELDS = {"alpha", "beta", "eta", "gamma", "spread", "val_fraction"}
-_BOOL_FIELDS = {"gossip_post_update"}
+_ROW_HINTS = typing.get_type_hints(MetricsRow)
+_COLUMNS = [(f.name, _ROW_HINTS[f.name]) for f in dataclasses.fields(MetricsRow)]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
-def _coerce(key: str, raw: str):
-    if key in _INT_FIELDS:
-        return int(raw)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    if key in _BOOL_FIELDS:
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return raw
+def _scalar(hint):
+    """The value type behind an annotation: int for `int | None`."""
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+
+
+_FIELD_TYPES = {name: _scalar(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def read_config_file(path: str) -> dict:
@@ -79,7 +59,7 @@ def read_config_file(path: str) -> dict:
             if key not in _FIELD_TYPES:
                 raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
             try:
-                overrides[key] = _coerce(key, raw)
+                overrides[key] = _FIELD_TYPES[key](raw)
             except ValueError as exc:
                 raise UsageError(f"{path} line {lineno}: {exc}") from None
     return overrides
@@ -123,27 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_RANGES = {
-    "alpha": (0.0, 1.0, True, True),
-    "beta": (0.0, 1.0, True, False),
-    "gamma": (0.0, 1.0, False, True),
-}
-
-
-def _check_ranges(values: dict):
-    for key, (lo, hi, lo_in, hi_in) in _RANGES.items():
-        if key not in values:
-            continue
-        v = values[key]
-        ok = (lo <= v if lo_in else lo < v) and (v <= hi if hi_in else v < hi)
-        if not ok:
-            lo_b = "[" if lo_in else "("
-            hi_b = "]" if hi_in else ")"
-            raise UsageError(f"--{key} {v} outside {lo_b}{lo}, {hi}{hi_b}")
-    if "eta" in values and values["eta"] <= 0:
-        raise UsageError(f"--eta {values['eta']} must be positive")
-
-
 def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
     """Resolve flags over config file over defaults; returns config and seeds."""
     args = _build_parser().parse_args(argv)
@@ -151,18 +110,12 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
     if args.config:
         overrides.update(read_config_file(args.config))
 
-    flag_values = {}
-    for key in ("algorithm", "agents", "topology", "partition", "alpha", "beta",
-                "eta", "gamma", "epochs", "batch_size", "seed", "dataset", "workers"):
-        val = getattr(args, key)
-        if val is not None:
-            flag_values[key] = val
-    overrides.update(flag_values)
+    overrides.update({key: val for key, val in vars(args).items()
+                      if key in _FIELD_TYPES and val is not None})
 
     algorithm = overrides.get("algorithm", RunConfig.algorithm)
     if algorithm == "dpsgd" and "alpha" in overrides:
         raise UsageError("dpsgd does not take --alpha; it has no cross-gradient mixing")
-    _check_ranges(overrides)
 
     seeds = [overrides.get("seed", RunConfig.seed)]
     if args.seeds:
@@ -176,15 +129,9 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
     try:
         config = RunConfig(**overrides)
         config.validate()
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise UsageError(str(exc)) from None
     return config, seeds, args
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    return f"{value:.9g}"
 
 
 def emit_metrics_csv(rows: list[MetricsRow], path: str):
@@ -193,11 +140,10 @@ def emit_metrics_csv(rows: list[MetricsRow], path: str):
         fh.write(SCHEMA_LINE + "\n")
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join([
-                str(r.round), str(r.epoch), _fmt(r.train_loss), _fmt(r.val_loss),
-                _fmt(r.val_acc), _fmt(r.consensus_error), _fmt(r.eps_l1),
-                _fmt(r.omega_l1), str(r.param_bytes), str(r.crossgrad_bytes),
-            ]) + "\n")
+            fh.write(",".join(
+                str(getattr(r, name)) if kind is int else f"{getattr(r, name):.9g}"
+                for name, kind in _COLUMNS
+            ) + "\n")
 
 
 def read_metrics_csv(path: str) -> list[MetricsRow]:
@@ -215,15 +161,13 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
                 header_seen = True
                 continue
             parts = line.split(",")
-            if len(parts) != 10:
-                raise ParseError(f"line {lineno}: expected 10 fields, got {len(parts)}")
-            rows.append(MetricsRow(
-                round=int(parts[0]), epoch=int(parts[1]), train_loss=float(parts[2]),
-                val_loss=float(parts[3]), val_acc=float(parts[4]),
-                consensus_error=float(parts[5]), eps_l1=float(parts[6]),
-                omega_l1=float(parts[7]), param_bytes=int(parts[8]),
-                crossgrad_bytes=int(parts[9]),
-            ))
+            if len(parts) != len(_COLUMNS):
+                raise ParseError(f"line {lineno}: expected {len(_COLUMNS)} fields, "
+                                 f"got {len(parts)}")
+            try:
+                rows.append(MetricsRow(*(kind(p) for (_, kind), p in zip(_COLUMNS, parts))))
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
     if not header_seen:
         raise ParseError("no header line found")
     return rows
@@ -321,12 +265,12 @@ def main(argv=None) -> int:
                 print(line)
             return 0
         summary = run_sweep(config, seeds, args.out_dir, verbose=args.verbose)
-    except (UsageError, ConfigurationError, ParseError, PartitionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RunAbortError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
+    except DecentsimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {os.path.join(args.out_dir, 'summary.json')}")
     if summary["final_acc_mean"] is not None:
         print(f"final_acc_mean={summary['final_acc_mean']:.4f} "

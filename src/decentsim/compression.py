@@ -5,6 +5,10 @@ the mean absolute value. On the wire that is an 8-byte little-endian
 dimension, the scale as a 4-byte float, then ceil(d/8) sign bytes with
 coordinate i at byte i//8 bit i%8 (bit set means positive). The scale is
 kept at 64 bits in memory; only serialization narrows it.
+
+If mean |v| underflows to 0 (e.g. v = [5e-324, 0.0]) the message is all
+zeros and carries no signs; error feedback then keeps the whole vector as
+its residual, so decompress(ct) + residual == v still holds exactly.
 """
 from __future__ import annotations
 

@@ -1,31 +1,36 @@
-"""Error taxonomy shared across the package."""
+"""Error taxonomy shared across the package.
+
+Every error the package raises on purpose derives from DecentsimError, so
+a front end can map the whole family to exit codes: RunAbortError to 3,
+everything else to 2.
+"""
 
 
-class ConfigurationError(ValueError):
+class DecentsimError(Exception):
+    """Base of every deliberate decentsim error."""
+
+
+class ConfigurationError(DecentsimError, ValueError):
     """Invalid option value or inconsistent option combination."""
 
 
-class ParseError(ValueError):
+class ParseError(DecentsimError, ValueError):
     """Malformed input file; message names the offending line."""
 
 
-class ShapeError(ValueError):
+class ShapeError(DecentsimError, ValueError):
     """Array shape or length does not match the declared model."""
 
 
-class PartitionError(ValueError):
+class PartitionError(DecentsimError, ValueError):
     """Shard assignment violates a partitioning guarantee."""
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(DecentsimError, RuntimeError):
     """A message expected from a neighbor is missing or malformed."""
 
 
-class NumericalError(RuntimeError):
-    """An iterative numeric routine failed to converge."""
-
-
-class RunAbortError(RuntimeError):
+class RunAbortError(DecentsimError, RuntimeError):
     """Training produced non-finite parameters; carries the round index."""
 
     def __init__(self, round_index: int, message: str = ""):
@@ -33,5 +38,5 @@ class RunAbortError(RuntimeError):
         super().__init__(message or f"non-finite parameters at round {round_index}")
 
 
-class UsageError(ValueError):
+class UsageError(DecentsimError, ValueError):
     """Bad command line or config file; maps to exit code 2."""

@@ -9,6 +9,7 @@ MLP. All math is 64-bit and deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,7 +240,11 @@ def load_csv(path: str) -> Dataset:
     rows = []
     labels = []
     width = None
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot open dataset: {exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -258,6 +263,8 @@ def load_csv(path: str) -> Dataset:
                 raise ParseError(f"line {lineno}: {exc}") from None
             if label < 0:
                 raise ParseError(f"line {lineno}: negative label {label}")
+            if not all(map(math.isfinite, feats)):
+                raise ParseError(f"line {lineno}: non-finite feature value")
             labels.append(label)
             rows.append(feats)
     if not rows:

@@ -22,6 +22,7 @@ from .algorithms import (
     AgentState,
     HyperParams,
     apply_lr_schedule,
+    cluster_deviation,
     compngc_prepare,
     dpsgd_finalize,
     dpsgd_prepare,
@@ -83,8 +84,6 @@ class RunConfig:
     hidden_dim: int = 32
     activation: str = "tanh"
     workers: int = 1
-    gossip_post_update: bool = False
-    metric_every: int = 1
 
     def validate(self):
         if self.algorithm not in ALGORITHMS:
@@ -101,8 +100,6 @@ class RunConfig:
             raise ConfigurationError("batch_size must be positive")
         if self.workers < 1:
             raise ConfigurationError("workers must be positive")
-        if self.metric_every < 1:
-            raise ConfigurationError("metric_every must be positive")
         if self.dataset == "synthetic" and self.val_per_class < 1:
             raise ConfigurationError("val_per_class must be positive")
         if self.dataset != "synthetic" and not 0.0 < self.val_fraction < 1.0:
@@ -133,36 +130,22 @@ class CommLedger:
     def total_bytes(self) -> int:
         return self.param_bytes + self.crossgrad_bytes
 
-    def record_round(self, param_bytes: int, crossgrad_bytes: int, messages: int,
-                     per_agent: np.ndarray):
+    def record_round(self, degrees: np.ndarray, param_msg_bytes: int,
+                     crossgrad_msg_bytes: int):
+        """Add one round's traffic from per-agent peer counts.
+
+        Every agent sends each peer one parameter message and, when
+        crossgrad_msg_bytes is nonzero, one cross-gradient message.
+        """
+        per_param = degrees * param_msg_bytes
+        per_cross = degrees * crossgrad_msg_bytes
+        param_bytes, crossgrad_bytes = int(per_param.sum()), int(per_cross.sum())
         self.param_bytes += param_bytes
         self.crossgrad_bytes += crossgrad_bytes
-        self.messages += messages
-        self.per_agent_sent += per_agent
+        self.messages += int(degrees.sum()) * (2 if crossgrad_msg_bytes else 1)
+        self.per_agent_sent += per_param + per_cross
         self.round_param_bytes.append(param_bytes)
         self.round_crossgrad_bytes.append(crossgrad_bytes)
-
-
-class _RoundTally:
-    """Accumulates one round's traffic before it lands in the ledger."""
-
-    def __init__(self, num_agents: int):
-        self.param_bytes = 0
-        self.crossgrad_bytes = 0
-        self.messages = 0
-        self.per_agent = np.zeros(num_agents, dtype=np.int64)
-
-    def add(self, param_bytes: int, crossgrad_bytes: int, messages: int,
-            per_agent: np.ndarray):
-        self.param_bytes += param_bytes
-        self.crossgrad_bytes += crossgrad_bytes
-        self.messages += messages
-        self.per_agent += per_agent
-
-    def commit(self, ledger: CommLedger | None):
-        if ledger is not None:
-            ledger.record_round(self.param_bytes, self.crossgrad_bytes,
-                                self.messages, self.per_agent)
 
 
 @dataclass(frozen=True)
@@ -232,48 +215,34 @@ def _neighbor_tables(w: np.ndarray):
     return peers, weight_maps
 
 
-def _tally_exchange(peers, bytes_per_msg: int, num_agents: int):
-    """Directed-edge traffic: every agent sends one message per peer."""
-    per_agent = np.array([len(nb) * bytes_per_msg for nb in peers], dtype=np.int64)
-    return int(per_agent.sum()), int(sum(len(nb) for nb in peers)), per_agent
-
-
-def exchange_params(states: list[AgentState], peers, tally: _RoundTally) -> list[dict]:
-    """Deliver current params along every directed edge; 4 bytes per coordinate."""
-    dim = states[0].params.size
-    total, msgs, per_agent = _tally_exchange(peers, 4 * dim, len(states))
-    tally.add(total, 0, msgs, per_agent)
+def exchange_params(states: list[AgentState], peers) -> list[dict]:
+    """Deliver current params along every directed edge."""
     return [{j: states[j].params for j in peers[i]} for i in range(len(states))]
 
 
-def exchange_cross_gradients(works, peers, dim: int, compressed: bool,
-                             tally: _RoundTally) -> list[dict]:
+def exchange_cross_gradients(works, peers) -> list[dict]:
     """Deliver each agent's outgoing cross-gradients to their addressees."""
-    per_msg = wire_size_bytes(dim) if compressed else 4 * dim
-    total, msgs, per_agent = _tally_exchange(peers, per_msg, len(works))
-    tally.add(0, total, msgs, per_agent)
     return [{j: works[j].outgoing[i] for j in peers[i]} for i in range(len(works))]
 
 
 def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorithm: str,
               batch_size: int, ledger: CommLedger | None = None, workers: int = 1,
-              gossip_post_update: bool = False, tables=None):
+              tables=None):
     """One synchronous round for every agent; returns (states, losses, bundles)."""
     n = len(states)
     peers, weight_maps = tables if tables is not None else _neighbor_tables(w)
-    tally = _RoundTally(n)
     dim = states[0].params.size
+    degrees = np.array([len(nb) for nb in peers], dtype=np.int64)
 
     if algorithm == "dpsgd":
         works = _map_agents(lambda i: dpsgd_prepare(states[i], hp, batch_size), n, workers)
-        total, msgs, per_agent = _tally_exchange(peers, 4 * dim, n)
-        tally.add(total, 0, msgs, per_agent)
         tilde_in = [{j: works[j].x_tilde for j in peers[i]} for i in range(n)]
         new_states = _map_agents(
             lambda i: dpsgd_finalize(states[i], works[i], tilde_in[i], weight_maps[i], hp),
             n, workers,
         )
-        tally.commit(ledger)
+        if ledger is not None:
+            ledger.record_round(degrees, 4 * dim, 0)
         return new_states, [wk.batch_loss for wk in works], None
 
     if algorithm not in ("ngc", "compngc"):
@@ -281,36 +250,27 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
     compressed = algorithm == "compngc"
     prepare = compngc_prepare if compressed else ngc_prepare
 
-    params_in = exchange_params(states, peers, tally)
+    params_in = exchange_params(states, peers)
     works = _map_agents(lambda i: prepare(states[i], params_in[i], hp, batch_size), n, workers)
 
     if hp.alpha != 0.0:
-        cross_in = exchange_cross_gradients(works, peers, dim, compressed, tally)
+        cross_in = exchange_cross_gradients(works, peers)
+        cross_msg_bytes = wire_size_bytes(dim) if compressed else 4 * dim
     else:
         cross_in = [{} for _ in range(n)]
+        cross_msg_bytes = 0
 
     updates = _map_agents(
         lambda i: ngc_update(states[i], works[i], cross_in[i], hp, weight_maps[i]),
         n, workers,
     )
-
-    if gossip_post_update:
-        # Variant: average the freshly updated parameters; costs one more
-        # parameter exchange along every directed edge.
-        total, msgs, per_agent = _tally_exchange(peers, 4 * dim, n)
-        tally.add(total, 0, msgs, per_agent)
-        gossip_params = [
-            {**{j: updates[j][0] for j in peers[i]}, i: updates[i][0]} for i in range(n)
-        ]
-    else:
-        gossip_params = [dict(params_in[i]) for i in range(n)]
-
     new_states = _map_agents(
         lambda i: ngc_apply(states[i], works[i], updates[i][0], updates[i][1],
-                            gossip_params[i], weight_maps[i], hp),
+                            params_in[i], weight_maps[i], hp),
         n, workers,
     )
-    tally.commit(ledger)
+    if ledger is not None:
+        ledger.record_round(degrees, 4 * dim, cross_msg_bytes)
     return new_states, [wk.batch_loss for wk in works], [u[2] for u in updates]
 
 
@@ -425,34 +385,23 @@ def run(config: RunConfig) -> RunResult:
             round_idx += 1
             states, losses, bundles = run_round(
                 states, w, hp_eff, config.algorithm, config.batch_size,
-                ledger=ledger, workers=config.workers,
-                gossip_post_update=config.gossip_post_update,
-                tables=(peers, weight_maps),
+                ledger=ledger, workers=config.workers, tables=(peers, weight_maps),
             )
             for s in states:
                 if not np.isfinite(s.params).all():
                     raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))
-            if bias_ok and bundles is not None:
-                eps_accum += _mean_cluster_norm(bundles, "model_variant")
+            if bias_ok:
+                eps_accum += _mean_l1([cluster_deviation(b, b.model_variant) for b in bundles])
                 if hp.alpha != 0.0:
-                    omega_accum += _mean_cluster_norm(bundles, "data_variant")
-        if (epoch + 1) % config.metric_every == 0 or epoch + 1 == config.epochs:
-            emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,
-                 eps_accum / rounds_per_epoch, omega_accum / rounds_per_epoch)
+                    omega_accum += _mean_l1(
+                        [cluster_deviation(b, b.data_variant) for b in bundles])
+        emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,
+             eps_accum / rounds_per_epoch, omega_accum / rounds_per_epoch)
 
     return RunResult(config, rows, ledger, states, spec, val,
                      spectral_gap(w).sqrt_rho)
 
 
-def _mean_cluster_norm(bundles, attr: str) -> float:
-    """Mean l1 norm of one cluster's mean deviation from the self gradient."""
-    norms = []
-    for b in bundles:
-        terms = getattr(b, attr)
-        m = len(b.weights)
-        dev = np.zeros_like(b.self_grad)
-        for g in terms.values():
-            dev += g - b.self_grad
-        norms.append(np.abs(dev / m).sum())
-    return float(np.mean(norms))
+def _mean_l1(vectors) -> float:
+    return float(np.mean([np.abs(v).sum() for v in vectors]))

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 _SUM_TOL = 1e-12
-_DENSE_EIG_MAX = 64
-_POWER_ITER_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -139,41 +137,15 @@ def validate_doubly_stochastic(w: np.ndarray) -> StochasticityReport:
     )
 
 
-def _power_iteration_sqrt_rho(w: np.ndarray) -> float:
-    """Largest |eigenvalue| of W - ones/n via power iteration on the deflation."""
-    n = w.shape[0]
-    b = w - np.full((n, n), 1.0 / n)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        # Iterate on B^2 so the sign of the dominant eigenvalue cannot stall us.
-        bv = b @ (b @ v)
-        norm = np.linalg.norm(bv)
-        if norm == 0.0:
-            return 0.0
-        v = bv / norm
-        est = float(np.sqrt(abs(v @ (b @ (b @ v)))))
-        if abs(est - prev) <= 1e-12 * max(1.0, est):
-            return est
-        prev = est
-    raise NumericalError("power iteration did not converge")
-
-
 def spectral_gap(w: np.ndarray) -> SpectralGap:
-    """sqrt_rho = max(|lambda_2|, |lambda_n|); dense solve for small n."""
+    """sqrt_rho = max(|lambda_2|, |lambda_n|) from a dense symmetric eigensolve."""
     report = validate_doubly_stochastic(w)
     if not report.passed:
         raise ConfigurationError("spectral gap is defined for doubly-stochastic W only")
-    n = w.shape[0]
-    if n == 1:
+    if w.shape[0] == 1:
         return SpectralGap(0.0, 0.0)
-    if n <= _DENSE_EIG_MAX:
-        lams = np.linalg.eigvalsh(w)
-        sqrt_rho = float(max(abs(lams[0]), abs(lams[-2])))
-    else:
-        sqrt_rho = _power_iteration_sqrt_rho(w)
+    lams = np.linalg.eigvalsh(w)
+    sqrt_rho = float(max(abs(lams[0]), abs(lams[-2])))
     sqrt_rho = min(sqrt_rho, 1.0)
     return SpectralGap(sqrt_rho, sqrt_rho * sqrt_rho)
 

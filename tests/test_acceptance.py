@@ -24,7 +24,6 @@ from decentsim import (
     build_mixing_matrix,
     consensus_error,
     consensus_model,
-    dpsgd_round,
     evaluate,
     finite_difference_gradient,
     generate_synthetic,
@@ -33,7 +32,6 @@ from decentsim import (
     initial_states,
     loss_and_gradient,
     ngc_mix,
-    ngc_round,
     run,
     run_round,
     skew_benchmark_config,
@@ -41,7 +39,6 @@ from decentsim import (
     validate_doubly_stochastic,
     variance_bound_check,
 )
-from decentsim.algorithms import RoundInbox
 from decentsim.cli import emit_metrics_csv
 from decentsim.compression import (
     compress,
@@ -215,13 +212,13 @@ def test_criterion_05_single_node_and_pure_gossip_reductions():
     hp = HyperParams(alpha=1.0, beta=0.9, eta=0.05, gamma=1.0, schedule="constant")
     shard = np.arange(data.n)
     worst = 0.0
-    for round_fn in (ngc_round, dpsgd_round):
-        [state] = make_states(1, spec, data, [shard], seed=99, shared_rng_seed=1234)
+    for algorithm in ("ngc", "dpsgd"):
+        states = make_states(1, spec, data, [shard], seed=99, shared_rng_seed=1234)
         for _ in range(100):
-            state, _, _ = round_fn(state, RoundInbox(), hp, {0: 1.0}, batch_size=10)
+            states, _, _ = run_round(states, np.ones((1, 1)), hp, algorithm, batch_size=10)
         oracle = heavyball_oracle(spec, data, shard, 1234, hp, 100, 10)
         denom = max(np.abs(oracle).max(), 1e-12)
-        worst = max(worst, float(np.abs(state.params - oracle).max() / denom))
+        worst = max(worst, float(np.abs(states[0].params - oracle).max() / denom))
     assert worst <= 1e-12, f"single-node trajectory off by rel {worst:.3e}"
 
     w = build_mixing_matrix(TopologySpec("ring", 5))

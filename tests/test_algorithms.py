@@ -1,4 +1,4 @@
-"""Update rules: mixing identity, momentum, gossip, schedules, fused rounds."""
+"""Update rules: mixing identity, momentum, gossip, schedules, single-agent rounds."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,16 +12,13 @@ from decentsim import (
     HyperParams,
     ModelSpec,
     ProtocolError,
-    RoundInbox,
     apply_lr_schedule,
     bias_terms,
-    compngc_round,
-    dpsgd_round,
     generate_synthetic,
     gossip_step,
     momentum_update,
     ngc_mix,
-    ngc_round,
+    run_round,
 )
 from decentsim.algorithms import ngc_prepare
 
@@ -214,7 +211,7 @@ def test_gossip_step_missing_operand_is_a_protocol_error():
         gossip_step(np.zeros(1), 0, {0: np.zeros(1)}, {0: 0.5, 1: 0.5}, 1.0)
 
 
-# ----------------------------------------------------------- fused rounds
+# ----------------------------------------------------- single-agent rounds
 
 
 def momentum_sgd_oracle(spec, data, shard, seed, hp, steps, batch_size):
@@ -238,15 +235,18 @@ def momentum_sgd_oracle(spec, data, shard, seed, hp, steps, batch_size):
     return params
 
 
-@pytest.mark.parametrize("round_fn", [ngc_round, dpsgd_round])
-def test_single_agent_round_reduces_to_momentum_sgd(round_fn, small_data, small_spec):
+W_ONE_AGENT = np.ones((1, 1))
+
+
+@pytest.mark.parametrize("algorithm", ["ngc", "dpsgd"])
+def test_single_agent_round_reduces_to_momentum_sgd(algorithm, small_data, small_spec):
     hp = HyperParams(alpha=1.0, beta=0.9, eta=0.05, gamma=1.0, schedule="constant")
     shard = np.arange(small_data.n)
-    [state] = make_states(1, small_spec, small_data, [shard], seed=99,
-                          shared_rng_seed=1234)
-    weights = {0: 1.0}
+    states = make_states(1, small_spec, small_data, [shard], seed=99,
+                         shared_rng_seed=1234)
     for _ in range(100):
-        state, _, _ = round_fn(state, RoundInbox(), hp, weights, batch_size=10)
+        states, _, _ = run_round(states, W_ONE_AGENT, hp, algorithm, batch_size=10)
+    [state] = states
     oracle = momentum_sgd_oracle(small_spec, small_data, shard, 1234, hp, 100, 10)
     denom = max(np.abs(oracle).max(), 1e-12)
     assert np.abs(state.params - oracle).max() / denom <= 1e-12
@@ -256,34 +256,30 @@ def test_single_agent_compressed_round_differs_from_uncompressed():
     data = generate_synthetic(3, 4, 30, 0.3, 7)
     spec = ModelSpec(4, 3, hidden_dim=6)
     hp = HyperParams(1.0, 0.9, 0.05, 1.0, "constant")
-    [a] = make_states(1, spec, data, [np.arange(data.n)], seed=1,
-                      algorithm="compngc", shared_rng_seed=5)
-    [b] = make_states(1, spec, data, [np.arange(data.n)], seed=1,
-                      shared_rng_seed=5)
+    a = make_states(1, spec, data, [np.arange(data.n)], seed=1,
+                    algorithm="compngc", shared_rng_seed=5)
+    b = make_states(1, spec, data, [np.arange(data.n)], seed=1,
+                    shared_rng_seed=5)
     for _ in range(5):
-        a, _, _ = compngc_round(a, RoundInbox(), hp, {0: 1.0}, batch_size=10)
-        b, _, _ = ngc_round(b, RoundInbox(), hp, {0: 1.0}, batch_size=10)
-    assert not np.allclose(a.params, b.params)
+        a, _, _ = run_round(a, W_ONE_AGENT, hp, "compngc", batch_size=10)
+        b, _, _ = run_round(b, W_ONE_AGENT, hp, "ngc", batch_size=10)
+    assert not np.allclose(a[0].params, b[0].params)
 
 
 def test_round_outbox_empty_when_alpha_zero(small_data, small_spec):
     hp = HyperParams(alpha=0.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
     shards = [np.arange(0, 45), np.arange(45, 90)]
     states = make_states(2, small_spec, small_data, shards, seed=3)
-    inbox = RoundInbox(params={1: states[1].params})
-    weights = {0: 0.5, 1: 0.5}
-    _, outbox, bundle = ngc_round(states[0], inbox, hp, weights, batch_size=10)
-    assert outbox == {}
-    assert set(bundle.model_variant) == {1}
+    work = ngc_prepare(states[0], {1: states[1].params}, hp, batch_size=10)
+    assert work.outgoing == {}
+    assert set(work.model_variant) == {1}
 
 
 def test_round_outbox_addresses_every_neighbor_when_alpha_set(small_data, small_spec):
     hp = HyperParams(alpha=1.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
     shards = [np.arange(0, 45), np.arange(45, 90)]
     states = make_states(2, small_spec, small_data, shards, seed=3)
-    inbox = RoundInbox(params={1: states[1].params},
-                       cross={1: np.zeros(small_spec.param_count)})
-    _, outbox, _ = ngc_round(states[0], inbox, hp, {0: 0.5, 1: 0.5}, batch_size=10)
+    outbox = ngc_prepare(states[0], {1: states[1].params}, hp, batch_size=10).outgoing
     assert set(outbox) == {1}
     assert outbox[1].shape == (small_spec.param_count,)
 

@@ -1,12 +1,21 @@
 """Command line: precedence, validation, CSV schema, sweeps, exit codes."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from decentsim import MetricsRow, RunConfig, UsageError, run
+from decentsim import (
+    MetricsRow,
+    PartitionError,
+    ProtocolError,
+    RunConfig,
+    ShapeError,
+    UsageError,
+    run,
+)
 from decentsim.cli import (
     compress_self_check,
     emit_metrics_csv,
@@ -75,7 +84,12 @@ def test_out_of_range_values_are_usage_errors():
     with pytest.raises(UsageError, match="gamma"):
         parse_config(["--gamma", "0.0"])
     with pytest.raises(UsageError, match="eta"):
-        parse_config(["--eta", "0.0"])
+        parse_config(["--eta", "-0.01"])
+
+
+def test_eta_zero_is_accepted_as_pure_gossip():
+    config, _, _ = parse_config(["--eta", "0"])
+    assert config.eta == 0.0
 
 
 def test_seeds_flag_parses_a_comma_list():
@@ -86,8 +100,16 @@ def test_seeds_flag_parses_a_comma_list():
 
 
 def test_config_echo_round_trips(tmp_path):
-    config = RunConfig(algorithm="compngc", agents=6, topology="torus",
-                       torus_rows=2, alpha=0.25, epochs=7)
+    config = RunConfig(
+        algorithm="compngc", agents=6, topology="torus", torus_rows=2, partition="iid",
+        alpha=0.25, beta=0.5, eta=0.125, gamma=0.75, schedule="constant", epochs=7,
+        batch_size=9, seed=11, dataset="data.csv", data_seed=13, classes=4, dim=3,
+        per_class=17, spread=0.3, val_per_class=6, val_fraction=0.4, model="logistic",
+        hidden_dim=8, activation="relu", workers=2,
+    )
+    defaults = RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(config, f.name) != getattr(defaults, f.name), f.name
     path = tmp_path / "config.txt"
     write_config_file(config, str(path))
     overrides = read_config_file(str(path))
@@ -199,6 +221,35 @@ def _small_cfg(tmp_path):
 def test_main_usage_error_exit_two(capsys):
     assert run_main(["--alpha", "7"]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_main_missing_dataset_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run_main(["--dataset", str(missing), "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ShapeError, ProtocolError, PartitionError])
+def test_main_maps_every_library_error_to_exit_two(error, monkeypatch, capsys):
+    def failing_sweep(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr("decentsim.cli.run_sweep", failing_sweep)
+    assert run_main([]) == 2
+    assert "boom" in capsys.readouterr().err
+
+
+def test_main_long_chain_exit_zero(tmp_path):
+    # 200 agents: the spectral gap of a chain this long is about 8e-5.
+    assert run_main(["--agents", "200", "--topology", "chain", "--epochs", "1",
+                     "--batch-size", "8", "--out-dir", str(tmp_path / "runs")]) == 0
+
+
+def test_main_non_finite_dataset_exit_two_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("0,1.0,2.0\n1,nan,0.5\n")
+    assert run_main(["--dataset", str(data), "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

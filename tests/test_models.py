@@ -251,3 +251,12 @@ def test_load_csv_errors_name_the_line(tmp_path):
     empty.write_text("\n\n")
     with pytest.raises(ParseError):
         load_csv(str(empty))
+
+    for cell in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / "n.csv"
+        non_finite.write_text(f"0,1.0,2.0\n\n1,3.0,{cell}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_csv(str(non_finite))
+
+    with pytest.raises(ConfigurationError, match="missing.csv"):
+        load_csv(str(tmp_path / "missing.csv"))

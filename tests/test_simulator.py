@@ -166,14 +166,6 @@ def test_ledger_counts_are_monotone_and_per_agent_totals_match():
     assert running[-1] == ledger.param_bytes
 
 
-def test_gossip_post_update_variant_pays_an_extra_parameter_exchange():
-    base = run(tiny_config(algorithm="ngc", epochs=1)).ledger
-    variant = run(tiny_config(algorithm="ngc", epochs=1,
-                              gossip_post_update=True)).ledger
-    assert variant.param_bytes == 2 * base.param_bytes
-    assert variant.crossgrad_bytes == base.crossgrad_bytes
-
-
 def test_metrics_rows_track_cumulative_ledger():
     result = run(tiny_config(epochs=3))
     rows = result.rows

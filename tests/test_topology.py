@@ -184,10 +184,14 @@ def test_single_agent_gap_is_zero():
     assert gap.connected
 
 
-def test_large_ring_uses_power_iteration_and_agrees_with_dense_solve():
-    w = build_mixing_matrix(TopologySpec("ring", 80))  # above the dense cutoff
-    gap = spectral_gap(w)
-    assert abs(gap.sqrt_rho - ring_sqrt_rho_closed_form(80)) <= 1e-8
+@pytest.mark.parametrize("kind,n", [("ring", 80), ("ring", 256), ("chain", 200), ("chain", 400)])
+def test_large_graph_spectral_gap_matches_closed_form(kind, n):
+    # Ring: (1 + 2cos(2pi/n))/3. Metropolis chain: (1 + 2cos(pi/n))/3, whose
+    # gap 1 - sqrt_rho is only about 2e-5 at n = 400.
+    angle = 2 * np.pi / n if kind == "ring" else np.pi / n
+    gap = spectral_gap(build_mixing_matrix(TopologySpec(kind, n)))
+    assert abs(gap.sqrt_rho - (1 + 2 * np.cos(angle)) / 3) <= 1e-12
+    assert gap.connected
 
 
 def test_spectral_gap_rejects_non_stochastic_input():
