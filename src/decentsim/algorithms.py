@@ -117,12 +117,14 @@ def bias_terms(bundle: GradientBundle) -> tuple[np.ndarray, np.ndarray]:
 
     Defined for uniform neighborhood weights only, where the mixed
     gradient decomposes exactly as g_self + (1-alpha)*eps + alpha*omega.
+    An empty data-variant map (alpha = 0, nothing exchanged) gives omega = 0.
     """
     vals = list(bundle.weights.values())
     if max(vals) != min(vals):
         raise ConfigurationError("bias terms need uniform neighborhood weights")
     peers = set(bundle.weights) - {bundle.agent_id}
-    if set(bundle.model_variant) != peers or set(bundle.data_variant) != peers:
+    partial_data = bundle.data_variant and set(bundle.data_variant) != peers
+    if set(bundle.model_variant) != peers or partial_data:
         raise ProtocolError("bias terms need complete cross-gradient maps")
     return (cluster_deviation(bundle, bundle.model_variant),
             cluster_deviation(bundle, bundle.data_variant))
@@ -155,7 +157,11 @@ def gossip_step(x_tilde: np.ndarray, agent_id: int, params: dict[int, np.ndarray
 
 @dataclass
 class AgentState:
-    """One agent's mutable training state; rng drives its batch shuffles."""
+    """One agent's mutable training state; rng drives its batch shuffles.
+
+    The compngc error-feedback buffers (err_self, err_out) start empty;
+    compngc_prepare treats a missing buffer as zero.
+    """
 
     agent_id: int
     spec: ModelSpec
@@ -241,18 +247,20 @@ def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperPa
 
 def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
                     batch_size: int) -> NgcWork:
-    """ngc_prepare with every gradient routed through its compressor stream."""
-    if state.err_self is None:
-        raise ConfigurationError("compngc agent needs initialized error buffers")
+    """ngc_prepare with every gradient routed through its compressor stream.
+
+    Error-feedback buffers start empty; each one is zero on first use.
+    """
     batch = state.draw_batch(batch_size)
     loss, raw_self = loss_and_gradient(state.spec, state.params, state.data, batch)
-    delta_self, err_self = ef_step(raw_self, state.err_self)
+    zero = np.zeros_like(raw_self)
+    delta_self, err_self = ef_step(raw_self, zero if state.err_self is None else state.err_self)
     model_variant: dict[int, np.ndarray] = {}
     outgoing: dict[int, CompressedTensor] = {}
     err_out: dict[int, np.ndarray] = {}
     for j, x_j in params_in.items():
         raw = cross_gradient(state.spec, x_j, state.data, batch)
-        delta, err = ef_step(raw, state.err_out[j])
+        delta, err = ef_step(raw, state.err_out.get(j, zero))
         model_variant[j] = decompress(delta)
         outgoing[j] = delta
         err_out[j] = err

@@ -23,7 +23,8 @@ from .compression import compress, decode, decompress, ef_step, encode, wire_siz
 from .errors import ConfigurationError, DecentsimError, ParseError, RunAbortError, UsageError
 from .metrics import MetricsRow
 from .models import evaluate
-from .simulator import RunConfig, run
+from .simulator import ALGORITHMS, PARTITIONS, RunConfig, run
+from .topology import TOPOLOGIES
 
 SCHEMA_LINE = "# decentsim metrics schema v1"
 _ROW_HINTS = typing.get_type_hints(MetricsRow)
@@ -66,11 +67,14 @@ def read_config_file(path: str) -> dict:
 
 
 def write_config_file(config: RunConfig, path: str):
-    """Echo the resolved configuration; readable back by read_config_file."""
+    """Echo the resolved configuration; readable back by read_config_file.
+
+    dpsgd echoes carry no alpha line, since parse_config rejects alpha there.
+    """
     with open(path, "w") as fh:
         for f in dataclasses.fields(RunConfig):
             value = getattr(config, f.name)
-            if value is None:
+            if value is None or (f.name == "alpha" and config.algorithm == "dpsgd"):
                 continue
             fh.write(f"{f.name}={value}\n")
 
@@ -81,10 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decentralized training simulator (dpsgd, ngc, compngc).",
     )
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--algorithm", choices=("dpsgd", "ngc", "compngc"))
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument("--agents", type=int)
-    p.add_argument("--topology", choices=("ring", "chain", "torus", "full"))
-    p.add_argument("--partition", choices=("iid", "skew"))
+    p.add_argument("--topology", choices=TOPOLOGIES)
+    p.add_argument("--partition", choices=PARTITIONS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--eta", type=float)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AgentState
+from .algorithms import AgentState, GradientBundle, bias_terms, ngc_mix
 from .errors import ConfigurationError
-from .models import loss_and_gradient
+from .models import cross_gradient, loss_and_gradient
 from .topology import neighbors
 
 
@@ -48,8 +48,6 @@ def consensus_error(states: list[AgentState]) -> float:
 
 def bias_norms(bundles) -> tuple[float, float]:
     """Mean l1 norms of the two cluster deviations across agents."""
-    from .algorithms import bias_terms
-
     eps_norms = []
     omega_norms = []
     for bundle in bundles:
@@ -92,7 +90,7 @@ def variance_bound_check(states: list[AgentState], w: np.ndarray, batch_size: in
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         for i in range(n)
     ]
-    peers = [neighbors(w, i) for i in range(n)]
+    weights = [{j: float(w[i, j]) for j in neighbors(w, i)} for i in range(n)]
 
     # Population-level gradients per shard at every agent's parameters.
     full = np.stack(
@@ -111,7 +109,6 @@ def variance_bound_check(states: list[AgentState], w: np.ndarray, batch_size: in
                            replace=False)
             for i in range(n)
         ]
-        # grads[j][i]: shard j's batch gradient at agent i's params.
         deviation = np.zeros_like(states[0].params)
         self_grads = []
         for i in range(n):
@@ -120,13 +117,13 @@ def variance_bound_check(states: list[AgentState], w: np.ndarray, batch_size: in
             self_grads.append(g_ii)
             sigma2_sum[i] += float(((g_ii - full[i, i]) ** 2).sum())
         for i in range(n):
-            mixed = w[i, i] * self_grads[i]
-            for j in peers[i]:
-                if j == i:
-                    continue
-                _, g_ij = loss_and_gradient(states[j].spec, states[i].params,
-                                            states[j].data, batches[j])
-                mixed = mixed + w[i, j] * g_ij
+            # data_variant[j]: shard j's batch gradient at agent i's params.
+            data_variant = {
+                j: cross_gradient(states[j].spec, states[i].params, states[j].data, batches[j])
+                for j in weights[i] if j != i
+            }
+            bundle = GradientBundle(i, self_grads[i], {}, data_variant, weights[i])
+            mixed = ngc_mix(bundle, 1.0)
             deviation = deviation + (mixed - self_grads[i]) / n
         lhs_sum += float((deviation**2).sum())
 

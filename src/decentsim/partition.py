@@ -3,8 +3,8 @@
 The skew rule is deterministic in the class labels: with N <= C agent i
 holds every class c with c mod N == i, and with N == m*C each class c is
 split across agents {c + t*C}. Either way no two graph-adjacent agents
-share a class, which is re-checked against the actual topology after
-assignment.
+share a class, which is checked after assignment by walking the edges of
+the run's mixing matrix W.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import ConfigurationError, PartitionError
 from .models import Dataset
-from .topology import TopologySpec, build_mixing_matrix, neighbors
 
 
 def partition_iid(data: Dataset, num_agents: int, seed: int) -> list[np.ndarray]:
@@ -31,14 +30,9 @@ def _split_round_robin(idx: np.ndarray, parts: int, rng: np.random.Generator):
     return [shuffled[t::parts] for t in range(parts)]
 
 
-def partition_label_skew(data: Dataset, num_agents: int, topo: TopologySpec,
-                         seed: int) -> list[np.ndarray]:
-    """Complete label-wise skew; adjacent agents never share a class."""
-    n_agents, n_classes = num_agents, data.num_classes
-    if n_agents < 1:
-        raise ConfigurationError("num_agents must be positive")
-    if topo.num_agents != n_agents:
-        raise ConfigurationError("topology size does not match num_agents")
+def partition_label_skew(data: Dataset, w: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Complete label-wise skew over W's agents; W-adjacent agents never share a class."""
+    n_agents, n_classes = w.shape[0], data.num_classes
     by_class = [np.flatnonzero(data.labels == c) for c in range(n_classes)]
     for c, idx in enumerate(by_class):
         if idx.size == 0:
@@ -62,18 +56,11 @@ def partition_label_skew(data: Dataset, num_agents: int, topo: TopologySpec,
         )
     out = [np.sort(np.concatenate(parts)) for parts in shards]
 
-    # Re-derive the adjacency from the mixing matrix and verify disjointness.
-    w = build_mixing_matrix(topo)
     classes = [set(np.unique(data.labels[s]).tolist()) for s in out]
-    for i in range(n_agents):
-        for j in neighbors(w, i):
-            if j <= i:
-                continue
-            shared = classes[i] & classes[j]
-            if shared:
-                raise PartitionError(
-                    f"edge ({i}, {j}) shares classes {sorted(shared)}"
-                )
+    for i, j in zip(*np.nonzero(np.triu(w, 1) > 0.0)):
+        shared = classes[i] & classes[j]
+        if shared:
+            raise PartitionError(f"edge ({i}, {j}) shares classes {sorted(shared)}")
     return out
 
 

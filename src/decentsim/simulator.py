@@ -22,7 +22,6 @@ from .algorithms import (
     AgentState,
     HyperParams,
     apply_lr_schedule,
-    cluster_deviation,
     compngc_prepare,
     dpsgd_finalize,
     dpsgd_prepare,
@@ -32,7 +31,7 @@ from .algorithms import (
 )
 from .compression import wire_size_bytes
 from .errors import ConfigurationError, RunAbortError
-from .metrics import MetricsRow, consensus_error, consensus_model
+from .metrics import MetricsRow, bias_norms, consensus_error, consensus_model
 from .models import (
     Dataset,
     ModelSpec,
@@ -43,15 +42,10 @@ from .models import (
     loss_and_gradient,
 )
 from .partition import partition_iid, partition_label_skew
-from .topology import (
-    TopologySpec,
-    build_mixing_matrix,
-    neighbors,
-    spectral_gap,
-    validate_doubly_stochastic,
-)
+from .topology import TopologySpec, build_mixing_matrix, neighbors, spectral_gap
 
 ALGORITHMS = ("dpsgd", "ngc", "compngc")
+PARTITIONS = ("iid", "skew")
 _VAL_SEED_OFFSET = 10_000_019
 
 
@@ -88,7 +82,7 @@ class RunConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.partition not in ("iid", "skew"):
+        if self.partition not in PARTITIONS:
             raise ConfigurationError(f"unknown partition {self.partition!r}")
         if self.model not in ("logistic", "mlp"):
             raise ConfigurationError(f"unknown model {self.model!r}")
@@ -154,15 +148,14 @@ class SeedStreams:
 
     Derivation: numpy SeedSequence(master, spawn_key=(k,)) with k = 0 for
     partitioning, 1 for shared parameter init, (2, i) for agent i's batch
-    shuffles, 3 for validation splitting, 4 for diagnostics. Streams are
-    stable across runs and mutually independent.
+    shuffles, 3 for validation splitting. Streams are stable across runs
+    and mutually independent.
     """
 
     partition_seed: int
     init_rng: np.random.Generator
     agent_rngs: list
     val_seed: int
-    diag_seed: int
 
 
 def seed_streams(master_seed: int, num_agents: int) -> SeedStreams:
@@ -176,7 +169,6 @@ def seed_streams(master_seed: int, num_agents: int) -> SeedStreams:
         init_rng=np.random.default_rng(sub(1)),
         agent_rngs=[np.random.default_rng(sub(2, i)) for i in range(num_agents)],
         val_seed=int(sub(3).generate_state(1)[0]),
-        diag_seed=int(sub(4).generate_state(1)[0]),
     )
 
 
@@ -188,11 +180,15 @@ class RunResult:
     states: list
     spec: ModelSpec
     val_data: Dataset
-    sqrt_rho: float
+    w: np.ndarray
 
     @property
     def final_row(self) -> MetricsRow:
         return self.rows[-1]
+
+    @property
+    def sqrt_rho(self) -> float:
+        return spectral_gap(self.w).sqrt_rho
 
 
 def _map_agents(fn, count: int, workers: int):
@@ -274,7 +270,7 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
     return new_states, [wk.batch_loss for wk in works], [u[2] for u in updates]
 
 
-def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
+def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
     if config.dataset == "synthetic":
         base = config.seed if config.data_seed is None else config.data_seed
         train = generate_synthetic(config.classes, config.dim, config.per_class,
@@ -283,8 +279,7 @@ def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
                                  config.spread, base + _VAL_SEED_OFFSET)
         return train, val
     full = load_csv(config.dataset)
-    streams = seed_streams(config.seed, config.agents)
-    rng = np.random.default_rng(streams.val_seed)
+    rng = np.random.default_rng(val_seed)
     perm = rng.permutation(full.n)
     n_val = max(1, int(full.n * config.val_fraction))
     if n_val >= full.n:
@@ -297,47 +292,33 @@ def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
 
 
 def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dataset]:
-    """Validated mixing matrix and freshly initialized agents, before any round.
+    """Mixing matrix, data and freshly initialized agents, before any round.
 
-    Returns (states, w, validation_data); useful for diagnostics that probe
-    the pre-training configuration directly.
+    Builds W, checks and solves it (spectral_gap) and spawns the seed
+    streams, each exactly once per run. Returns (states, w,
+    validation_data); useful for diagnostics that probe the pre-training
+    configuration directly.
     """
     config.validate()
-    topo = TopologySpec(config.topology, config.agents, config.torus_rows)
-    w = build_mixing_matrix(topo)
-    if not validate_doubly_stochastic(w).passed:
-        raise ConfigurationError("generated mixing matrix failed validation")
-    gap = spectral_gap(w)
-    if config.agents > 1 and not gap.connected:
+    w = build_mixing_matrix(TopologySpec(config.topology, config.agents, config.torus_rows))
+    if not spectral_gap(w).connected:
         raise ConfigurationError("topology is disconnected")
 
-    train, val = _load_data(config)
     streams = seed_streams(config.seed, config.agents)
+    train, val = _load_data(config, streams.val_seed)
     if config.partition == "iid":
         shards = partition_iid(train, config.agents, streams.partition_seed)
     else:
-        shards = partition_label_skew(train, config.agents, topo, streams.partition_seed)
+        shards = partition_label_skew(train, w, streams.partition_seed)
 
     hidden = config.hidden_dim if config.model == "mlp" else 0
     spec = ModelSpec(train.dim, train.num_classes, hidden, config.activation)
     x0 = init_params(spec, streams.init_rng)
-    peers, _ = _neighbor_tables(w)
-
-    states = []
-    for i in range(config.agents):
-        err_self = np.zeros(spec.param_count) if config.algorithm == "compngc" else None
-        err_out = (
-            {j: np.zeros(spec.param_count) for j in peers[i]}
-            if config.algorithm == "compngc"
-            else {}
-        )
-        states.append(
-            AgentState(
-                agent_id=i, spec=spec, data=train, shard=shards[i],
-                params=x0.copy(), momentum=np.zeros(spec.param_count),
-                rng=streams.agent_rngs[i], err_self=err_self, err_out=err_out,
-            )
-        )
+    states = [
+        AgentState(agent_id=i, spec=spec, data=train, shard=shards[i], params=x0.copy(),
+                   momentum=np.zeros(spec.param_count), rng=streams.agent_rngs[i])
+        for i in range(config.agents)
+    ]
     return states, w, val
 
 
@@ -392,16 +373,10 @@ def run(config: RunConfig) -> RunResult:
                     raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))
             if bias_ok:
-                eps_accum += _mean_l1([cluster_deviation(b, b.model_variant) for b in bundles])
-                if hp.alpha != 0.0:
-                    omega_accum += _mean_l1(
-                        [cluster_deviation(b, b.data_variant) for b in bundles])
+                eps_l1, omega_l1 = bias_norms(bundles)
+                eps_accum += eps_l1
+                omega_accum += omega_l1
         emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,
              eps_accum / rounds_per_epoch, omega_accum / rounds_per_epoch)
 
-    return RunResult(config, rows, ledger, states, spec, val,
-                     spectral_gap(w).sqrt_rho)
-
-
-def _mean_l1(vectors) -> float:
-    return float(np.mean([np.abs(v).sum() for v in vectors]))
+    return RunResult(config, rows, ledger, states, spec, val, w)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+TOPOLOGIES = ("ring", "chain", "torus", "full")
 _SUM_TOL = 1e-12
 
 
@@ -24,7 +25,7 @@ class TopologySpec:
     torus_rows: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ring", "chain", "torus", "full"):
+        if self.kind not in TOPOLOGIES:
             raise ConfigurationError(f"unknown topology {self.kind!r}")
         if self.num_agents < 1:
             raise ConfigurationError("num_agents must be positive")

@@ -8,8 +8,7 @@ from decentsim import AgentState, Dataset, ModelSpec, generate_synthetic, init_p
 
 
 def make_states(num_agents: int, spec: ModelSpec, data: Dataset, shards,
-                seed: int = 0, algorithm: str = "ngc", peers=None,
-                shared_rng_seed=None) -> list[AgentState]:
+                seed: int = 0, shared_rng_seed=None) -> list[AgentState]:
     """Hand-built agent states; shared_rng_seed forces identical batch streams."""
     rng = np.random.default_rng(seed)
     x0 = init_params(spec, rng)
@@ -19,15 +18,9 @@ def make_states(num_agents: int, spec: ModelSpec, data: Dataset, shards,
             agent_rng = np.random.default_rng(shared_rng_seed)
         else:
             agent_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i)))
-        err_self = np.zeros(spec.param_count) if algorithm == "compngc" else None
-        err_out = {}
-        if algorithm == "compngc":
-            nb = peers[i] if peers is not None else [j for j in range(num_agents) if j != i]
-            err_out = {j: np.zeros(spec.param_count) for j in nb}
         states.append(AgentState(
             agent_id=i, spec=spec, data=data, shard=np.asarray(shards[i]),
             params=x0.copy(), momentum=np.zeros(spec.param_count), rng=agent_rng,
-            err_self=err_self, err_out=err_out,
         ))
     return states
 

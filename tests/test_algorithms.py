@@ -159,6 +159,18 @@ def test_bias_terms_require_uniform_weights():
         bias_terms(bundle)
 
 
+def test_bias_terms_read_an_empty_data_variant_map_as_zero_omega():
+    # alpha = 0 exchanges nothing; a partially filled map is still an error.
+    g0 = np.zeros(2)
+    shift = np.array([3.0, -3.0])
+    weights = {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
+    eps, omega = bias_terms(GradientBundle(0, g0, {1: shift, 2: shift}, {}, weights))
+    assert np.allclose(eps, 2.0 * shift / 3.0)
+    assert omega.shape == g0.shape and (omega == 0).all()
+    with pytest.raises(ProtocolError):
+        bias_terms(GradientBundle(0, g0, {1: shift, 2: shift}, {1: shift}, weights))
+
+
 def test_bias_terms_divide_by_neighborhood_size_including_self():
     g0 = np.zeros(2)
     shift = np.array([3.0, -3.0])
@@ -257,7 +269,7 @@ def test_single_agent_compressed_round_differs_from_uncompressed():
     spec = ModelSpec(4, 3, hidden_dim=6)
     hp = HyperParams(1.0, 0.9, 0.05, 1.0, "constant")
     a = make_states(1, spec, data, [np.arange(data.n)], seed=1,
-                    algorithm="compngc", shared_rng_seed=5)
+                    shared_rng_seed=5)
     b = make_states(1, spec, data, [np.arange(data.n)], seed=1,
                     shared_rng_seed=5)
     for _ in range(5):

@@ -116,6 +116,16 @@ def test_config_echo_round_trips(tmp_path):
     assert RunConfig(**overrides) == config
 
 
+def test_dpsgd_config_echo_is_reusable(tmp_path):
+    # The echo must not write the alpha that parse_config rejects for dpsgd.
+    config, _, _ = parse_config(["--algorithm", "dpsgd", "--epochs", "1"])
+    path = tmp_path / "config.txt"
+    write_config_file(config, str(path))
+    assert "alpha=" not in path.read_text()
+    again, _, _ = parse_config(["--config", str(path)])
+    assert again == config
+
+
 # ------------------------------------------------------------------- CSV
 
 

@@ -86,8 +86,8 @@ def skewed_states(n_agents=4, seed=0):
     data = generate_synthetic(4, 6, 30, 0.3, seed)
     spec = ModelSpec(6, 4, hidden_dim=5)
     topo = TopologySpec("ring", n_agents)
-    shards = partition_label_skew(data, n_agents, topo, seed=seed)
     w = build_mixing_matrix(topo)
+    shards = partition_label_skew(data, w, seed=seed)
     return make_states(n_agents, spec, data, shards, seed=seed), w
 
 

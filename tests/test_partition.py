@@ -8,11 +8,16 @@ from decentsim import (
     Dataset,
     PartitionError,
     TopologySpec,
+    build_mixing_matrix,
     generate_synthetic,
     partition_iid,
     partition_label_skew,
     skew_report,
 )
+
+
+def mixing(kind, n):
+    return build_mixing_matrix(TopologySpec(kind, n))
 
 
 def shard_classes(data, shards):
@@ -63,8 +68,8 @@ def test_iid_label_proportions_stay_close_to_global():
 
 def test_skew_one_class_per_agent_when_counts_match():
     data = generate_synthetic(5, 4, 12, 0.3, 0)
-    topo = TopologySpec("ring", 5)
-    shards = partition_label_skew(data, 5, topo, seed=0)
+    w = mixing("ring", 5)
+    shards = partition_label_skew(data, w, seed=0)
     classes = shard_classes(data, shards)
     assert classes == [{0}, {1}, {2}, {3}, {4}]
     assert all(s.size == 12 for s in shards)
@@ -72,23 +77,23 @@ def test_skew_one_class_per_agent_when_counts_match():
 
 def test_skew_five_agents_ten_classes_pairs_by_residue():
     data = generate_synthetic(10, 4, 8, 0.3, 0)
-    shards = partition_label_skew(data, 5, TopologySpec("ring", 5), seed=3)
+    shards = partition_label_skew(data, mixing("ring", 5), seed=3)
     classes = shard_classes(data, shards)
     assert classes == [{0, 5}, {1, 6}, {2, 7}, {3, 8}, {4, 9}]
 
 
 def test_skew_neighbors_never_share_a_class_on_a_ring():
     data = generate_synthetic(10, 4, 8, 0.3, 0)
-    topo = TopologySpec("ring", 5)
-    classes = shard_classes(data, partition_label_skew(data, 5, topo, seed=3))
+    w = mixing("ring", 5)
+    classes = shard_classes(data, partition_label_skew(data, w, seed=3))
     for i in range(5):
         assert not (classes[i] & classes[(i + 1) % 5])
 
 
 def test_skew_twenty_agents_ten_classes_splits_each_class_in_two():
     data = generate_synthetic(10, 4, 30, 0.3, 0)
-    topo = TopologySpec("ring", 20)
-    shards = partition_label_skew(data, 20, topo, seed=1)
+    w = mixing("ring", 20)
+    shards = partition_label_skew(data, w, seed=1)
     classes = shard_classes(data, shards)
     for c in range(10):
         holders = [i for i in range(20) if c in classes[i]]
@@ -101,17 +106,17 @@ def test_skew_twenty_agents_ten_classes_splits_each_class_in_two():
 def test_skew_split_sizes_within_one_when_class_count_is_odd():
     # 4 agents, 2 classes, 11 samples per class: copies get 6 and 5.
     data = generate_synthetic(2, 3, 11, 0.3, 0)
-    shards = partition_label_skew(data, 4, TopologySpec("ring", 4), seed=2)
+    shards = partition_label_skew(data, mixing("ring", 4), seed=2)
     sizes = sorted(s.size for s in shards)
     assert sizes == [5, 5, 6, 6]
 
 
 def test_skew_is_deterministic_and_seed_sensitive():
     data = generate_synthetic(10, 4, 30, 0.3, 0)
-    topo = TopologySpec("ring", 20)
-    a = partition_label_skew(data, 20, topo, seed=5)
-    b = partition_label_skew(data, 20, topo, seed=5)
-    c = partition_label_skew(data, 20, topo, seed=6)
+    w = mixing("ring", 20)
+    a = partition_label_skew(data, w, seed=5)
+    b = partition_label_skew(data, w, seed=5)
+    c = partition_label_skew(data, w, seed=6)
     assert all((x == y).all() for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
@@ -119,14 +124,14 @@ def test_skew_is_deterministic_and_seed_sensitive():
 def test_skew_rejects_incompatible_agent_counts():
     data = generate_synthetic(10, 4, 8, 0.3, 0)
     with pytest.raises(PartitionError, match="15 agents"):
-        partition_label_skew(data, 15, TopologySpec("ring", 15), seed=0)
+        partition_label_skew(data, mixing("ring", 15), seed=0)
 
 
 def test_skew_reports_the_violated_edge_when_adjacency_fails():
     # Full graph with more agents than classes: some pair must share a class.
     data = generate_synthetic(2, 3, 10, 0.3, 0)
     with pytest.raises(PartitionError, match=r"edge \("):
-        partition_label_skew(data, 4, TopologySpec("full", 4), seed=0)
+        partition_label_skew(data, mixing("full", 4), seed=0)
 
 
 def test_skew_rejects_an_absent_class():
@@ -134,12 +139,12 @@ def test_skew_rejects_an_absent_class():
     labels = np.array([0, 0, 0, 0, 0, 2, 2, 2, 2, 2])
     data = Dataset(feats, labels, num_classes=3)
     with pytest.raises(PartitionError, match="class 1"):
-        partition_label_skew(data, 3, TopologySpec("ring", 3), seed=0)
+        partition_label_skew(data, mixing("ring", 3), seed=0)
 
 
 def test_skew_report_counts_match_shards():
     data = generate_synthetic(10, 4, 8, 0.3, 0)
-    shards = partition_label_skew(data, 5, TopologySpec("ring", 5), seed=3)
+    shards = partition_label_skew(data, mixing("ring", 5), seed=3)
     counts = skew_report(data, shards)
     assert counts.shape == (5, 10)
     assert counts.sum() == data.n

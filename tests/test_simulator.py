@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from decentsim import simulator, topology
 from decentsim import (
     CommLedger,
     ConfigurationError,
@@ -99,11 +101,35 @@ def test_two_identical_agents_stay_bitwise_identical():
     hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
     shard = np.arange(data.n)
     for alg in ("dpsgd", "ngc", "compngc"):
-        states = make_states(2, spec, data, [shard, shard], seed=4, algorithm=alg,
-                             peers=[[1], [0]], shared_rng_seed=321)
+        states = make_states(2, spec, data, [shard, shard], seed=4,
+                             shared_rng_seed=321)
         for _ in range(10):
             states, _, _ = run_round(states, w, hp, alg, batch_size=10)
             assert (states[0].params == states[1].params).all()
+
+
+def test_compngc_error_buffers_start_empty_and_act_as_zero():
+    data = generate_synthetic(4, 6, 24, 0.3, 2)
+    spec = ModelSpec(6, 4, hidden_dim=5)
+    w = build_mixing_matrix(TopologySpec("ring", 4))
+    hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
+    shards = np.array_split(np.arange(data.n), 4)
+    lazy = make_states(4, spec, data, shards, seed=6)
+    assert lazy[0].err_self is None and lazy[0].err_out == {}
+    zero = np.zeros(spec.param_count)
+    seeded = [
+        dataclasses.replace(s, err_self=zero.copy(),
+                            err_out={(i - 1) % 4: zero.copy(), (i + 1) % 4: zero.copy()})
+        for i, s in enumerate(make_states(4, spec, data, shards, seed=6))
+    ]
+    for _ in range(20):
+        lazy, _, _ = run_round(lazy, w, hp, "compngc", batch_size=8)
+        seeded, _, _ = run_round(seeded, w, hp, "compngc", batch_size=8)
+    for a, b in zip(lazy, seeded):
+        assert (a.params == b.params).all()
+        assert (a.err_self == b.err_self).all()
+        assert a.err_out.keys() == b.err_out.keys()
+        assert all((a.err_out[j] == b.err_out[j]).all() for j in a.err_out)
 
 
 # ------------------------------------------------------- byte accounting
@@ -250,7 +276,8 @@ def test_invalid_configs_are_rejected():
 # ---------------------------------------------------------------- CSV input
 
 
-def test_run_on_a_csv_dataset(tmp_path):
+def write_csv_dataset(tmp_path) -> str:
+    """Three well-separated classes of 30 rows in `label,f1,...,f4` form."""
     rng = np.random.default_rng(0)
     lines = []
     for c in range(3):
@@ -261,7 +288,11 @@ def test_run_on_a_csv_dataset(tmp_path):
             lines.append(f"{c}," + ",".join(f"{v:.6f}" for v in row))
     path = tmp_path / "train.csv"
     path.write_text("\n".join(lines) + "\n")
-    cfg = tiny_config(agents=3, dataset=str(path), partition="skew",
+    return str(path)
+
+
+def test_run_on_a_csv_dataset(tmp_path):
+    cfg = tiny_config(agents=3, dataset=write_csv_dataset(tmp_path), partition="skew",
                       epochs=2, batch_size=4, model="logistic")
     result = run(cfg)
     assert result.final_row.val_acc > 0.2
@@ -274,3 +305,50 @@ def test_mlp_beats_chance_quickly_on_an_easy_iid_problem():
                       schedule="constant")
     result = run(cfg)
     assert result.final_row.val_acc >= 0.9
+
+
+# ------------------------------------------------------------- set-up pass
+
+SETUP_STEPS = {
+    "build_mixing_matrix": topology,
+    "validate_doubly_stochastic": topology,
+    "spectral_gap": topology,
+    "_neighbor_tables": simulator,
+    "seed_streams": simulator,
+}
+
+
+def count_setup_steps(monkeypatch) -> dict:
+    """Count calls to each set-up step through every decentsim binding of it."""
+    counts = dict.fromkeys(SETUP_STEPS, 0)
+    modules = [m for name, m in sys.modules.items()
+               if name == "decentsim" or name.startswith("decentsim.")]
+    for name, home in SETUP_STEPS.items():
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if module.__dict__.get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("source", ["synthetic-compngc", "csv-ngc"])
+def test_one_run_builds_checks_and_solves_w_and_seeds_once(source, tmp_path, monkeypatch):
+    if source == "synthetic-compngc":
+        cfg = tiny_config(algorithm="compngc", epochs=1)
+    else:
+        cfg = tiny_config(agents=3, dataset=write_csv_dataset(tmp_path), epochs=1,
+                          batch_size=4)
+    counts = count_setup_steps(monkeypatch)
+    run(cfg)
+    assert counts == dict.fromkeys(SETUP_STEPS, 1)
+
+
+def test_result_serves_sqrt_rho_from_its_mixing_matrix():
+    result = run(tiny_config(epochs=1))
+    assert (result.w == build_mixing_matrix(TopologySpec("ring", 4))).all()
+    assert result.sqrt_rho == spectral_gap(result.w).sqrt_rho
