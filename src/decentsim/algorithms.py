@@ -135,7 +135,8 @@ def cluster_deviation(bundle: GradientBundle, terms: dict[int, np.ndarray]) -> n
     dev = np.zeros_like(bundle.self_grad)
     for j in sorted(terms):
         dev += terms[j] - bundle.self_grad
-    return dev / len(bundle.weights)
+    dev /= len(bundle.weights)
+    return dev
 
 
 def momentum_update(v: np.ndarray, grad: np.ndarray, beta: float, eta: float) -> np.ndarray:
@@ -253,14 +254,15 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
     """
     batch = state.draw_batch(batch_size)
     loss, raw_self = loss_and_gradient(state.spec, state.params, state.data, batch)
-    zero = np.zeros_like(raw_self)
-    delta_self, err_self = ef_step(raw_self, zero if state.err_self is None else state.err_self)
+    err_in = state.err_self
+    delta_self, err_self = ef_step(raw_self, np.zeros_like(raw_self) if err_in is None else err_in)
     model_variant: dict[int, np.ndarray] = {}
     outgoing: dict[int, CompressedTensor] = {}
     err_out: dict[int, np.ndarray] = {}
     for j, x_j in params_in.items():
         raw = cross_gradient(state.spec, x_j, state.data, batch)
-        delta, err = ef_step(raw, state.err_out.get(j, zero))
+        err_in = state.err_out.get(j)
+        delta, err = ef_step(raw, np.zeros_like(raw) if err_in is None else err_in)
         model_variant[j] = decompress(delta)
         outgoing[j] = delta
         err_out[j] = err

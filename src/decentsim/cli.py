@@ -179,14 +179,19 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
 
 def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
               verbose: bool = False) -> dict:
-    """Run one config across seeds; write per-seed CSVs plus a summary JSON."""
+    """Run one config across seeds; write per-seed CSVs plus a summary JSON.
+
+    Every seed's config is validated before anything is written.
+    """
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    for cfg in configs:
+        cfg.validate()
     os.makedirs(out_dir, exist_ok=True)
     completed = []
     failed = []
     final_accs = []
     bytes_per_agent = []
-    for seed in seeds:
-        cfg = dataclasses.replace(config, seed=seed)
+    for seed, cfg in zip(seeds, configs):
         seed_dir = os.path.join(out_dir, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
         write_config_file(cfg, os.path.join(seed_dir, "config.txt"))

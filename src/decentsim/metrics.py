@@ -42,8 +42,9 @@ def consensus_model(states: list[AgentState]) -> np.ndarray:
 def consensus_error(states: list[AgentState]) -> float:
     """Mean squared distance from the parameter average."""
     stacked = np.stack([s.params for s in states])
-    center = stacked.mean(axis=0)
-    return float(((stacked - center) ** 2).sum(axis=1).mean())
+    stacked -= stacked.mean(axis=0)
+    np.square(stacked, out=stacked)
+    return float(stacked.sum(axis=1).mean())
 
 
 def bias_norms(bundles) -> tuple[float, float]:
@@ -52,8 +53,9 @@ def bias_norms(bundles) -> tuple[float, float]:
     omega_norms = []
     for bundle in bundles:
         eps, omega = bias_terms(bundle)
-        eps_norms.append(np.abs(eps).sum())
-        omega_norms.append(np.abs(omega).sum())
+        # bias_terms returns fresh arrays, so the absolute values go in place.
+        eps_norms.append(np.abs(eps, out=eps).sum())
+        omega_norms.append(np.abs(omega, out=omega).sum())
     return float(np.mean(eps_norms)), float(np.mean(omega_norms))
 
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError
 
+ACTIVATIONS = ("tanh", "relu")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -56,7 +58,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.input_dim < 1 or self.num_classes < 2 or self.hidden_dim < 0:
             raise ConfigurationError("bad model dimensions")
-        if self.activation not in ("tanh", "relu"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 
     @property

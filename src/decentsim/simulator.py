@@ -33,6 +33,7 @@ from .compression import wire_size_bytes
 from .errors import ConfigurationError, RunAbortError
 from .metrics import MetricsRow, bias_norms, consensus_error, consensus_model
 from .models import (
+    ACTIVATIONS,
     Dataset,
     ModelSpec,
     evaluate,
@@ -42,7 +43,7 @@ from .models import (
     loss_and_gradient,
 )
 from .partition import partition_iid, partition_label_skew
-from .topology import TopologySpec, build_mixing_matrix, neighbors, spectral_gap
+from .topology import TOPOLOGIES, TopologySpec, build_mixing_matrix, neighbors, spectral_gap
 
 ALGORITHMS = ("dpsgd", "ngc", "compngc")
 PARTITIONS = ("iid", "skew")
@@ -82,18 +83,24 @@ class RunConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        if self.topology not in TOPOLOGIES:
+            raise ConfigurationError(f"unknown topology {self.topology!r}")
         if self.partition not in PARTITIONS:
             raise ConfigurationError(f"unknown partition {self.partition!r}")
         if self.model not in ("logistic", "mlp"):
             raise ConfigurationError(f"unknown model {self.model!r}")
         if self.model == "mlp" and self.hidden_dim < 1:
             raise ConfigurationError("mlp needs a positive hidden_dim")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be positive")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
         if self.workers < 1:
             raise ConfigurationError("workers must be positive")
+        if self.seed < 0 or (self.data_seed is not None and self.data_seed < 0):
+            raise ConfigurationError("seeds must be nonnegative")
         if self.dataset == "synthetic" and self.val_per_class < 1:
             raise ConfigurationError("val_per_class must be positive")
         if self.dataset != "synthetic" and not 0.0 < self.val_fraction < 1.0:

@@ -1,14 +1,16 @@
-"""The package names and configs that the benchmark in perfbench/ relies on.
+"""The package names, configs and outputs that the benchmark in perfbench/ relies on.
 
 perfbench/ drives decentsim from outside: its workloads build RunConfigs,
-its tracer wraps functions by module and name, and its set-up timer
+its tracer wraps functions by module and name, its set-up timer
 replaces `simulator.initial_states`, which `run` must therefore look up
-through the module once per run. A change that breaks one of these pins
+through the module once per run, and its output checks read each run's
+result, ledger and metrics.csv. A change that breaks one of these pins
 fails here instead of in a benchmark run. Nothing under perfbench/ is
 modified; its files are only loaded.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from decentsim import RunConfig, simulator
+from decentsim import ModelSpec, RunConfig, cli, simulator, wire_size_bytes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -59,3 +61,59 @@ def test_run_calls_initial_states_once_through_the_module(monkeypatch):
                        hidden_dim=5, epochs=1, batch_size=8)
     simulator.run(config)
     assert calls == [config]
+
+
+# ------------------------------------------------ what perfbench/run.py reads
+
+
+def small_config(algorithm: str) -> RunConfig:
+    return RunConfig(algorithm=algorithm, agents=4, topology="ring", partition="iid",
+                     classes=4, dim=6, per_class=24, val_per_class=8, hidden_dim=5,
+                     epochs=2, batch_size=8, seed=1)
+
+
+def per_round(config: RunConfig):
+    """The closed form perfbench checks: a 4-ring has 8 directed edges."""
+    d = ModelSpec(config.dim, config.classes, config.hidden_dim).param_count
+    cross = 8 * (wire_size_bytes(d) if config.algorithm == "compngc" else 4 * d)
+    codec = dict(ef_step=12, decompress=32) if config.algorithm == "compngc" else {}
+    return load_perfbench("workloads").PerRound(
+        grad=12, messages=16, param_bytes=8 * 4 * d, crossgrad_bytes=cross, **codec)
+
+
+@pytest.mark.parametrize("algorithm", ["ngc", "compngc"])
+def test_perfbench_output_checks_pass_on_a_sweep(algorithm, tmp_path, monkeypatch):
+    # _check_run reads result.states (params, momentum, err_self, the
+    # err_out dict), the ledger's per-round lists and metrics.csv.
+    results = []
+
+    def kept_run(config):
+        results.append(simulator.run(config))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", kept_run)
+    config = small_config(algorithm)
+    seeds = [1, 2]
+    summary = cli.run_sweep(config, seeds, str(tmp_path))
+    assert summary["completed"] == seeds
+    sweep = load_perfbench("workloads").Sweep(algorithm, config, tuple(seeds),
+                                              per_round(config))
+    check_run = load_perfbench("run")._check_run
+    for seed, result in zip(seeds, results):
+        assert check_run(result, sweep, seed, tmp_path) == []
+
+
+def test_traced_compngc_round_meets_the_perfbench_closed_form():
+    tracer_mod = load_perfbench("tracer")
+    tracer = tracer_mod.Tracer()
+    config = small_config("compngc")
+    config = dataclasses.replace(config, agents=5, per_class=25)
+    with tracer_mod.patched(tracer.wrap):
+        simulator.run(config)
+    table = tracer_mod.SpanTable(tracer)
+    rounds = table.ids(tracer_mod.ROUND)
+    assert rounds.size == 4  # 2 epochs of 20-sample shards at batch 8
+    for name, count in [("models.loss_and_gradient", 15), ("compression.ef_step", 15),
+                        ("compression.decompress", 40)]:
+        assert table.within(rounds, name).tolist() == [count] * rounds.size, name
+    assert [m for _, m in tracer.round_messages] == [20] * rounds.size

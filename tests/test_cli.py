@@ -273,6 +273,29 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     assert "failed seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("topology=star", "unknown topology 'star'"),
+    ("activation=softplus", "unknown activation 'softplus'"),
+    ("data_seed=-3", "seeds must be nonnegative"),
+])
+def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
+    # The config-file path skips argparse's choices, so RunConfig.validate
+    # must catch these before run_sweep creates any directory.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\nepochs=1\n")
+    out = tmp_path / "badout"
+    assert run_main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_main(["--seeds", "1,-2", "--epochs", "1", "--out-dir", str(out)]) == 2
+    assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_compress_check_exit_zero(capsys):
     assert run_main(["--compress-check"]) == 0
     out = capsys.readouterr().out

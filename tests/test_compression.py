@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from decentsim import (
+    CompressedTensor,
     ParseError,
     ShapeError,
     compress,
@@ -76,6 +77,32 @@ def test_compress_magnitudes_are_uniform_and_scale_is_mean_abs(vec):
         return
     assert (np.sign(out[vec > 0]) > 0).all()
     assert (np.sign(out[vec < 0]) < 0).all()
+
+
+@given(signs=hnp.arrays(np.bool_, st.integers(1, 64)),
+       scale=st.floats(min_value=0.0, allow_nan=False))
+@example(signs=np.array([True, False]), scale=0.0)
+@example(signs=np.array([True, False]), scale=5e-324)
+@example(signs=np.array([True, False]), scale=1e308)
+@example(signs=np.array([True, False]), scale=float(np.finfo(float).max))
+@example(signs=np.array([True, False]), scale=float("inf"))
+@settings(max_examples=200, deadline=None)
+def test_decompress_is_bitwise_the_signed_scale(signs, scale):
+    # The product form scale * (2*signs - 1) must match the select form
+    # bit for bit, signed zeros at scale 0.0 included.
+    ct = CompressedTensor(signs, scale)
+    assert decompress(ct).tobytes() == np.where(signs, scale, -scale).tobytes()
+
+
+def test_ef_step_leaves_its_inputs_unchanged_and_returns_a_fresh_residual():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal(257)
+    e = rng.standard_normal(257)
+    g_before, e_before = g.tobytes(), e.tobytes()
+    _, residual = ef_step(g, e)
+    assert g.tobytes() == g_before and e.tobytes() == e_before
+    assert not np.shares_memory(residual, g)
+    assert not np.shares_memory(residual, e)
 
 
 def test_constant_gradient_mean_of_deltas_tracks_the_gradient():

@@ -82,6 +82,27 @@ def test_bias_norms_propagate_the_uniformity_requirement():
         bias_norms([bad])
 
 
+@pytest.mark.parametrize("algorithm, alpha", [("compngc", 1.0), ("ngc", 0.5), ("ngc", 0.0)])
+def test_bias_norms_and_consensus_error_leave_their_inputs_unchanged(algorithm, alpha):
+    # Both reduce in place on arrays they allocate themselves; a bundle or
+    # params array written through would corrupt the next round.
+    states, w = skewed_states()
+    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    for _ in range(3):
+        states, _, bundles = run_round(states, w, hp, algorithm, batch_size=7)
+
+    def arrays():
+        out = [s.params for s in states]
+        for b in bundles:
+            out += [b.self_grad, *b.model_variant.values(), *b.data_variant.values()]
+        return out
+
+    before = [a.tobytes() for a in arrays()]
+    bias_norms(bundles)
+    consensus_error(states)
+    assert [a.tobytes() for a in arrays()] == before
+
+
 def skewed_states(n_agents=4, seed=0):
     data = generate_synthetic(4, 6, 30, 0.3, seed)
     spec = ModelSpec(6, 4, hidden_dim=5)
