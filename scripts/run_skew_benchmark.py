@@ -8,17 +8,21 @@ accuracies and communication totals.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 import numpy as np
 
 from decentsim import (
     BENCHMARK_SEEDS,
+    DecentsimError,
+    RunAbortError,
     consensus_model,
     evaluate,
     run,
     skew_benchmark_config,
 )
+from decentsim.benchmarks import seed_list
 
 VARIANTS = (
     ("ngc", dict(algorithm="ngc", alpha=1.0)),
@@ -36,26 +40,38 @@ def consensus_accuracy(result) -> float:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default=",".join(map(str, BENCHMARK_SEEDS)),
+    parser.add_argument("--seeds", type=seed_list,
+                        default=",".join(map(str, BENCHMARK_SEEDS)),
                         help="comma-separated master seeds")
     parser.add_argument("--epochs", type=int, default=None,
                         help="override the benchmark epoch count")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
-    overrides = {} if args.epochs is None else {"epochs": args.epochs}
+    try:
+        return report(args.seeds, {} if args.epochs is None else {"epochs": args.epochs})
+    except RunAbortError as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return 3
+    except DecentsimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def report(seeds: list[int], overrides: dict) -> int:
+    plan = [(seed, name, skew_benchmark_config(seed, **extra, **overrides))
+            for seed in seeds for name, extra in VARIANTS]
+    for _, _, cfg in plan:
+        cfg.validate()
 
     accs: dict[str, list[float]] = {name: [] for name, _ in VARIANTS}
     bytes_per_agent: dict[str, float] = {}
     t0 = time.perf_counter()
-    for seed in seeds:
-        for name, extra in VARIANTS:
-            cfg = skew_benchmark_config(seed, **extra, **overrides)
-            result = run(cfg)
-            acc = consensus_accuracy(result)
-            accs[name].append(acc)
-            bytes_per_agent[name] = result.ledger.total_bytes / cfg.agents
-            print(f"seed {seed:>3}  {name:<8} consensus_acc={acc:.4f}  "
-                  f"bytes/agent={bytes_per_agent[name]:,.0f}")
+    for seed, name, cfg in plan:
+        result = run(cfg)
+        acc = consensus_accuracy(result)
+        accs[name].append(acc)
+        bytes_per_agent[name] = result.ledger.total_bytes / cfg.agents
+        print(f"seed {seed:>3}  {name:<8} consensus_acc={acc:.4f}  "
+              f"bytes/agent={bytes_per_agent[name]:,.0f}")
     elapsed = time.perf_counter() - t0
 
     print()

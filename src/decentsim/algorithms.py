@@ -118,6 +118,7 @@ def bias_terms(bundle: GradientBundle) -> tuple[np.ndarray, np.ndarray]:
     Defined for uniform neighborhood weights only, where the mixed
     gradient decomposes exactly as g_self + (1-alpha)*eps + alpha*omega.
     An empty data-variant map (alpha = 0, nothing exchanged) gives omega = 0.
+    Both arrays are fresh; an exact zero in them may carry either sign.
     """
     vals = list(bundle.weights.values())
     if max(vals) != min(vals):
@@ -131,10 +132,20 @@ def bias_terms(bundle: GradientBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cluster_deviation(bundle: GradientBundle, terms: dict[int, np.ndarray]) -> np.ndarray:
-    """sum_j (terms[j] - self_grad) / |N(i)|, peers in ascending order; unchecked."""
-    dev = np.zeros_like(bundle.self_grad)
-    for j in sorted(terms):
-        dev += terms[j] - bundle.self_grad
+    """sum_j (terms[j] - self_grad) / |N(i)|, peers in ascending order; unchecked.
+
+    The sum starts from the first peer's difference rather than from zeros,
+    so an exact zero may carry either sign; the values compare equal.
+    An empty map gives zeros.
+    """
+    g = bundle.self_grad
+    peers = sorted(terms)
+    if not peers:
+        return np.zeros_like(g)
+    dev = terms[peers[0]] - g
+    diff = np.empty_like(dev)
+    for j in peers[1:]:
+        dev += np.subtract(terms[j], g, out=diff)
     dev /= len(bundle.weights)
     return dev
 

@@ -1,6 +1,8 @@
 """Reference workloads used by the experiment scripts and acceptance suite."""
 from __future__ import annotations
 
+import argparse
+
 from .simulator import RunConfig
 
 # Communication-constrained regime: two rounds per epoch (full shard in two
@@ -26,3 +28,12 @@ def skew_benchmark_config(seed: int, **overrides) -> RunConfig:
 def iid_benchmark_config(seed: int, **overrides) -> RunConfig:
     """Same workload with the IID partition, for sanity baselines."""
     return skew_benchmark_config(seed, partition="iid", **overrides)
+
+
+def seed_list(text: str) -> list[int]:
+    """argparse type for the scripts' --seeds: comma-separated integers."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want comma-separated integers, got {text!r}") from None

@@ -54,8 +54,8 @@ def bias_norms(bundles) -> tuple[float, float]:
     for bundle in bundles:
         eps, omega = bias_terms(bundle)
         # bias_terms returns fresh arrays, so the absolute values go in place.
-        eps_norms.append(np.abs(eps, out=eps).sum())
-        omega_norms.append(np.abs(omega, out=omega).sum())
+        eps_norms.append(np.add.reduce(np.abs(eps, out=eps)))
+        omega_norms.append(np.add.reduce(np.abs(omega, out=omega)))
     return float(np.mean(eps_norms)), float(np.mean(omega_norms))
 
 

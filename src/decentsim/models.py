@@ -6,6 +6,17 @@ float64 vector so that gossip averaging, momentum and compression can
 treat every model as an ndarray of length d. Flattening order is layer 1
 weights (row-major), layer 1 bias, then layer 2 weights and bias for the
 MLP. All math is 64-bit and deterministic.
+
+The gradient kernel runs at numpy's per-call floor, so it keeps a buffer
+discipline: the forward pass and the log-softmax work in place on arrays
+the call itself allocated, each gradient block is written through
+`unflatten` straight into one output vector, and reductions call the
+ufuncs (`np.add.reduce`, `np.maximum.reduce`) rather than the array
+methods that wrap them. Inputs are never written. Every operation and its
+operand order is the plain form's (`x @ w + b`, `logits - max`, a
+`concatenate` of per-layer blocks), so losses, gradients and accuracies
+are bitwise equal to it; tests/test_models.py keeps that form as the
+reference.
 """
 from __future__ import annotations
 
@@ -28,6 +39,9 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        # The gradient kernel writes its forward pass in place, which needs
+        # float arrays even when both features and params are integers.
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
         if self.features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got {self.features.ndim}-D")
         if self.labels.shape != (self.features.shape[0],):
@@ -106,27 +120,47 @@ def unflatten(spec: ModelSpec, params: np.ndarray):
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Return (logits, cache) where cache holds what backprop needs."""
+    """Return (logits, cache) where cache holds what backprop needs.
+
+    The logits and the cached hidden activations belong to this call, so
+    callers may overwrite them; params and x are only read.
+    """
     layers = unflatten(spec, params)
     if spec.hidden_dim == 0:
         w, b = layers[0]
-        return x @ w + b, (x,)
+        logits = x @ w
+        logits += b
+        return logits, ()
     (w1, b1), (w2, b2) = layers
-    pre = x @ w1 + b1
-    hid = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
-    return hid @ w2 + b2, (x, pre, hid, w2)
+    hid = x @ w1
+    hid += b1
+    if spec.activation == "tanh":
+        np.tanh(hid, out=hid)
+    else:
+        np.maximum(hid, 0.0, out=hid)
+    logits = hid @ w2
+    logits += b2
+    return logits, (hid, w2)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _log_softmax_(logits: np.ndarray) -> np.ndarray:
+    """Turn logits into log-probabilities in place; return the exp buffer."""
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    expd = np.exp(logits)
+    norm = np.add.reduce(expd, axis=1, keepdims=True)
+    logits -= np.log(norm, out=norm)
+    return expd
 
 
 def _check_batch(data: Dataset, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch)
     if batch.ndim != 1 or batch.size == 0:
         raise ShapeError("batch must be a non-empty 1-D index array")
-    if batch.min() < 0 or batch.max() >= data.n:
+    # A float batch would fail as a raw IndexError, a bool one as a row mask.
+    if batch.dtype.kind not in "iu":
+        raise ShapeError(f"batch must hold integer indices, got dtype {batch.dtype}")
+    # Viewed as unsigned, a negative index is huge: one max checks both ends.
+    if np.maximum.reduce(batch.view(batch.dtype.str.replace("i", "u"))) >= data.n:
         raise ShapeError("batch indices out of range")
     return batch
 
@@ -135,32 +169,38 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
                       batch: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its exact analytic gradient."""
     batch = _check_batch(data, batch)
-    x = data.features[batch]
-    y = data.labels[batch]
-    logits, cache = _forward(spec, params, x)
-    logp = _log_softmax(logits)
+    x = data.features.take(batch, axis=0)
+    y = data.labels.take(batch)
     n = x.shape[0]
-    loss = -logp[np.arange(n), y].mean()
+    rows = np.arange(n)
+    logp, cache = _forward(spec, params, x)
+    dlogits = _log_softmax_(logp)
+    loss = -(np.add.reduce(logp[rows, y]) / n)
 
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1.0
+    np.exp(logp, out=dlogits)
+    dlogits[rows, y] -= 1.0
     dlogits /= n
+    grad = np.empty(spec.param_count)
+    layers = unflatten(spec, grad)
     if spec.hidden_dim == 0:
-        (xc,) = cache
-        dw = xc.T @ dlogits
-        db = dlogits.sum(axis=0)
-        return float(loss), np.concatenate([dw.ravel(), db])
-    xc, pre, hid, w2 = cache
-    dw2 = hid.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dhid = dlogits @ w2.T
+        (dw, db), = layers
+        np.matmul(x.T, dlogits, out=dw)
+        np.add.reduce(dlogits, axis=0, out=db)
+        return float(loss), grad
+    hid, w2 = cache
+    (dw1, db1), (dw2, db2) = layers
+    np.matmul(hid.T, dlogits, out=dw2)
+    np.add.reduce(dlogits, axis=0, out=db2)
+    dpre = dlogits @ w2.T
     if spec.activation == "tanh":
-        dpre = dhid * (1.0 - hid * hid)
+        np.multiply(hid, hid, out=hid)
+        np.subtract(1.0, hid, out=hid)
+        dpre *= hid
     else:
-        dpre = dhid * (pre > 0.0)
-    dw1 = xc.T @ dpre
-    db1 = dpre.sum(axis=0)
-    return float(loss), np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        dpre *= hid > 0.0
+    np.matmul(x.T, dpre, out=dw1)
+    np.add.reduce(dpre, axis=0, out=db1)
+    return float(loss), grad
 
 
 def cross_gradient(spec: ModelSpec, foreign_params: np.ndarray, data: Dataset,
@@ -191,10 +231,12 @@ def finite_difference_gradient(spec: ModelSpec, params: np.ndarray, data: Datase
 def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> tuple[float, float]:
     """Full-dataset mean cross-entropy and top-1 accuracy (ties -> lowest class)."""
     logits, _ = _forward(spec, params, data.features)
-    logp = _log_softmax(logits)
-    loss = -logp[np.arange(data.n), data.labels].mean()
-    acc = float((logits.argmax(axis=1) == data.labels).mean())
-    return float(loss), acc
+    # Argmax before the in-place log-softmax, whose rounding can tie
+    # distinct logits and so move a "ties -> lowest class" pick.
+    hits = np.count_nonzero(np.argmax(logits, axis=1) == data.labels)
+    _log_softmax_(logits)
+    loss = -(np.add.reduce(logits[np.arange(data.n), data.labels]) / data.n)
+    return float(loss), hits / data.n
 
 
 def class_centers(num_classes: int, dim: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from decentsim import (
     ngc_mix,
     run_round,
 )
-from decentsim.algorithms import ngc_prepare
+from decentsim.algorithms import cluster_deviation, ngc_prepare
 
 from conftest import make_states
 
@@ -169,6 +169,31 @@ def test_bias_terms_read_an_empty_data_variant_map_as_zero_omega():
     assert omega.shape == g0.shape and (omega == 0).all()
     with pytest.raises(ProtocolError):
         bias_terms(GradientBundle(0, g0, {1: shift, 2: shift}, {1: shift}, weights))
+
+
+@given(num_peers=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.5]))
+@settings(max_examples=40, deadline=None)
+def test_cluster_deviation_matches_the_plain_loop(num_peers, seed, zero_share):
+    # The plain loop starts from zeros; starting from the first difference
+    # may flip the sign of an exact zero but no value and no l1 norm.
+    rng = np.random.default_rng(seed)
+    bundle = random_bundle(rng, num_peers, dim=9)
+    terms = bundle.model_variant
+    for v in (bundle.self_grad, *terms.values()):
+        v[rng.random(v.size) < zero_share] = 0.0
+    if terms:
+        terms[min(terms)][::2] = bundle.self_grad[::2]  # exact zero differences
+    before = [v.tobytes() for v in (bundle.self_grad, *terms.values())]
+    plain = np.zeros_like(bundle.self_grad)
+    for j in sorted(terms):
+        plain += terms[j] - bundle.self_grad
+    plain /= len(bundle.weights)
+    dev = cluster_deviation(bundle, terms)
+    assert (dev == plain).all()
+    assert np.abs(dev).sum().tobytes() == np.abs(plain).sum().tobytes()
+    assert [v.tobytes() for v in (bundle.self_grad, *terms.values())] == before
+    assert not any(np.shares_memory(dev, v) for v in (bundle.self_grad, *terms.values()))
 
 
 def test_bias_terms_divide_by_neighborhood_size_including_self():

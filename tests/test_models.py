@@ -122,6 +122,177 @@ def test_evaluate_perfect_memorization_of_two_points():
     assert loss < 0.05
 
 
+# ------------------------------------------- the kernel against its plain form
+# The plain form below is the kernel as first written: every step allocates
+# a fresh array and the gradient is a concatenate of per-layer blocks. The
+# in-place kernel performs the same operations in the same order, so it
+# must agree with this form bit for bit.
+
+
+def _plain_forward(spec, params, x):
+    layers = unflatten(spec, params)
+    if spec.hidden_dim == 0:
+        w, b = layers[0]
+        return x @ w + b, (x,)
+    (w1, b1), (w2, b2) = layers
+    pre = x @ w1 + b1
+    hid = np.tanh(pre) if spec.activation == "tanh" else np.maximum(pre, 0.0)
+    return hid @ w2 + b2, (x, pre, hid, w2)
+
+
+def _plain_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _plain_loss_and_gradient(spec, params, data, batch):
+    x = data.features[batch]
+    y = data.labels[batch]
+    logits, cache = _plain_forward(spec, params, x)
+    logp = _plain_log_softmax(logits)
+    n = x.shape[0]
+    loss = -logp[np.arange(n), y].mean()
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    if spec.hidden_dim == 0:
+        (xc,) = cache
+        return float(loss), np.concatenate([(xc.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    xc, pre, hid, w2 = cache
+    dw2 = hid.T @ dlogits
+    db2 = dlogits.sum(axis=0)
+    dhid = dlogits @ w2.T
+    if spec.activation == "tanh":
+        dpre = dhid * (1.0 - hid * hid)
+    else:
+        dpre = dhid * (pre > 0.0)
+    dw1 = xc.T @ dpre
+    db1 = dpre.sum(axis=0)
+    return float(loss), np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def _plain_evaluate(spec, params, data):
+    logits, _ = _plain_forward(spec, params, data.features)
+    logp = _plain_log_softmax(logits)
+    loss = -logp[np.arange(data.n), data.labels].mean()
+    acc = float((logits.argmax(axis=1) == data.labels).mean())
+    return float(loss), acc
+
+
+def _bits(*values):
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A spec, a dataset, params up to saturated softmax, and a batch."""
+    kind = draw(st.sampled_from(["logistic", "tanh", "relu"]))
+    input_dim = draw(st.integers(1, 6))
+    num_classes = draw(st.integers(2, 5))
+    hidden = 0 if kind == "logistic" else draw(st.integers(1, 9))
+    spec = ModelSpec(input_dim, num_classes, hidden_dim=hidden,
+                     activation="tanh" if kind == "logistic" else kind)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    features = rng.standard_normal((n, input_dim)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    features[rng.random(features.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    data = Dataset(features, rng.integers(0, num_classes, n), num_classes)
+    params = rng.standard_normal(spec.param_count) * draw(
+        st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]))
+    params[rng.random(spec.param_count) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    batch = rng.choice(n, size=draw(st.integers(1, n)), replace=False)
+    return spec, data, params, batch
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_kernel_is_bitwise_the_plain_form(case):
+    spec, data, params, batch = case
+    loss, grad = loss_and_gradient(spec, params, data, batch)
+    ref_loss, ref_grad = _plain_loss_and_gradient(spec, params, data, batch)
+    assert _bits(loss) == _bits(ref_loss)
+    assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+    assert _bits(*evaluate(spec, params, data)) == _bits(*_plain_evaluate(spec, params, data))
+
+
+@given(kernel_cases())
+@settings(max_examples=40, deadline=None)
+def test_kernel_writes_no_input_and_returns_fresh_memory(case):
+    spec, data, params, batch = case
+    before = (params.tobytes(), data.features.tobytes(), data.labels.tobytes(),
+              batch.tobytes())
+    _, grad = loss_and_gradient(spec, params, data, batch)
+    evaluate(spec, params, data)
+    after = (params.tobytes(), data.features.tobytes(), data.labels.tobytes(),
+             batch.tobytes())
+    assert after == before
+    assert not np.shares_memory(grad, params)
+    assert not np.shares_memory(grad, data.features)
+
+
+@pytest.mark.parametrize("bias, label, acc", [
+    # Tied maximal logits: the lowest class wins.
+    ([0.5, 0.5, 0.0], 0, 1.0),
+    ([0.5, 0.5, 0.0], 1, 0.0),
+    # Distinct logits that the log-softmax rounds to a tie: class 1 is the
+    # true argmax, so the accuracy must come from the logits themselves.
+    ([0.0, 1e-20, -1.0], 1, 1.0),
+])
+def test_evaluate_parity_at_ties(bias, label, acc):
+    spec = ModelSpec(2, 3)
+    data = Dataset(np.array([[1.0, -2.0]]), np.array([label]), num_classes=3)
+    params = np.concatenate([np.zeros(6), bias])
+    assert evaluate(spec, params, data)[1] == acc
+    assert _bits(*evaluate(spec, params, data)) == _bits(*_plain_evaluate(spec, params, data))
+
+
+@pytest.mark.parametrize("batch", [
+    np.array([0.5, 1.0]),               # float: used to escape as an IndexError
+    np.array([True, False]),            # short bool mask
+    np.array([True, True, False, False, False, True]),  # length-n bool: a row mask
+])
+def test_batch_must_hold_integer_indices(batch):
+    spec = ModelSpec(2, 3, hidden_dim=4)
+    data = generate_synthetic(3, 2, 2, 0.3, 0)
+    params = init_params(spec, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="integer"):
+        loss_and_gradient(spec, params, data, batch)
+    with pytest.raises(ShapeError, match="integer"):
+        cross_gradient(spec, params, data, batch)
+
+
+def test_integer_features_and_params_are_computed_in_float64():
+    # The in-place forward pass cannot hold floats in an integer array.
+    spec = ModelSpec(2, 3, hidden_dim=4)
+    feats = np.array([[1, 2], [3, -4]])
+    labels = np.array([0, 2])
+    data = Dataset(feats, labels, 3)
+    assert data.features.dtype == np.float64
+    params = np.arange(spec.param_count) % 3 - 1
+    batch = np.array([0, 1])
+    loss, grad = loss_and_gradient(spec, params, data, batch)
+    ref_loss, ref_grad = _plain_loss_and_gradient(
+        spec, params.astype(float), Dataset(feats.astype(float), labels, 3), batch)
+    assert _bits(loss) == _bits(ref_loss) and grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("batch", [
+    np.array([-1, 0]),
+    np.array([0, 6]),
+    np.array([-128], dtype=np.int8),
+    np.array([6, 0], dtype=np.uint8),
+    np.array([np.iinfo(np.int64).min]),
+])
+def test_batch_indices_must_lie_in_the_dataset(batch):
+    spec = ModelSpec(2, 3, hidden_dim=4)
+    data = generate_synthetic(3, 2, 2, 0.3, 0)
+    params = init_params(spec, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="out of range"):
+        loss_and_gradient(spec, params, data, batch)
+    assert loss_and_gradient(spec, params, data, batch.astype(np.int64) % data.n)[1].shape == (
+        spec.param_count,)
+
+
 @given(
     input_dim=st.integers(1, 6),
     num_classes=st.integers(2, 5),
