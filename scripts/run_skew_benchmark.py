@@ -8,34 +8,13 @@ accuracies and communication totals.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 
 import numpy as np
 
-from decentsim import (
-    BENCHMARK_SEEDS,
-    DecentsimError,
-    RunAbortError,
-    consensus_model,
-    evaluate,
-    run,
-    skew_benchmark_config,
-)
-from decentsim.benchmarks import seed_list
-
-VARIANTS = (
-    ("ngc", dict(algorithm="ngc", alpha=1.0)),
-    ("ngc-a0", dict(algorithm="ngc", alpha=0.0)),
-    ("compngc", dict(algorithm="compngc", alpha=1.0)),
-    ("dpsgd", dict(algorithm="dpsgd")),
-)
-
-
-def consensus_accuracy(result) -> float:
-    x_bar = consensus_model(result.states)
-    _, acc = evaluate(result.spec, x_bar, result.val_data)
-    return acc
+from decentsim import BENCHMARK_SEEDS, run, skew_benchmark_config
+from decentsim.benchmarks import VARIANTS, seed_list
+from decentsim.cli import exit_code
 
 
 def main() -> int:
@@ -46,14 +25,7 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=None,
                         help="override the benchmark epoch count")
     args = parser.parse_args()
-    try:
-        return report(args.seeds, {} if args.epochs is None else {"epochs": args.epochs})
-    except RunAbortError as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
-    except DecentsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_code(report, args.seeds, {} if args.epochs is None else {"epochs": args.epochs})
 
 
 def report(seeds: list[int], overrides: dict) -> int:
@@ -67,7 +39,7 @@ def report(seeds: list[int], overrides: dict) -> int:
     t0 = time.perf_counter()
     for seed, name, cfg in plan:
         result = run(cfg)
-        acc = consensus_accuracy(result)
+        acc = result.final_row.val_acc
         accs[name].append(acc)
         bytes_per_agent[name] = result.ledger.total_bytes / cfg.agents
         print(f"seed {seed:>3}  {name:<8} consensus_acc={acc:.4f}  "

@@ -31,7 +31,6 @@ from .errors import (
 )
 from .metrics import (
     MetricsRow,
-    VarianceBoundReport,
     bias_norms,
     consensus_error,
     consensus_model,
@@ -59,15 +58,12 @@ from .partition import partition_iid, partition_label_skew, skew_report
 from .simulator import (
     CommLedger,
     RunConfig,
-    RunResult,
     initial_states,
     run,
     run_round,
     seed_streams,
 )
 from .topology import (
-    SpectralGap,
-    StochasticityReport,
     TopologySpec,
     build_mixing_matrix,
     neighbors,

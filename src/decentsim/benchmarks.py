@@ -17,6 +17,14 @@ SKEW_BENCHMARK = dict(
 
 BENCHMARK_SEEDS = (1, 2, 3)
 
+# The paired variants the experiment scripts compare, as RunConfig overrides.
+VARIANTS = (
+    ("ngc", dict(algorithm="ngc", alpha=1.0)),
+    ("ngc-a0", dict(algorithm="ngc", alpha=0.0)),
+    ("compngc", dict(algorithm="compngc", alpha=1.0)),
+    ("dpsgd", dict(algorithm="dpsgd")),
+)
+
 
 def skew_benchmark_config(seed: int, **overrides) -> RunConfig:
     """Non-IID reference workload: 5-agent ring under complete label skew."""
@@ -31,7 +39,10 @@ def iid_benchmark_config(seed: int, **overrides) -> RunConfig:
 
 
 def seed_list(text: str) -> list[int]:
-    """argparse type for the scripts' --seeds: comma-separated integers."""
+    """The one --seeds parser: comma-separated integers, no empty items.
+
+    An argparse type for the scripts; the CLI calls it from parse_config.
+    """
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError:

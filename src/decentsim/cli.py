@@ -6,7 +6,8 @@ RunConfig field names; unknown keys are rejected so typos fail loudly.
 The resolved configuration is echoed into the output directory in the
 same format, and a summary JSON aggregates final metrics across seeds.
 
-Exit codes: 0 success, 2 usage or configuration problem, 3 runtime abort.
+Exit codes: 0 success, 2 usage or configuration problem, 3 runtime abort;
+`exit_code` holds the mapping for the CLI and the experiment scripts.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import typing
 
 import numpy as np
 
+from .benchmarks import seed_list
 from .compression import compress, decode, decompress, ef_step, encode, wire_size_bytes
 from .errors import ConfigurationError, DecentsimError, ParseError, RunAbortError, UsageError
 from .metrics import MetricsRow
@@ -122,13 +124,11 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
         raise UsageError("dpsgd does not take --alpha; it has no cross-gradient mixing")
 
     seeds = [overrides.get("seed", RunConfig.seed)]
-    if args.seeds:
+    if args.seeds is not None:
         try:
-            seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
-        except ValueError:
-            raise UsageError(f"--seeds wants comma-separated integers, got {args.seeds!r}")
-        if not seeds:
-            raise UsageError("--seeds list is empty")
+            seeds = seed_list(args.seeds)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"--seeds: {exc}") from None
 
     try:
         config = RunConfig(**overrides)
@@ -181,24 +181,27 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
               verbose: bool = False) -> dict:
     """Run one config across seeds; write per-seed CSVs plus a summary JSON.
 
-    Every seed's config is validated before anything is written.
+    Every seed's config is validated before the first run, and a seed's
+    directory is written only once its run has returned or aborted, so an
+    error that set-up finds leaves nothing behind.
     """
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     for cfg in configs:
         cfg.validate()
-    os.makedirs(out_dir, exist_ok=True)
     completed = []
     failed = []
     final_accs = []
     bytes_per_agent = []
     for seed, cfg in zip(seeds, configs):
-        seed_dir = os.path.join(out_dir, f"seed_{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
-        write_config_file(cfg, os.path.join(seed_dir, "config.txt"))
         try:
             result = run(cfg)
         except RunAbortError as exc:
+            result = None
             failed.append({"seed": seed, "error": str(exc)})
+        seed_dir = os.path.join(out_dir, f"seed_{seed}")
+        os.makedirs(seed_dir, exist_ok=True)
+        write_config_file(cfg, os.path.join(seed_dir, "config.txt"))
+        if result is None:
             continue
         emit_metrics_csv(result.rows, os.path.join(seed_dir, "metrics.csv"))
         completed.append(seed)
@@ -224,6 +227,7 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
         "final_acc_std": float(np.std(final_accs)) if final_accs else None,
         "total_bytes_per_agent": float(np.mean(bytes_per_agent)) if bytes_per_agent else None,
     }
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -266,20 +270,32 @@ def compress_self_check(dim: int = 100_000, calls: int = 1000, seed: int = 0) ->
     return lines
 
 
-def main(argv=None) -> int:
+def exit_code(action, *args) -> int:
+    """Return action(*args); RunAbortError gives 3, any other DecentsimError 2.
+
+    The one error-to-exit-code map, for the CLI and both experiment scripts.
+    """
     try:
-        config, seeds, args = parse_config(sys.argv[1:] if argv is None else argv)
-        if args.compress_check:
-            for line in compress_self_check():
-                print(line)
-            return 0
-        summary = run_sweep(config, seeds, args.out_dir, verbose=args.verbose)
+        return action(*args)
     except RunAbortError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
     except DecentsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    return exit_code(_main, sys.argv[1:] if argv is None else argv)
+
+
+def _main(argv) -> int:
+    config, seeds, args = parse_config(argv)
+    if args.compress_check:
+        for line in compress_self_check():
+            print(line)
+        return 0
+    summary = run_sweep(config, seeds, args.out_dir, verbose=args.verbose)
     print(f"wrote {os.path.join(args.out_dir, 'summary.json')}")
     if summary["final_acc_mean"] is not None:
         print(f"final_acc_mean={summary['final_acc_mean']:.4f} "

@@ -2,7 +2,8 @@
 
 Every error the package raises on purpose derives from DecentsimError, so
 a front end can map the whole family to exit codes: RunAbortError to 3,
-everything else to 2.
+everything else to 2. `cli.exit_code` is that map, for the CLI and both
+experiment scripts.
 """
 
 

@@ -99,6 +99,13 @@ def test_seeds_flag_parses_a_comma_list():
         parse_config(["--seeds", "3,x"])
 
 
+def test_seeds_flag_rejects_an_empty_item():
+    # One seed syntax for the CLI and the scripts: benchmarks.seed_list.
+    for text in ("1,,2", "3,", ""):
+        with pytest.raises(UsageError, match="comma-separated integers"):
+            parse_config(["--seeds", text])
+
+
 def test_config_echo_round_trips(tmp_path):
     config = RunConfig(
         algorithm="compngc", agents=6, topology="torus", torus_rows=2, partition="iid",
@@ -197,6 +204,10 @@ def test_run_sweep_writes_per_seed_csvs_and_summary(tmp_path):
 def test_run_sweep_reports_partial_failures(tmp_path):
     cfg = sweep_config(algorithm="dpsgd", eta=1e308, schedule="constant", epochs=4)
     summary = run_sweep(cfg, [1], str(tmp_path / "out"))
+    # An aborted run still echoes its config, but writes no metrics.
+    assert (tmp_path / "out" / "seed_1" / "config.txt").exists()
+    assert not (tmp_path / "out" / "seed_1" / "metrics.csv").exists()
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) == summary
     assert summary["completed"] == []
     assert summary["failed"][0]["seed"] == 1
     assert "round" in summary["failed"][0]["error"]
@@ -277,10 +288,18 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("topology=star", "unknown topology 'star'"),
     ("activation=softplus", "unknown activation 'softplus'"),
     ("data_seed=-3", "seeds must be nonnegative"),
+    # Only set-up (data, partition, W, shard sizes) finds these.
+    ("spread=-1", "spread must be positive"),
+    ("agents=1", "ring needs at least two agents"),
+    ("classes=1", "need at least two classes"),
+    ("per_class=0", "per_class must be positive"),
+    ("batch_size=500", "batch_size exceeds the smallest shard"),
+    ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
     # The config-file path skips argparse's choices, so RunConfig.validate
-    # must catch these before run_sweep creates any directory.
+    # must catch the first three before run_sweep creates any directory;
+    # the rest fail in set-up, before a seed directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")
     out = tmp_path / "badout"
@@ -293,6 +312,14 @@ def test_negative_seed_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys)
     out = tmp_path / "out"
     assert run_main(["--seeds", "1,-2", "--epochs", "1", "--out-dir", str(out)]) == 2
     assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_set_up_error_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_main(["--seeds", "1,2", "--batch-size", "500", "--epochs", "1",
+                     "--out-dir", str(out)]) == 2
+    assert "batch_size exceeds the smallest shard" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,12 +1,22 @@
-"""Experiment scripts: bad arguments end in exit code 2 before any run starts."""
+"""Experiment scripts: bad arguments end in exit code 2 before any run starts,
+and a small run prints each variant's consensus accuracy as the run recorded it."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from decentsim import (
+    consensus_model,
+    evaluate,
+    iid_benchmark_config,
+    run,
+    skew_benchmark_config,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +42,30 @@ def test_script_rejects_bad_arguments_with_exit_two(script, args, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""  # nothing ran
+
+
+# The scripts' variants, restated here as the oracle.
+SKEW_VARIANTS = {
+    "ngc": dict(algorithm="ngc", alpha=1.0),
+    "ngc-a0": dict(algorithm="ngc", alpha=0.0),
+    "compngc": dict(algorithm="compngc", alpha=1.0),
+    "dpsgd": dict(algorithm="dpsgd"),
+}
+IID_VARIANTS = {k: v for k, v in SKEW_VARIANTS.items() if k != "ngc-a0"}
+ROW = re.compile(r"^seed +(\d+) +(\S+) +consensus_acc=(\d\.\d{4}) ", re.MULTILINE)
+
+
+@pytest.mark.parametrize("script, args, make_config, variants", [
+    ("run_skew_benchmark.py", ["--seeds", "1", "--epochs", "2"],
+     lambda seed, **kw: skew_benchmark_config(seed, epochs=2, **kw), SKEW_VARIANTS),
+    ("run_iid_sanity.py", ["--seeds", "1"], iid_benchmark_config, IID_VARIANTS),
+], ids=["skew", "iid"])
+def test_script_prints_each_variants_recorded_accuracy(script, args, make_config, variants):
+    proc = run_script(script, *args)
+    assert proc.returncode == 0, proc.stderr
+    printed = ROW.findall(proc.stdout)
+    assert [name for _, name, _ in printed] == list(variants)
+    for seed, name, acc in printed:
+        result = run(make_config(int(seed), **variants[name]))
+        _, recomputed = evaluate(result.spec, consensus_model(result.states), result.val_data)
+        assert acc == f"{result.final_row.val_acc:.4f}" == f"{recomputed:.4f}", name
