@@ -15,11 +15,14 @@ neighborhood. They differ in what the mixed gradient uses:
 
 Each round is split into a prepare step (local work plus outgoing
 messages) and a finalize step (consume the inbox), so an engine can run
-the exchange phases between them.
+the exchange phases between them. Both steps update the AgentState they
+are given in place: prepare advances its batch stream and, for compngc,
+stores the new error-feedback residuals; finalize assigns its new
+params and momentum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,10 +172,13 @@ def gossip_step(x_tilde: np.ndarray, agent_id: int, params: dict[int, np.ndarray
 
 @dataclass
 class AgentState:
-    """One agent's mutable training state; rng drives its batch shuffles.
+    """One agent's training state, updated in place round after round.
 
-    The compngc error-feedback buffers (err_self, err_out) start empty;
-    compngc_prepare treats a missing buffer as zero.
+    rng drives its batch shuffles. The compngc error-feedback buffers
+    (err_self, err_out) start empty; compngc_prepare treats a missing
+    buffer as zero and stores each new residual here, where only this
+    agent reads it. params is never written into: each round assigns a
+    new array, because peers' inboxes may still hold the old one.
     """
 
     agent_id: int
@@ -220,12 +226,13 @@ def dpsgd_prepare(state: AgentState, hp: HyperParams, batch_size: int) -> DpsgdW
 
 
 def dpsgd_finalize(state: AgentState, work: DpsgdWork, tilde_in: dict[int, np.ndarray],
-                   weights: dict[int, float], hp: HyperParams) -> AgentState:
+                   weights: dict[int, float], hp: HyperParams) -> None:
     """Gossip over the updated parameters received from neighbors."""
     operands = dict(tilde_in)
     operands[state.agent_id] = work.x_tilde
-    x_next = gossip_step(work.x_tilde, state.agent_id, operands, weights, hp.gamma)
-    return replace(state, params=x_next, momentum=work.v_next)
+    # Assign, never write into, params: an inbox may alias the old array.
+    state.params = gossip_step(work.x_tilde, state.agent_id, operands, weights, hp.gamma)
+    state.momentum = work.v_next
 
 
 # ------------------------------------------------------------ ngc / compngc
@@ -237,8 +244,6 @@ class NgcWork:
     self_grad: np.ndarray
     model_variant: dict[int, np.ndarray]
     outgoing: dict
-    err_self: np.ndarray | None = None
-    err_out: dict[int, np.ndarray] | None = None
 
 
 def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
@@ -262,22 +267,22 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
     """ngc_prepare with every gradient routed through its compressor stream.
 
     Error-feedback buffers start empty; each one is zero on first use.
+    The new residuals are stored on the agent.
     """
     batch = state.draw_batch(batch_size)
     loss, raw_self = loss_and_gradient(state.spec, state.params, state.data, batch)
     err_in = state.err_self
-    delta_self, err_self = ef_step(raw_self, np.zeros_like(raw_self) if err_in is None else err_in)
+    delta_self, state.err_self = ef_step(
+        raw_self, np.zeros_like(raw_self) if err_in is None else err_in)
     model_variant: dict[int, np.ndarray] = {}
     outgoing: dict[int, CompressedTensor] = {}
-    err_out: dict[int, np.ndarray] = {}
     for j, x_j in params_in.items():
         raw = cross_gradient(state.spec, x_j, state.data, batch)
         err_in = state.err_out.get(j)
-        delta, err = ef_step(raw, np.zeros_like(raw) if err_in is None else err_in)
+        delta, state.err_out[j] = ef_step(raw, np.zeros_like(raw) if err_in is None else err_in)
         model_variant[j] = decompress(delta)
         outgoing[j] = delta
-        err_out[j] = err
-    return NgcWork(loss, decompress(delta_self), model_variant, outgoing, err_self, err_out)
+    return NgcWork(loss, decompress(delta_self), model_variant, outgoing)
 
 
 def ngc_update(state: AgentState, work: NgcWork, cross_in: dict[int, np.ndarray],
@@ -298,17 +303,12 @@ def ngc_update(state: AgentState, work: NgcWork, cross_in: dict[int, np.ndarray]
     return state.params + v_next, v_next, bundle
 
 
-def ngc_apply(state: AgentState, work: NgcWork, x_tilde: np.ndarray, v_next: np.ndarray,
+def ngc_apply(state: AgentState, x_tilde: np.ndarray, v_next: np.ndarray,
               gossip_params: dict[int, np.ndarray], weights: dict[int, float],
-              hp: HyperParams) -> AgentState:
-    """Gossip-average and fold any compressor residuals back into the state."""
+              hp: HyperParams) -> None:
+    """Gossip-average against the pre-round params and take the new state."""
     operands = dict(gossip_params)
     operands.setdefault(state.agent_id, state.params)
-    x_next = gossip_step(x_tilde, state.agent_id, operands, weights, hp.gamma)
-    return replace(
-        state,
-        params=x_next,
-        momentum=v_next,
-        err_self=work.err_self if work.err_self is not None else state.err_self,
-        err_out=dict(work.err_out) if work.err_out is not None else state.err_out,
-    )
+    # Assign, never write into, params: a later agent's inbox aliases the old array.
+    state.params = gossip_step(x_tilde, state.agent_id, operands, weights, hp.gamma)
+    state.momentum = v_next

@@ -39,12 +39,17 @@ def iid_benchmark_config(seed: int, **overrides) -> RunConfig:
 
 
 def seed_list(text: str) -> list[int]:
-    """The one --seeds parser: comma-separated integers, no empty items.
+    """The one --seeds parser: comma-separated integers, no empty items, no repeats.
 
-    An argparse type for the scripts; the CLI calls it from parse_config.
+    A repeated seed would rerun into the same seed directory and count
+    twice in every cross-seed statistic. An argparse type for the scripts;
+    the CLI calls it from parse_config.
     """
     try:
-        return [int(tok) for tok in text.split(",")]
+        seeds = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"want comma-separated integers, got {text!r}") from None
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must not repeat, got {text!r}")
+    return seeds

@@ -101,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     seed_group.add_argument("--seed", type=int)
     seed_group.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--dataset", help="'synthetic' or a CSV path")
-    p.add_argument("--workers", type=int)
     p.add_argument("--out-dir", default="runs")
     p.add_argument("--compress-check", action="store_true",
                    help="run the compressor self-test and exit")

@@ -76,10 +76,6 @@ class ModelSpec:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
 
     @property
-    def kind(self) -> str:
-        return "mlp" if self.hidden_dim > 0 else "logistic"
-
-    @property
     def param_count(self) -> int:
         k, h, c = self.input_dim, self.hidden_dim, self.num_classes
         if h == 0:

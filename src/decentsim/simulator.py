@@ -1,11 +1,13 @@
 """Synchronous round engine with byte-exact communication accounting.
 
-Every round runs in phases with barriers between them: parameter
-exchange, local gradient work, optional cross-gradient exchange, then
-update and gossip. Per-agent work inside a phase may fan out over a
-thread pool; inputs are snapshotted at the phase barrier and results are
-assembled in agent order, so outputs are bitwise independent of the
-worker count.
+Every round runs in phases, each a plain loop over the agents in agent
+order: parameter exchange, local gradient work, optional cross-gradient
+exchange, then update and gossip, which run back to back per agent. Each
+AgentState is updated in place, so run_round hands back the list it was
+given. The exchanged inboxes alias the senders' pre-round parameter
+arrays; they stay valid for the whole round because no phase writes
+into a parameter array, it assigns a new one. A later agent's gossip
+therefore still sees its neighbours' pre-round parameters.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -13,7 +15,6 @@ costs its serialized size. Self-loops are local and cost nothing.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,6 +79,7 @@ class RunConfig:
     model: str = "mlp"
     hidden_dim: int = 32
     activation: str = "tanh"
+    # Only 1 is valid; the field stays so configs that set workers=1 still load.
     workers: int = 1
 
     def validate(self):
@@ -97,8 +99,8 @@ class RunConfig:
             raise ConfigurationError("epochs must be positive")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be positive")
+        if self.workers != 1:
+            raise ConfigurationError("workers must be 1: the round engine is serial")
         if self.seed < 0 or (self.data_seed is not None and self.data_seed < 0):
             raise ConfigurationError("seeds must be nonnegative")
         if self.dataset == "synthetic" and self.val_per_class < 1:
@@ -115,36 +117,26 @@ class RunConfig:
 class CommLedger:
     """Cumulative and per-round byte counts for all network traffic."""
 
-    num_agents: int
     param_bytes: int = 0
     crossgrad_bytes: int = 0
     messages: int = 0
-    per_agent_sent: np.ndarray | None = None
     round_param_bytes: list = field(default_factory=list)
     round_crossgrad_bytes: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.per_agent_sent is None:
-            self.per_agent_sent = np.zeros(self.num_agents, dtype=np.int64)
 
     @property
     def total_bytes(self) -> int:
         return self.param_bytes + self.crossgrad_bytes
 
-    def record_round(self, degrees: np.ndarray, param_msg_bytes: int,
-                     crossgrad_msg_bytes: int):
-        """Add one round's traffic from per-agent peer counts.
+    def record_round(self, edges: int, param_msg_bytes: int, crossgrad_msg_bytes: int):
+        """Add one round's traffic over `edges` directed peer links.
 
-        Every agent sends each peer one parameter message and, when
+        Every link carries one parameter message and, when
         crossgrad_msg_bytes is nonzero, one cross-gradient message.
         """
-        per_param = degrees * param_msg_bytes
-        per_cross = degrees * crossgrad_msg_bytes
-        param_bytes, crossgrad_bytes = int(per_param.sum()), int(per_cross.sum())
+        param_bytes, crossgrad_bytes = edges * param_msg_bytes, edges * crossgrad_msg_bytes
         self.param_bytes += param_bytes
         self.crossgrad_bytes += crossgrad_bytes
-        self.messages += int(degrees.sum()) * (2 if crossgrad_msg_bytes else 1)
-        self.per_agent_sent += per_param + per_cross
+        self.messages += edges * (2 if crossgrad_msg_bytes else 1)
         self.round_param_bytes.append(param_bytes)
         self.round_crossgrad_bytes.append(crossgrad_bytes)
 
@@ -198,14 +190,6 @@ class RunResult:
         return spectral_gap(self.w).sqrt_rho
 
 
-def _map_agents(fn, count: int, workers: int):
-    """Apply fn(i) for each agent, results in agent order regardless of pool."""
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _neighbor_tables(w: np.ndarray):
     """Per-agent neighbor lists (excluding self) and weight maps (including)."""
     n = w.shape[0]
@@ -229,24 +213,20 @@ def exchange_cross_gradients(works, peers) -> list[dict]:
 
 
 def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorithm: str,
-              batch_size: int, ledger: CommLedger | None = None, workers: int = 1,
-              tables=None):
-    """One synchronous round for every agent; returns (states, losses, bundles)."""
-    n = len(states)
+              batch_size: int, ledger: CommLedger | None = None, tables=None):
+    """One synchronous round, agents updated in place; returns (states, losses, bundles)."""
     peers, weight_maps = tables if tables is not None else _neighbor_tables(w)
     dim = states[0].params.size
-    degrees = np.array([len(nb) for nb in peers], dtype=np.int64)
+    edges = sum(len(nb) for nb in peers)
 
     if algorithm == "dpsgd":
-        works = _map_agents(lambda i: dpsgd_prepare(states[i], hp, batch_size), n, workers)
-        tilde_in = [{j: works[j].x_tilde for j in peers[i]} for i in range(n)]
-        new_states = _map_agents(
-            lambda i: dpsgd_finalize(states[i], works[i], tilde_in[i], weight_maps[i], hp),
-            n, workers,
-        )
+        works = [dpsgd_prepare(state, hp, batch_size) for state in states]
+        for i, state in enumerate(states):
+            tilde_in = {j: works[j].x_tilde for j in peers[i]}
+            dpsgd_finalize(state, works[i], tilde_in, weight_maps[i], hp)
         if ledger is not None:
-            ledger.record_round(degrees, 4 * dim, 0)
-        return new_states, [wk.batch_loss for wk in works], None
+            ledger.record_round(edges, 4 * dim, 0)
+        return states, [wk.batch_loss for wk in works], None
 
     if algorithm not in ("ngc", "compngc"):
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
@@ -254,27 +234,23 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
     prepare = compngc_prepare if compressed else ngc_prepare
 
     params_in = exchange_params(states, peers)
-    works = _map_agents(lambda i: prepare(states[i], params_in[i], hp, batch_size), n, workers)
+    works = [prepare(state, params_in[i], hp, batch_size) for i, state in enumerate(states)]
 
     if hp.alpha != 0.0:
         cross_in = exchange_cross_gradients(works, peers)
         cross_msg_bytes = wire_size_bytes(dim) if compressed else 4 * dim
     else:
-        cross_in = [{} for _ in range(n)]
+        cross_in = [{} for _ in states]
         cross_msg_bytes = 0
 
-    updates = _map_agents(
-        lambda i: ngc_update(states[i], works[i], cross_in[i], hp, weight_maps[i]),
-        n, workers,
-    )
-    new_states = _map_agents(
-        lambda i: ngc_apply(states[i], works[i], updates[i][0], updates[i][1],
-                            params_in[i], weight_maps[i], hp),
-        n, workers,
-    )
+    bundles = []
+    for i, state in enumerate(states):
+        x_tilde, v_next, bundle = ngc_update(state, works[i], cross_in[i], hp, weight_maps[i])
+        ngc_apply(state, x_tilde, v_next, params_in[i], weight_maps[i], hp)
+        bundles.append(bundle)
     if ledger is not None:
-        ledger.record_round(degrees, 4 * dim, cross_msg_bytes)
-    return new_states, [wk.batch_loss for wk in works], [u[2] for u in updates]
+        ledger.record_round(edges, 4 * dim, cross_msg_bytes)
+    return states, [wk.batch_loss for wk in works], bundles
 
 
 def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
@@ -341,7 +317,7 @@ def run(config: RunConfig) -> RunResult:
     if rounds_per_epoch < 1:
         raise ConfigurationError("batch_size exceeds the smallest shard")
 
-    ledger = CommLedger(config.agents)
+    ledger = CommLedger()
     uniform = all(max(wm.values()) == min(wm.values()) for wm in weight_maps)
     bias_ok = uniform and config.algorithm in ("ngc", "compngc")
 
@@ -371,9 +347,9 @@ def run(config: RunConfig) -> RunResult:
         omega_accum = 0.0
         for _ in range(rounds_per_epoch):
             round_idx += 1
-            states, losses, bundles = run_round(
+            _, losses, bundles = run_round(
                 states, w, hp_eff, config.algorithm, config.batch_size,
-                ledger=ledger, workers=config.workers, tables=(peers, weight_maps),
+                ledger=ledger, tables=(peers, weight_maps),
             )
             for s in states:
                 if not np.isfinite(s.params).all():

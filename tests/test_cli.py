@@ -112,15 +112,23 @@ def test_config_echo_round_trips(tmp_path):
         alpha=0.25, beta=0.5, eta=0.125, gamma=0.75, schedule="constant", epochs=7,
         batch_size=9, seed=11, dataset="data.csv", data_seed=13, classes=4, dim=3,
         per_class=17, spread=0.3, val_per_class=6, val_fraction=0.4, model="logistic",
-        hidden_dim=8, activation="relu", workers=2,
+        hidden_dim=8, activation="relu", workers=1,
     )
     defaults = RunConfig()
     for f in dataclasses.fields(RunConfig):
-        assert getattr(config, f.name) != getattr(defaults, f.name), f.name
+        if f.name != "workers":  # its one valid value is the default
+            assert getattr(config, f.name) != getattr(defaults, f.name), f.name
     path = tmp_path / "config.txt"
     write_config_file(config, str(path))
     overrides = read_config_file(str(path))
     assert RunConfig(**overrides) == config
+
+
+def test_workers_is_no_longer_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        parse_config(["--workers", "1"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_dpsgd_config_echo_is_reusable(tmp_path):
@@ -288,6 +296,7 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("topology=star", "unknown topology 'star'"),
     ("activation=softplus", "unknown activation 'softplus'"),
     ("data_seed=-3", "seeds must be nonnegative"),
+    ("workers=2", "workers must be 1: the round engine is serial"),
     # Only set-up (data, partition, W, shard sizes) finds these.
     ("spread=-1", "spread must be positive"),
     ("agents=1", "ring needs at least two agents"),
@@ -298,7 +307,7 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
     # The config-file path skips argparse's choices, so RunConfig.validate
-    # must catch the first three before run_sweep creates any directory;
+    # must catch the first four before run_sweep creates any directory;
     # the rest fail in set-up, before a seed directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")
@@ -312,6 +321,15 @@ def test_negative_seed_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys)
     out = tmp_path / "out"
     assert run_main(["--seeds", "1,-2", "--epochs", "1", "--out-dir", str(out)]) == 2
     assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_seed_exits_two_and_writes_nothing(tmp_path, capsys):
+    # A repeat would rerun into seed_1/ and count twice in final_acc_std.
+    out = tmp_path / "out"
+    assert run_main(["--seeds", "1,2,1", "--epochs", "1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seeds: seeds must not repeat, got '1,2,1'\n"
     assert not out.exists()
 
 

@@ -35,6 +35,8 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     ("run_skew_benchmark.py", ["--epochs", "0"], "epochs must be positive"),
     ("run_iid_sanity.py", ["--seeds", "1,,2"], "comma-separated integers"),
     ("run_iid_sanity.py", ["--seeds", "2,-1"], "seeds must be nonnegative"),
+    ("run_skew_benchmark.py", ["--seeds", "1,1"], "seeds must not repeat"),
+    ("run_iid_sanity.py", ["--seeds", "2,3,2"], "seeds must not repeat"),
 ])
 def test_script_rejects_bad_arguments_with_exit_two(script, args, message):
     proc = run_script(script, *args)
