@@ -264,25 +264,20 @@ def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperPa
 
 def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
                     batch_size: int) -> NgcWork:
-    """ngc_prepare with every gradient routed through its compressor stream.
+    """ngc_prepare's gradients, each routed through its compressor stream.
 
-    Error-feedback buffers start empty; each one is zero on first use.
-    The new residuals are stored on the agent.
+    The agent's error-feedback buffers start empty (zero) and take the new residuals.
     """
-    batch = state.draw_batch(batch_size)
-    loss, raw_self = loss_and_gradient(state.spec, state.params, state.data, batch)
-    err_in = state.err_self
-    delta_self, state.err_self = ef_step(
-        raw_self, np.zeros_like(raw_self) if err_in is None else err_in)
-    model_variant: dict[int, np.ndarray] = {}
+    def feedback(grad, err):
+        return ef_step(grad, np.zeros_like(grad) if err is None else err)
+
+    raw = ngc_prepare(state, params_in, hp, batch_size)
+    delta_self, state.err_self = feedback(raw.self_grad, state.err_self)
     outgoing: dict[int, CompressedTensor] = {}
-    for j, x_j in params_in.items():
-        raw = cross_gradient(state.spec, x_j, state.data, batch)
-        err_in = state.err_out.get(j)
-        delta, state.err_out[j] = ef_step(raw, np.zeros_like(raw) if err_in is None else err_in)
-        model_variant[j] = decompress(delta)
-        outgoing[j] = delta
-    return NgcWork(loss, decompress(delta_self), model_variant, outgoing)
+    for j, grad in raw.model_variant.items():
+        outgoing[j], state.err_out[j] = feedback(grad, state.err_out.get(j))
+    model_variant = {j: decompress(delta) for j, delta in outgoing.items()}
+    return NgcWork(raw.batch_loss, decompress(delta_self), model_variant, outgoing)
 
 
 def ngc_update(state: AgentState, work: NgcWork, cross_in: dict[int, np.ndarray],

@@ -97,9 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    seed_group = p.add_mutually_exclusive_group()
-    seed_group.add_argument("--seed", type=int)
-    seed_group.add_argument("--seeds", help="comma-separated seed list")
+    p.add_argument("--seeds", "--seed", help="comma-separated seed list")
     p.add_argument("--dataset", help="'synthetic' or a CSV path")
     p.add_argument("--out-dir", default="runs")
     p.add_argument("--compress-check", action="store_true",

@@ -3,9 +3,11 @@
 Two model families are supported: multinomial logistic regression and a
 one-hidden-layer MLP (tanh or relu). Parameters live in a single flat
 float64 vector so that gossip averaging, momentum and compression can
-treat every model as an ndarray of length d. Flattening order is layer 1
-weights (row-major), layer 1 bias, then layer 2 weights and bias for the
-MLP. All math is 64-bit and deterministic.
+treat every model as an ndarray of length d. The flat layout is defined
+once, on `ModelSpec`: layer by layer, the weights (row-major, fan-in by
+fan-out) and then the bias. Logistic regression is the one-layer case,
+so the gradient kernel has one path: an optional hidden layer, then the
+output layer. All math is 64-bit and deterministic.
 
 The gradient kernel runs at numpy's per-call floor, so it keeps a buffer
 discipline: the forward pass and the log-softmax work in place on arrays
@@ -62,7 +64,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; hidden_dim 0 means plain logistic regression."""
+    """Architecture description; hidden_dim 0 means plain logistic regression.
+
+    `layout` is the flat parameter layout, computed once here: for each
+    layer in order (the hidden layer, if any, then the output layer), the
+    slice and shape of its weights and the slice of its bias. `param_count`
+    is d, the flat vector's length.
+    """
 
     input_dim: int
     num_classes: int
@@ -74,69 +82,54 @@ class ModelSpec:
             raise ConfigurationError("bad model dimensions")
         if self.activation not in ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
-
-    @property
-    def param_count(self) -> int:
-        k, h, c = self.input_dim, self.hidden_dim, self.num_classes
-        if h == 0:
-            return k * c + c
-        return k * h + h + h * c + c
+        # hidden_dim 0 drops the hidden layer; the other widths are positive.
+        widths = [w for w in (self.input_dim, self.hidden_dim, self.num_classes) if w]
+        layout, start = [], 0
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            bias = start + fan_in * fan_out
+            layout.append((slice(start, bias), (fan_in, fan_out), slice(bias, bias + fan_out)))
+            start = bias + fan_out
+        object.__setattr__(self, "layout", tuple(layout))
+        object.__setattr__(self, "param_count", start)
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Gaussian weights scaled by 1/sqrt(fan_in), zero biases, flat float64."""
-    k, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if h == 0:
-        w = rng.standard_normal((k, c)) / np.sqrt(k)
-        b = np.zeros(c)
-        return np.concatenate([w.ravel(), b])
-    w1 = rng.standard_normal((k, h)) / np.sqrt(k)
-    b1 = np.zeros(h)
-    w2 = rng.standard_normal((h, c)) / np.sqrt(h)
-    b2 = np.zeros(c)
-    return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+    params = np.zeros(spec.param_count)
+    for w, _ in unflatten(spec, params):
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+    return params
 
 
 def unflatten(spec: ModelSpec, params: np.ndarray):
     """Split a flat vector into per-layer (weights, bias) views."""
     if params.shape != (spec.param_count,):
         raise ShapeError(f"expected {spec.param_count} params, got {params.shape}")
-    k, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if h == 0:
-        w = params[: k * c].reshape(k, c)
-        b = params[k * c :]
-        return [(w, b)]
-    o1 = k * h
-    o2 = o1 + h
-    o3 = o2 + h * c
-    return [
-        (params[:o1].reshape(k, h), params[o1:o2]),
-        (params[o2:o3].reshape(h, c), params[o3:]),
-    ]
+    layers = []
+    for w, shape, b in spec.layout:
+        layers.append((params[w].reshape(shape), params[b]))
+    return layers
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Return (logits, cache) where cache holds what backprop needs.
+    """Return (logits, hid, w_out): hid is the output layer's input.
 
-    The logits and the cached hidden activations belong to this call, so
+    hid is the hidden activation, or x itself when there is no hidden
+    layer. The logits and a hidden activation belong to this call, so
     callers may overwrite them; params and x are only read.
     """
-    layers = unflatten(spec, params)
-    if spec.hidden_dim == 0:
-        w, b = layers[0]
-        logits = x @ w
-        logits += b
-        return logits, ()
-    (w1, b1), (w2, b2) = layers
-    hid = x @ w1
-    hid += b1
-    if spec.activation == "tanh":
-        np.tanh(hid, out=hid)
-    else:
-        np.maximum(hid, 0.0, out=hid)
-    logits = hid @ w2
-    logits += b2
-    return logits, (hid, w2)
+    *hidden, (w_out, b_out) = unflatten(spec, params)
+    hid = x
+    for w, b in hidden:  # at most one
+        hid = hid @ w
+        hid += b
+        if spec.activation == "tanh":
+            np.tanh(hid, out=hid)
+        else:
+            np.maximum(hid, 0.0, out=hid)
+    logits = hid @ w_out
+    logits += b_out
+    return logits, hid, w_out
 
 
 def _log_softmax_(logits: np.ndarray) -> np.ndarray:
@@ -169,7 +162,7 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
     y = data.labels.take(batch)
     n = x.shape[0]
     rows = np.arange(n)
-    logp, cache = _forward(spec, params, x)
+    logp, hid, w_out = _forward(spec, params, x)
     dlogits = _log_softmax_(logp)
     loss = -(np.add.reduce(logp[rows, y]) / n)
 
@@ -177,25 +170,19 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
     dlogits[rows, y] -= 1.0
     dlogits /= n
     grad = np.empty(spec.param_count)
-    layers = unflatten(spec, grad)
-    if spec.hidden_dim == 0:
-        (dw, db), = layers
-        np.matmul(x.T, dlogits, out=dw)
-        np.add.reduce(dlogits, axis=0, out=db)
-        return float(loss), grad
-    hid, w2 = cache
-    (dw1, db1), (dw2, db2) = layers
-    np.matmul(hid.T, dlogits, out=dw2)
-    np.add.reduce(dlogits, axis=0, out=db2)
-    dpre = dlogits @ w2.T
-    if spec.activation == "tanh":
-        np.multiply(hid, hid, out=hid)
-        np.subtract(1.0, hid, out=hid)
-        dpre *= hid
-    else:
-        dpre *= hid > 0.0
-    np.matmul(x.T, dpre, out=dw1)
-    np.add.reduce(dpre, axis=0, out=db1)
+    *hidden, (dw_out, db_out) = unflatten(spec, grad)
+    np.matmul(hid.T, dlogits, out=dw_out)
+    np.add.reduce(dlogits, axis=0, out=db_out)
+    for dw, db in hidden:  # back-propagate into the hidden layer, if any
+        dpre = dlogits @ w_out.T
+        if spec.activation == "tanh":
+            np.multiply(hid, hid, out=hid)
+            np.subtract(1.0, hid, out=hid)
+            dpre *= hid
+        else:
+            dpre *= hid > 0.0
+        np.matmul(x.T, dpre, out=dw)
+        np.add.reduce(dpre, axis=0, out=db)
     return float(loss), grad
 
 
@@ -226,7 +213,7 @@ def finite_difference_gradient(spec: ModelSpec, params: np.ndarray, data: Datase
 
 def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> tuple[float, float]:
     """Full-dataset mean cross-entropy and top-1 accuracy (ties -> lowest class)."""
-    logits, _ = _forward(spec, params, data.features)
+    logits, _, _ = _forward(spec, params, data.features)
     # Argmax before the in-place log-softmax, whose rounding can tie
     # distinct logits and so move a "ties -> lowest class" pick.
     hits = np.count_nonzero(np.argmax(logits, axis=1) == data.labels)
@@ -260,8 +247,8 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
         raise ConfigurationError("need at least two classes")
     if per_class < 1:
         raise ConfigurationError("per_class must be positive")
-    if spread <= 0:
-        raise ConfigurationError("spread must be positive")
+    if not 0 < spread < math.inf:
+        raise ConfigurationError(f"spread must be positive and finite, got {spread}")
     if dim < 1:
         raise ConfigurationError("dim must be positive")
     centers = class_centers(num_classes, dim)

@@ -20,7 +20,8 @@ from decentsim import (
     ngc_mix,
     run_round,
 )
-from decentsim.algorithms import cluster_deviation, ngc_prepare
+from decentsim.algorithms import cluster_deviation, compngc_prepare, ngc_prepare
+from decentsim.compression import decompress, ef_step
 
 from conftest import make_states
 
@@ -319,6 +320,39 @@ def test_round_outbox_addresses_every_neighbor_when_alpha_set(small_data, small_
     outbox = ngc_prepare(states[0], {1: states[1].params}, hp, batch_size=10).outgoing
     assert set(outbox) == {1}
     assert outbox[1].shape == (small_spec.param_count,)
+
+
+def test_compngc_prepare_is_ngc_prepare_through_error_feedback(small_data, small_spec):
+    # Two copies of agent 0 on one batch stream: compngc_prepare on one must
+    # equal ngc_prepare's raw gradients, each through its own ef_step, on
+    # the other. The second round starts from the residuals the first stored.
+    hp = HyperParams(alpha=1.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
+    shards = [np.arange(0, 30), np.arange(30, 60), np.arange(60, 90)]
+    comp, left, right = make_states(3, small_spec, small_data, shards, seed=3,
+                                    shared_rng_seed=5)
+    plain = make_states(1, small_spec, small_data, shards, seed=3, shared_rng_seed=5)[0]
+    params_in = {1: left.params + 0.5, 2: right.params - 0.25}
+    zero = np.zeros(small_spec.param_count)
+    err_self, err_out = zero, {j: zero for j in params_in}
+
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    for _ in range(2):
+        work = compngc_prepare(comp, params_in, hp, batch_size=10)
+        ref = ngc_prepare(plain, params_in, hp, batch_size=10)
+        assert bits(work.batch_loss) == bits(ref.batch_loss)
+        delta, err_self = ef_step(ref.self_grad, err_self)
+        assert bits(work.self_grad) == bits(decompress(delta))
+        assert bits(comp.err_self) == bits(err_self)
+        assert set(work.model_variant) == set(work.outgoing) == set(params_in)
+        for j in params_in:
+            delta, err_out[j] = ef_step(ref.model_variant[j], err_out[j])
+            sent = work.outgoing[j]
+            assert sent.signs.tobytes() == delta.signs.tobytes()
+            assert bits(sent.scale) == bits(delta.scale)
+            assert bits(work.model_variant[j]) == bits(decompress(delta))
+            assert bits(comp.err_out[j]) == bits(err_out[j])
 
 
 # -------------------------------------------------------------- batch drawing

@@ -299,6 +299,8 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("workers=2", "workers must be 1: the round engine is serial"),
     # Only set-up (data, partition, W, shard sizes) finds these.
     ("spread=-1", "spread must be positive"),
+    ("spread=nan", "spread must be positive and finite"),
+    ("spread=inf", "spread must be positive and finite"),
     ("agents=1", "ring needs at least two agents"),
     ("classes=1", "need at least two classes"),
     ("per_class=0", "per_class must be positive"),
@@ -315,6 +317,11 @@ def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_p
     assert run_main(["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seed_is_a_second_spelling_of_seeds():
+    assert parse_config(["--seed", "4"])[1] == [4]
+    assert parse_config(["--seed", "4,5"])[1] == [4, 5]
 
 
 def test_negative_seed_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys):

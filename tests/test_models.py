@@ -302,10 +302,39 @@ def test_batch_indices_must_lie_in_the_dataset(batch):
 def test_unflatten_layers_reassemble_to_the_flat_vector(input_dim, num_classes, hidden):
     spec = ModelSpec(input_dim, num_classes, hidden_dim=hidden)
     params = np.random.default_rng(0).standard_normal(spec.param_count)
-    flat_again = np.concatenate([
-        np.concatenate([w.ravel(), b]) for w, b in unflatten(spec, params)
-    ])
+    layers = unflatten(spec, params)
+    flat_again = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
     assert (flat_again == params).all()
+    k, h, c = input_dim, hidden, num_classes
+    shapes = [((k, h), (h,)), ((h, c), (c,))] if hidden else [((k, c), (c,))]
+    assert [(w.shape, b.shape) for w, b in layers] == shapes
+
+
+def _plain_init_params(spec, rng):
+    """init_params as first written: one concatenate of per-layer blocks."""
+    k, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
+    if h == 0:
+        w = rng.standard_normal((k, c)) / np.sqrt(k)
+        return np.concatenate([w.ravel(), np.zeros(c)])
+    w1 = rng.standard_normal((k, h)) / np.sqrt(k)
+    w2 = rng.standard_normal((h, c)) / np.sqrt(h)
+    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+
+
+@given(
+    input_dim=st.integers(1, 40),
+    num_classes=st.integers(2, 12),
+    hidden=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_init_params_is_bitwise_the_concatenate_form(input_dim, num_classes, hidden, seed):
+    spec = ModelSpec(input_dim, num_classes, hidden_dim=hidden)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    params = init_params(spec, rng)
+    ref = _plain_init_params(spec, ref_rng)
+    assert params.dtype == ref.dtype and params.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_unflatten_rejects_wrong_length():
