@@ -1,4 +1,4 @@
-"""Per-agent update rules for the three training algorithms.
+"""Update rules for the three training algorithms, per agent and over row blocks.
 
 All three share the same round skeleton: draw a batch, build a mixed
 gradient, take a heavy-ball momentum step, then gossip-average with the
@@ -13,12 +13,25 @@ neighborhood. They differ in what the mixed gradient uses:
   scaled-sign compressor; the self gradient passes through its own
   compressor stream so all mixed terms live on the same grid.
 
-Each round is split into a prepare step (local work plus outgoing
-messages) and a finalize step (consume the inbox), so an engine can run
-the exchange phases between them. Both steps update the AgentState they
-are given in place: prepare advances its batch stream and, for compngc,
-stores the new error-feedback residuals; finalize assigns its new
-params and momentum.
+The round engine keeps every agent's parameters and momentum as rows of
+run-owned (N, d) arrays and applies the rules to blocks of consecutive
+rows of one degree (`SlotBlock`), slot by slot: slot s of a row is its
+s-th peer in ascending order. The block functions (`ngc_update`,
+`gossip_rows`, `dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) work in
+place and keep the per-agent rules' operation order element for element,
+so the two give the same bits:
+
+* a mixed-gradient cluster starts from w_ii * g_i and adds w_ij * term_j
+  in ascending peer order (`ngc_mix`);
+* the gossip sum starts from zeros and adds w_ij * x_j in ascending
+  neighbor order, self included (`gossip_step`);
+* a bias deviation starts from the first peer's difference and divides
+  by |N(i)| (`cluster_deviation`).
+
+The per-agent forms (`ngc_mix`, `bias_terms`, `gossip_step`,
+`momentum_update`, `ngc_prepare`, `compngc_prepare`) take dicts keyed by
+agent id and check their inputs; they define the rules the blocks are
+tested against. The blocks check nothing: set-up checks W once.
 """
 from __future__ import annotations
 
@@ -175,10 +188,11 @@ class AgentState:
     """One agent's training state, updated in place round after round.
 
     rng drives its batch shuffles. The compngc error-feedback buffers
-    (err_self, err_out) start empty; compngc_prepare treats a missing
-    buffer as zero and stores each new residual here, where only this
-    agent reads it. params is never written into: each round assigns a
-    new array, because peers' inboxes may still hold the old one.
+    (err_self, err_out) start empty; a missing buffer counts as zero and
+    each round stores the new residuals here, where only this agent reads
+    them. Inside the round engine params and momentum are views of this
+    agent's rows of the run's stacked (N, d) arrays, which every round
+    updates in place.
     """
 
     agent_id: int
@@ -207,35 +221,7 @@ class AgentState:
         return self.batch_queue.pop(0)
 
 
-# ---------------------------------------------------------------- dpsgd
-
-
-@dataclass(frozen=True)
-class DpsgdWork:
-    batch_loss: float
-    v_next: np.ndarray
-    x_tilde: np.ndarray
-
-
-def dpsgd_prepare(state: AgentState, hp: HyperParams, batch_size: int) -> DpsgdWork:
-    """Local gradient step; x_tilde is what gets broadcast."""
-    batch = state.draw_batch(batch_size)
-    loss, grad = loss_and_gradient(state.spec, state.params, state.data, batch)
-    v_next = momentum_update(state.momentum, grad, hp.beta, hp.eta)
-    return DpsgdWork(loss, v_next, state.params + v_next)
-
-
-def dpsgd_finalize(state: AgentState, work: DpsgdWork, tilde_in: dict[int, np.ndarray],
-                   weights: dict[int, float], hp: HyperParams) -> None:
-    """Gossip over the updated parameters received from neighbors."""
-    operands = dict(tilde_in)
-    operands[state.agent_id] = work.x_tilde
-    # Assign, never write into, params: an inbox may alias the old array.
-    state.params = gossip_step(work.x_tilde, state.agent_id, operands, weights, hp.gamma)
-    state.momentum = work.v_next
-
-
-# ------------------------------------------------------------ ngc / compngc
+# ------------------------------------------------------ per-agent reference
 
 
 @dataclass(frozen=True)
@@ -262,15 +248,17 @@ def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperPa
     return NgcWork(loss, self_grad, model_variant, outgoing)
 
 
+def feedback(grad: np.ndarray, err: np.ndarray | None) -> tuple[CompressedTensor, np.ndarray]:
+    """ef_step on one compressor stream; a missing buffer counts as zero."""
+    return ef_step(grad, np.zeros_like(grad) if err is None else err)
+
+
 def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
                     batch_size: int) -> NgcWork:
     """ngc_prepare's gradients, each routed through its compressor stream.
 
     The agent's error-feedback buffers start empty (zero) and take the new residuals.
     """
-    def feedback(grad, err):
-        return ef_step(grad, np.zeros_like(grad) if err is None else err)
-
     raw = ngc_prepare(state, params_in, hp, batch_size)
     delta_self, state.err_self = feedback(raw.self_grad, state.err_self)
     outgoing: dict[int, CompressedTensor] = {}
@@ -280,30 +268,197 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
     return NgcWork(raw.batch_loss, decompress(delta_self), model_variant, outgoing)
 
 
-def ngc_update(state: AgentState, work: NgcWork, cross_in: dict[int, np.ndarray],
-               hp: HyperParams, weights: dict[int, float]):
-    """Mix clusters and take the momentum step; returns pre-gossip results."""
+# ------------------------------------------------------------ slot tables
+
+# A block holds max(1, BLOCK_ELEMS // d) rows, so each (rows, d) operand
+# stays near 512 KiB; at d ~ 1e5 that is one agent per block.
+BLOCK_ELEMS = 2**16
+
+
+@dataclass(frozen=True)
+class SlotBlock:
+    """Consecutive agents of one degree k and their neighbor slots.
+
+    Per slot, `back` holds each row's edge-table row of the message its
+    peer sends it, and `peer_w` the weight: a float if every row agrees,
+    else a (rows, 1) column. Gossip's k + 1 slots (`nbrs`, `nbr_w`) hold
+    the agent itself in its ascending place. The rows' own messages fill
+    the edge rows `edges`, slot by slot: a (k, rows) grid.
+    """
+
+    rows: slice
+    edges: slice
+    self_w: np.ndarray
+    peer_w: tuple
+    back: tuple
+    nbrs: tuple
+    nbr_w: tuple
+
+    @property
+    def size(self) -> int:
+        return self.rows.stop - self.rows.start
+
+
+@dataclass(frozen=True)
+class NeighborSlots:
+    """W's neighborhoods as slot tables, built once per run.
+
+    links[i] pairs agent i's peers, ascending, with the rows of a round's
+    edge table that carry its messages to them, and back[e] is the row of
+    edge e's reverse. The blocks cover the agents in order. uniform says whether every
+    neighborhood weighs its members equally (the bias terms need it).
+    """
+
+    w: np.ndarray
+    links: list
+    back: np.ndarray
+    blocks: tuple
+    uniform: bool
+
+    @property
+    def edges(self) -> int:
+        return self.back.size
+
+
+@dataclass(frozen=True)
+class RoundGradients:
+    """One round's gradient rows: self (N, d) and the sent cross-gradients (E, d).
+
+    Row e of `cross` is the message on edge e, as its sender mixes it
+    (decompressed under compngc): the sender's batch gradient at the
+    receiver's params. The receiver's data-variant terms are the rows
+    `back`. Indexing gives agent i's GradientBundle as views; the rows
+    are overwritten by the next round.
+    """
+
+    slots: NeighborSlots
+    self_grads: np.ndarray
+    cross: np.ndarray
+    exchanged: bool
+
+    def __len__(self) -> int:
+        return self.self_grads.shape[0]
+
+    def __getitem__(self, i: int) -> GradientBundle:
+        links, w = self.slots.links[i], self.slots.w
+        back = self.slots.back
+        model_variant = {j: self.cross[e] for j, e in links}
+        data_variant = {j: self.cross[back[e]] for j, e in links} if self.exchanged else {}
+        weights = {j: float(w[i, j]) for j in sorted([i, *model_variant])}
+        return GradientBundle(i, self.self_grads[i], model_variant, data_variant, weights)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def bias_norms(self, scratch: np.ndarray) -> tuple[float, float]:
+        """metrics.bias_norms over row blocks, bit for bit; needs uniform weights.
+
+        scratch holds two (rows, d) buffers of the largest block.
+        """
+        n, dim = self.self_grads.shape
+        eps, omega = np.zeros(n), np.zeros(n)
+        for blk in self.slots.blocks:
+            k, m = len(blk.back), blk.size
+            if k == 0:
+                continue
+            dev, diff = scratch[0, :m], scratch[1, :m]
+            own = self.self_grads[blk.rows]
+            model = self.cross[blk.edges].reshape(k, m, dim)
+            eps[blk.rows] = _deviation_l1(lambda s, out: model[s], k, own, dev, diff)
+            if self.exchanged:
+                def data(s, out, blk=blk):
+                    return np.take(self.cross, blk.back[s], axis=0, out=out, mode="clip")
+
+                omega[blk.rows] = _deviation_l1(data, k, own, dev, diff)
+        return float(np.mean(eps)), float(np.mean(omega))
+
+
+def _deviation_l1(term, k, own, dev, diff) -> np.ndarray:
+    """Per row, |sum_s (term(s) - own) / (k + 1)|_1, as cluster_deviation sums it.
+
+    term(s, out) returns slot s's rows, written into out or as a view.
+    """
+    np.subtract(term(0, dev), own, out=dev)
+    for s in range(1, k):
+        dev += np.subtract(term(s, diff), own, out=diff)
+    dev /= k + 1
+    return np.add.reduce(np.abs(dev, out=dev), axis=1)
+
+
+# ------------------------------------------------------------- row blocks
+
+
+def ngc_update(blk: SlotBlock, own: np.ndarray, model: np.ndarray, data_variant,
+               momentum: np.ndarray, hp: HyperParams, scratch: np.ndarray) -> None:
+    """Mix one block's gradient clusters and take its momentum step in place.
+
+    own holds the block's self-gradient rows and model its (k, rows, d)
+    model-variant rows; data_variant(s, out) writes slot s's
+    data-variant rows into out and returns it. scratch holds three
+    (rows, d) buffers of the largest block.
+    """
+    m = blk.size
+    acc, other, tmp = scratch[0, :m], scratch[1, :m], scratch[2, :m]
+
+    def cluster(term, out):
+        np.multiply(own, blk.self_w, out=out)
+        for s, w in enumerate(blk.peer_w):
+            out += np.multiply(term(s, tmp), w, out=tmp)
+        return out
+
+    def model_variant(s, _):
+        return model[s]
+
     if hp.alpha == 0.0:
-        data_variant: dict[int, np.ndarray] = {}
+        mixed = cluster(model_variant, acc)
+    elif hp.alpha == 1.0:
+        mixed = cluster(data_variant, acc)
     else:
-        data_variant = {
-            j: decompress(v) if isinstance(v, CompressedTensor) else v
-            for j, v in cross_in.items()
-        }
-    bundle = GradientBundle(
-        state.agent_id, work.self_grad, work.model_variant, data_variant, weights
-    )
-    mixed = ngc_mix(bundle, hp.alpha)
-    v_next = momentum_update(state.momentum, mixed, hp.beta, hp.eta)
-    return state.params + v_next, v_next, bundle
+        mixed = cluster(model_variant, acc)
+        mixed *= 1.0 - hp.alpha
+        data = cluster(data_variant, other)
+        data *= hp.alpha
+        mixed += data
+    momentum *= hp.beta
+    mixed *= hp.eta
+    momentum -= mixed
 
 
-def ngc_apply(state: AgentState, x_tilde: np.ndarray, v_next: np.ndarray,
-              gossip_params: dict[int, np.ndarray], weights: dict[int, float],
-              hp: HyperParams) -> None:
-    """Gossip-average against the pre-round params and take the new state."""
-    operands = dict(gossip_params)
-    operands.setdefault(state.agent_id, state.params)
-    # Assign, never write into, params: a later agent's inbox aliases the old array.
-    state.params = gossip_step(x_tilde, state.agent_id, operands, weights, hp.gamma)
-    state.momentum = v_next
+def gossip_rows(blk: SlotBlock, own: np.ndarray, neighbor, out: np.ndarray,
+                tmp: np.ndarray, gamma: float) -> None:
+    """out = gamma * (sum_j w_ij x_j - x_i) for one block: its gossip pull.
+
+    own holds the block's rows x_i; neighbor(index, out) writes the rows
+    x[index] into out and returns it. The sum starts from zeros: adding
+    0.0 to the first term is that step, and turns a -0.0 into +0.0.
+    """
+    first, *rest = zip(blk.nbrs, blk.nbr_w)
+    np.multiply(neighbor(first[0], out), first[1], out=out)
+    out += 0.0
+    for index, w in rest:
+        out += np.multiply(neighbor(index, tmp), w, out=tmp)
+    out -= own
+    out *= gamma
+
+
+def dpsgd_prepare(params: np.ndarray, momentum: np.ndarray, grads: np.ndarray,
+                  hp: HyperParams) -> None:
+    """Momentum step, then params become x_tilde = x + v', what dpsgd gossips.
+
+    All three are a block's rows, updated in place; grads is consumed.
+    """
+    momentum *= hp.beta
+    grads *= hp.eta
+    momentum -= grads
+    params += momentum
+
+
+def dpsgd_finalize(params: np.ndarray, pull: np.ndarray) -> None:
+    """x' = x_tilde + pull, pull being the gossip pull over x_tilde rows."""
+    params += pull
+
+
+def ngc_apply(params: np.ndarray, momentum: np.ndarray, pull: np.ndarray) -> None:
+    """x' = (x + v') + pull, pull being the gossip pull over the pre-round rows."""
+    params += momentum
+    params += pull

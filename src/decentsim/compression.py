@@ -49,9 +49,9 @@ def compress(vec: np.ndarray) -> CompressedTensor:
     return CompressedTensor(vec >= 0.0, float(np.abs(vec).mean()))
 
 
-def decompress(ct: CompressedTensor) -> np.ndarray:
-    """Expand to +-scale per coordinate."""
-    out = ct.signs * 2.0
+def decompress(ct: CompressedTensor, out: np.ndarray | None = None) -> np.ndarray:
+    """Expand to +-scale per coordinate, into out if given."""
+    out = np.multiply(ct.signs, 2.0, out=out)
     out -= 1.0
     out *= ct.scale
     return out

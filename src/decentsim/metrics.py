@@ -34,21 +34,32 @@ class MetricsRow:
     crossgrad_bytes: int
 
 
-def consensus_model(states: list[AgentState]) -> np.ndarray:
-    """Uniform average of all agents' parameters."""
-    return np.mean([s.params for s in states], axis=0)
+def _stacked(agents) -> np.ndarray:
+    """The agents' parameters as one (N, d) array; an array is taken as is."""
+    if isinstance(agents, np.ndarray):
+        return agents
+    return np.stack([s.params for s in agents])
 
 
-def consensus_error(states: list[AgentState]) -> float:
-    """Mean squared distance from the parameter average."""
-    stacked = np.stack([s.params for s in states])
-    stacked -= stacked.mean(axis=0)
-    np.square(stacked, out=stacked)
-    return float(stacked.sum(axis=1).mean())
+def consensus_model(agents) -> np.ndarray:
+    """Uniform average of all agents' parameters (AgentStates or stacked rows)."""
+    return _stacked(agents).mean(axis=0)
+
+
+def consensus_error(agents, center: np.ndarray | None = None) -> float:
+    """Mean squared distance from the parameter average, which may be passed in."""
+    stacked = _stacked(agents)
+    dev = np.subtract(stacked, stacked.mean(axis=0) if center is None else center)
+    np.square(dev, out=dev)
+    return float(dev.sum(axis=1).mean())
 
 
 def bias_norms(bundles) -> tuple[float, float]:
-    """Mean l1 norms of the two cluster deviations across agents."""
+    """Mean l1 norms of the two cluster deviations across agents, bundle by bundle.
+
+    The round engine computes the same bits over row blocks
+    (RoundGradients.bias_norms).
+    """
     eps_norms = []
     omega_norms = []
     for bundle in bundles:

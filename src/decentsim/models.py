@@ -141,6 +141,10 @@ def _log_softmax_(logits: np.ndarray) -> np.ndarray:
     return expd
 
 
+# Unsigned dtypes by item size, for the batch range check's view.
+_UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
+
+
 def _check_batch(data: Dataset, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch)
     if batch.ndim != 1 or batch.size == 0:
@@ -149,14 +153,17 @@ def _check_batch(data: Dataset, batch: np.ndarray) -> np.ndarray:
     if batch.dtype.kind not in "iu":
         raise ShapeError(f"batch must hold integer indices, got dtype {batch.dtype}")
     # Viewed as unsigned, a negative index is huge: one max checks both ends.
-    if np.maximum.reduce(batch.view(batch.dtype.str.replace("i", "u"))) >= data.n:
+    unsigned = _UNSIGNED[batch.dtype.itemsize]
+    if not batch.dtype.isnative:
+        unsigned = unsigned.newbyteorder()
+    if np.maximum.reduce(batch.view(unsigned)) >= data.n:
         raise ShapeError("batch indices out of range")
     return batch
 
 
 def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
-                      batch: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its exact analytic gradient."""
+                      batch: np.ndarray, out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its exact analytic gradient (into out if given)."""
     batch = _check_batch(data, batch)
     x = data.features.take(batch, axis=0)
     y = data.labels.take(batch)
@@ -169,7 +176,7 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
     np.exp(logp, out=dlogits)
     dlogits[rows, y] -= 1.0
     dlogits /= n
-    grad = np.empty(spec.param_count)
+    grad = np.empty(spec.param_count) if out is None else out
     *hidden, (dw_out, db_out) = unflatten(spec, grad)
     np.matmul(hid.T, dlogits, out=dw_out)
     np.add.reduce(dlogits, axis=0, out=db_out)
@@ -187,9 +194,9 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
 
 
 def cross_gradient(spec: ModelSpec, foreign_params: np.ndarray, data: Dataset,
-                   batch: np.ndarray) -> np.ndarray:
+                   batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of this data's batch loss evaluated at another agent's params."""
-    _, grad = loss_and_gradient(spec, foreign_params, data, batch)
+    _, grad = loss_and_gradient(spec, foreign_params, data, batch, out)
     return grad
 
 

@@ -1,13 +1,25 @@
-"""Synchronous round engine with byte-exact communication accounting.
+"""Synchronous round engine over stacked agent state, with byte-exact accounting.
 
-Every round runs in phases, each a plain loop over the agents in agent
-order: parameter exchange, local gradient work, optional cross-gradient
-exchange, then update and gossip, which run back to back per agent. Each
-AgentState is updated in place, so run_round hands back the list it was
-given. The exchanged inboxes alias the senders' pre-round parameter
-arrays; they stay valid for the whole round because no phase writes
-into a parameter array, it assigns a new one. A later agent's gossip
-therefore still sees its neighbours' pre-round parameters.
+A run owns its agents' parameters x and momenta v as (N, d) arrays; each
+AgentState's params and momentum are views of its rows. W's
+neighborhoods become slot tables once per run (`_neighbor_tables`):
+agent i's peers in ascending order, the edge rows of its messages, and
+blocks of consecutive agents of one degree, max(1, 2**16 // d) rows each.
+
+A round has two parts. First, per agent in agent order, the gradient
+kernel and codec calls, each writing straight into its row: the self
+gradient into row i of an (N, d) table and, for ngc and compngc, the
+gradient at each peer's params into that edge's row of an (E, d) table
+(through error feedback and decompression under compngc). Second, the
+rest of the round as row operations, block by block: data-variant
+delivery (`exchange_cross_gradients`), mixing and the momentum step
+(`ngc_update`), and the gossip pull (`gossip_rows` over the neighbor rows
+that `exchange_params` delivers) into a spare (N, d) array; only once
+every pull is formed are the rows updated in place, since each pull reads
+its neighbors' pre-round rows. dpsgd first steps momentum and params to
+x_tilde, then gossips over the x_tilde rows. The row operations keep the
+per-agent rules' order element for element (see `algorithms`), so a
+round is bitwise the per-agent one.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -20,23 +32,28 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algorithms import (
+    BLOCK_ELEMS,
     AgentState,
     HyperParams,
+    NeighborSlots,
+    RoundGradients,
+    SlotBlock,
     apply_lr_schedule,
-    compngc_prepare,
     dpsgd_finalize,
     dpsgd_prepare,
+    feedback,
+    gossip_rows,
     ngc_apply,
-    ngc_prepare,
     ngc_update,
 )
-from .compression import wire_size_bytes
+from .compression import decompress, wire_size_bytes
 from .errors import ConfigurationError, RunAbortError
-from .metrics import MetricsRow, bias_norms, consensus_error, consensus_model
+from .metrics import MetricsRow, consensus_error, consensus_model
 from .models import (
     ACTIVATIONS,
     Dataset,
     ModelSpec,
+    cross_gradient,
     evaluate,
     generate_synthetic,
     init_params,
@@ -190,67 +207,183 @@ class RunResult:
         return spectral_gap(self.w).sqrt_rho
 
 
-def _neighbor_tables(w: np.ndarray):
-    """Per-agent neighbor lists (excluding self) and weight maps (including)."""
+def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
+    """W's slot tables, with blocks of max(1, BLOCK_ELEMS // dim) rows of one degree.
+
+    A block's messages fill consecutive edge rows slot by slot, so each
+    slot's model-variant rows are one contiguous run.
+    """
     n = w.shape[0]
-    peers = []
-    weight_maps = []
+    nbrs = [neighbors(w, i) for i in range(n)]
+    peers = [[j for j in nb if j != i] for i, nb in enumerate(nbrs)]
+    per_block = max(1, BLOCK_ELEMS // dim)
+    spans = []
+    start = 0
+    while start < n:
+        stop = start + 1
+        while (stop < n and stop - start < per_block
+               and len(peers[stop]) == len(peers[start])):
+            stop += 1
+        spans.append((start, stop))
+        start = stop
+
+    links = [None] * n
+    edge = 0
+    for start, stop in spans:
+        for i in range(start, stop):
+            links[i] = [(j, edge + s * (stop - start) + i - start)
+                        for s, j in enumerate(peers[i])]
+        edge += (stop - start) * len(peers[start])
+    edge_of = {(i, j): e for i in range(n) for j, e in links[i]}
+    back = np.zeros(edge, dtype=np.intp)
     for i in range(n):
-        nb = neighbors(w, i)
-        peers.append([j for j in nb if j != i])
-        weight_maps.append({j: float(w[i, j]) for j in nb})
-    return peers, weight_maps
+        for j, e in links[i]:
+            back[e] = edge_of[j, i]
+
+    def weight(values):
+        """One float when the whole column agrees: numpy multiplies by it faster."""
+        values = [float(v) for v in values]
+        if len(set(values)) == 1:
+            return values[0]
+        return np.array(values).reshape(-1, 1)
+
+    blocks = []
+    for start, stop in spans:
+        rows = range(start, stop)
+        k = len(peers[start])
+        blocks.append(SlotBlock(
+            rows=slice(start, stop),
+            edges=slice(links[start][0][1], links[start][0][1] + k * (stop - start))
+            if k else slice(0, 0),
+            self_w=weight([w[i, i] for i in rows]),
+            peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
+            back=tuple(back[[links[i][s][1] for i in rows]] for s in range(k)),
+            nbrs=tuple(np.array([nbrs[i][t] for i in rows], dtype=np.intp)
+                       for t in range(k + 1)),
+            nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
+        ))
+    uniform = all(len({w[i, j] for j in nb}) == 1 for i, nb in enumerate(nbrs))
+    return NeighborSlots(w, links, back, tuple(blocks), uniform)
 
 
-def exchange_params(states: list[AgentState], peers) -> list[dict]:
-    """Deliver current params along every directed edge."""
-    return [{j: states[j].params for j in peers[i]} for i in range(len(states))]
+class StackedState:
+    """A run's agent state as rows: params x and momenta v, both (N, d).
+
+    Built from the agents, whose params and momentum become views of
+    their rows. Also holds the round's gradient tables (self, and the
+    (E, d) edge table once an ngc round needs it), a spare (N, d) array
+    for the gossip pulls and three buffers of the largest block.
+    """
+
+    def __init__(self, states: list[AgentState], slots: NeighborSlots):
+        self.slots = slots
+        self.x = np.stack([s.params for s in states])
+        self.v = np.stack([s.momentum for s in states])
+        for state, x_i, v_i in zip(states, self.x, self.v):
+            state.params, state.momentum = x_i, v_i
+        self.pull = np.empty_like(self.x)
+        self.grads = np.empty_like(self.x)
+        self.cross = None
+        rows = max(blk.size for blk in slots.blocks)
+        self.scratch = np.empty((3, rows, self.x.shape[1]))
 
 
-def exchange_cross_gradients(works, peers) -> list[dict]:
-    """Deliver each agent's outgoing cross-gradients to their addressees."""
-    return [{j: works[j].outgoing[i] for j in peers[i]} for i in range(len(works))]
+def exchange_params(x: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Deliver one gossip slot: row r of out becomes x[index[r]]."""
+    # Indices are valid by construction; mode="raise" would buffer out.
+    return np.take(x, index, axis=0, out=out, mode="clip")
+
+
+def exchange_cross_gradients(cross: np.ndarray, messages, index: np.ndarray,
+                             out: np.ndarray) -> np.ndarray:
+    """Deliver one data-variant slot: row r of out is the message on edge index[r].
+
+    Raw messages are rows of the edge table; compressed ones (messages,
+    by edge) are decompressed by their receiver.
+    """
+    if messages is None:
+        return np.take(cross, index, axis=0, out=out, mode="clip")
+    for row, e in zip(out, index):
+        decompress(messages[e], out=row)
+    return out
 
 
 def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorithm: str,
               batch_size: int, ledger: CommLedger | None = None, tables=None):
-    """One synchronous round, agents updated in place; returns (states, losses, bundles)."""
-    peers, weight_maps = tables if tables is not None else _neighbor_tables(w)
-    dim = states[0].params.size
-    edges = sum(len(nb) for nb in peers)
+    """One synchronous round, agents updated in place; returns (states, losses, grads).
 
-    if algorithm == "dpsgd":
-        works = [dpsgd_prepare(state, hp, batch_size) for state in states]
-        for i, state in enumerate(states):
-            tilde_in = {j: works[j].x_tilde for j in peers[i]}
-            dpsgd_finalize(state, works[i], tilde_in, weight_maps[i], hp)
-        if ledger is not None:
-            ledger.record_round(edges, 4 * dim, 0)
-        return states, [wk.batch_loss for wk in works], None
-
-    if algorithm not in ("ngc", "compngc"):
+    tables is the run's StackedState over these states; without it the
+    round stacks the states' current params and momenta itself. grads is
+    the round's RoundGradients (None for dpsgd).
+    """
+    if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    stack = tables
+    if stack is None:
+        stack = StackedState(states, _neighbor_tables(w, states[0].params.size))
+    slots, x, v, grads, pull = stack.slots, stack.x, stack.v, stack.grads, stack.pull
+    spec = states[0].spec
+    dim = x.shape[1]
+    tmp = stack.scratch[2]
+
+    def neighbor(index, out):
+        return exchange_params(x, index, out)
+
+    losses = []
+    if algorithm == "dpsgd":
+        for state, x_i, g_i in zip(states, x, grads):
+            batch = state.draw_batch(batch_size)
+            losses.append(loss_and_gradient(spec, x_i, state.data, batch, g_i)[0])
+        for blk in slots.blocks:
+            r = blk.rows
+            dpsgd_prepare(x[r], v[r], grads[r], hp)
+        for blk in slots.blocks:
+            r = blk.rows
+            gossip_rows(blk, x[r], neighbor, pull[r], tmp[:blk.size], hp.gamma)
+        for blk in slots.blocks:
+            r = blk.rows
+            dpsgd_finalize(x[r], pull[r])
+        if ledger is not None:
+            ledger.record_round(slots.edges, 4 * dim, 0)
+        return states, losses, None
+
+    if stack.cross is None:
+        stack.cross = np.empty((slots.edges, dim))
+    cross = stack.cross
     compressed = algorithm == "compngc"
-    prepare = compngc_prepare if compressed else ngc_prepare
+    messages = [None] * slots.edges if compressed else None
+    for state, links, x_i, g_i in zip(states, slots.links, x, grads):
+        batch = state.draw_batch(batch_size)
+        losses.append(loss_and_gradient(spec, x_i, state.data, batch, g_i)[0])
+        for j, e in links:
+            cross_gradient(spec, x[j], state.data, batch, cross[e])
+        if compressed:
+            delta, state.err_self = feedback(g_i, state.err_self)
+            decompress(delta, g_i)
+            for j, e in links:
+                messages[e], state.err_out[j] = feedback(cross[e], state.err_out.get(j))
+                decompress(messages[e], cross[e])
 
-    params_in = exchange_params(states, peers)
-    works = [prepare(state, params_in[i], hp, batch_size) for i, state in enumerate(states)]
+    for blk in slots.blocks:
+        r, m = blk.rows, blk.size
 
-    if hp.alpha != 0.0:
-        cross_in = exchange_cross_gradients(works, peers)
-        cross_msg_bytes = wire_size_bytes(dim) if compressed else 4 * dim
-    else:
-        cross_in = [{} for _ in states]
-        cross_msg_bytes = 0
+        def data_variant(s, out, blk=blk):
+            return exchange_cross_gradients(cross, messages, blk.back[s], out)
 
-    bundles = []
-    for i, state in enumerate(states):
-        x_tilde, v_next, bundle = ngc_update(state, works[i], cross_in[i], hp, weight_maps[i])
-        ngc_apply(state, x_tilde, v_next, params_in[i], weight_maps[i], hp)
-        bundles.append(bundle)
+        model = cross[blk.edges].reshape(len(blk.back), m, dim)
+        ngc_update(blk, grads[r], model, data_variant, v[r], hp, stack.scratch)
+        gossip_rows(blk, x[r], neighbor, pull[r], tmp[:m], hp.gamma)
+    for blk in slots.blocks:
+        r = blk.rows
+        ngc_apply(x[r], v[r], pull[r])
+
     if ledger is not None:
-        ledger.record_round(edges, 4 * dim, cross_msg_bytes)
-    return states, [wk.batch_loss for wk in works], bundles
+        if hp.alpha == 0.0:
+            cross_msg_bytes = 0
+        else:
+            cross_msg_bytes = wire_size_bytes(dim) if compressed else 4 * dim
+        ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
+    return states, losses, RoundGradients(slots, grads, cross, hp.alpha != 0.0)
 
 
 def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
@@ -311,25 +444,24 @@ def run(config: RunConfig) -> RunResult:
     hp = config.hyper_params()
     spec = states[0].spec
     train = states[0].data
-    peers, weight_maps = _neighbor_tables(w)
 
     rounds_per_epoch = min(s.shard.size // config.batch_size for s in states)
     if rounds_per_epoch < 1:
         raise ConfigurationError("batch_size exceeds the smallest shard")
 
+    stack = StackedState(states, _neighbor_tables(w, spec.param_count))
     ledger = CommLedger()
-    uniform = all(max(wm.values()) == min(wm.values()) for wm in weight_maps)
-    bias_ok = uniform and config.algorithm in ("ngc", "compngc")
+    bias_ok = stack.slots.uniform and config.algorithm in ("ngc", "compngc")
 
     rows: list[MetricsRow] = []
 
     def emit(round_idx, epoch_count, train_loss, eps_l1, omega_l1):
-        center = consensus_model(states)
+        center = consensus_model(stack.x)
         val_loss, val_acc = evaluate(spec, center, val)
         rows.append(MetricsRow(
             round=round_idx, epoch=epoch_count, train_loss=train_loss,
             val_loss=float(val_loss), val_acc=float(val_acc),
-            consensus_error=consensus_error(states),
+            consensus_error=consensus_error(stack.x, center),
             eps_l1=eps_l1, omega_l1=omega_l1,
             param_bytes=ledger.param_bytes, crossgrad_bytes=ledger.crossgrad_bytes,
         ))
@@ -347,16 +479,15 @@ def run(config: RunConfig) -> RunResult:
         omega_accum = 0.0
         for _ in range(rounds_per_epoch):
             round_idx += 1
-            _, losses, bundles = run_round(
+            _, losses, grads = run_round(
                 states, w, hp_eff, config.algorithm, config.batch_size,
-                ledger=ledger, tables=(peers, weight_maps),
+                ledger=ledger, tables=stack,
             )
-            for s in states:
-                if not np.isfinite(s.params).all():
-                    raise RunAbortError(round_idx)
+            if not np.isfinite(stack.x).all():
+                raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))
             if bias_ok:
-                eps_l1, omega_l1 = bias_norms(bundles)
+                eps_l1, omega_l1 = grads.bias_norms(stack.scratch)
                 eps_accum += eps_l1
                 omega_accum += omega_l1
         emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,

@@ -293,6 +293,21 @@ def test_batch_indices_must_lie_in_the_dataset(batch):
         spec.param_count,)
 
 
+def test_batch_check_keeps_a_non_native_byte_order():
+    # The range check views the batch as unsigned of the same item size;
+    # the view must keep the batch's byte order, or [5, 0] reads as huge.
+    spec = ModelSpec(2, 3, hidden_dim=4)
+    data = generate_synthetic(3, 2, 2, 0.3, 0)
+    params = init_params(spec, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="out of range"):
+        loss_and_gradient(spec, params, data, np.array([-1, 0], dtype=">i4"))
+    swapped = np.array([5, 0, 3], dtype=">i8")
+    assert not swapped.dtype.isnative
+    got = loss_and_gradient(spec, params, data, swapped)[1]
+    want = loss_and_gradient(spec, params, data, swapped.astype(np.int64))[1]
+    assert got.tobytes() == want.tobytes()
+
+
 @given(
     input_dim=st.integers(1, 6),
     num_classes=st.integers(2, 5),

@@ -7,18 +7,27 @@ import sys
 import numpy as np
 import pytest
 
-from decentsim import algorithms, simulator, topology
+from decentsim import simulator, topology
 from decentsim import (
     CommLedger,
     ConfigurationError,
+    GradientBundle,
     HyperParams,
     ModelSpec,
     RunAbortError,
     RunConfig,
     TopologySpec,
+    bias_norms,
     build_mixing_matrix,
     consensus_error,
+    cross_gradient,
+    decompress,
+    ef_step,
     generate_synthetic,
+    gossip_step,
+    loss_and_gradient,
+    momentum_update,
+    ngc_mix,
     run,
     run_round,
     seed_streams,
@@ -143,32 +152,108 @@ def test_run_round_updates_every_agent_in_place(alg):
     assert states[0].params is not x0 and not (states[0].params == x0).all()
 
 
-def test_ngc_round_matches_a_reference_with_copied_inboxes():
-    # The engine runs each agent's update and gossip back to back. Its
-    # inboxes alias the senders' params, so a later agent's gossip must
-    # still see its neighbours' pre-round values: the same result as
-    # finishing every update before any gossip, from copied inboxes.
-    data = generate_synthetic(3, 4, 30, 0.3, 3)
-    spec = ModelSpec(4, 3, hidden_dim=5)
-    w = build_mixing_matrix(TopologySpec("ring", 3))
-    hp = HyperParams(0.5, 0.9, 0.05, 0.5, "constant")
-    shards = np.array_split(np.arange(data.n), 3)
-    engine = make_states(3, spec, data, shards, seed=9)
-    ref = make_states(3, spec, data, shards, seed=9)
-    weights = [{j: float(w[i, j]) for j in topology.neighbors(w, i)} for i in range(3)]
-    peers = [[j for j in weights[i] if j != i] for i in range(3)]
+def reference_round(states, w, hp, algorithm, batch_size):
+    """One round agent by agent from the per-agent rules, every operand a copy.
+
+    Every update finishes before any gossip, and gossip reads the copies
+    of the pre-round (or, for dpsgd, x_tilde) params.
+    """
+    n = len(states)
+    weights = [{j: float(w[i, j]) for j in topology.neighbors(w, i)} for i in range(n)]
+    peers = [[j for j in weights[i] if j != i] for i in range(n)]
+    x = [s.params.copy() for s in states]
+    losses, self_grads, model, sent = [], [], [], {}
+    for i, s in enumerate(states):
+        batch = s.draw_batch(batch_size)
+        loss, g = loss_and_gradient(s.spec, x[i], s.data, batch)
+        losses.append(loss)
+        mv = {j: cross_gradient(s.spec, x[j], s.data, batch) for j in peers[i]}
+        if algorithm == "compngc":
+            zero = np.zeros_like(g)
+            delta, s.err_self = ef_step(g, zero if s.err_self is None else s.err_self)
+            g = decompress(delta)
+            for j in peers[i]:
+                message, s.err_out[j] = ef_step(mv[j], s.err_out.get(j, zero))
+                mv[j], sent[i, j] = decompress(message), decompress(message)
+        else:
+            sent.update({(i, j): mv[j].copy() for j in peers[i]})
+        self_grads.append(g)
+        model.append(mv)
+    if algorithm == "dpsgd":
+        tilde = []
+        for i, s in enumerate(states):
+            s.momentum = momentum_update(s.momentum, self_grads[i], hp.beta, hp.eta)
+            tilde.append(x[i] + s.momentum)
+        for i, s in enumerate(states):
+            operands = {j: tilde[j].copy() for j in weights[i]}
+            s.params = gossip_step(tilde[i], i, operands, weights[i], hp.gamma)
+        return losses, None
+    bundles = []
+    for i, s in enumerate(states):
+        data_variant = {j: sent[j, i] for j in peers[i]} if hp.alpha != 0.0 else {}
+        bundles.append(GradientBundle(i, self_grads[i], model[i], data_variant, weights[i]))
+        s.momentum = momentum_update(s.momentum, ngc_mix(bundles[-1], hp.alpha),
+                                     hp.beta, hp.eta)
+    for i, s in enumerate(states):
+        operands = {j: x[j].copy() for j in weights[i]}
+        s.params = gossip_step(x[i] + s.momentum, i, operands, weights[i], hp.gamma)
+    return losses, bundles
+
+
+# graph, agents, activation, rows per block (None: the default rule)
+PARITY_GRAPHS = {
+    "ring3": ("ring", 3, "tanh", None),
+    "chain5": ("chain", 5, "relu", 2),
+    "torus8": ("torus", 8, "relu", 1),
+    "full4": ("full", 4, "tanh", None),
+}
+PARITY_CASES = [(g, "dpsgd", 1.0) for g in PARITY_GRAPHS] + [
+    (g, alg, alpha) for g in PARITY_GRAPHS for alg in ("ngc", "compngc")
+    for alpha in (0.0, 0.5, 1.0)
+]
+
+
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("graph, algorithm, alpha", PARITY_CASES,
+                         ids=[f"{g}-{a}-{al}" for g, a, al in PARITY_CASES])
+def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alpha,
+                                                           monkeypatch):
+    # The engine updates stacked rows in place, block by block, reading
+    # neighbours through slot tables. Agent by agent from the per-agent
+    # rules on copies, every params, momentum and error-feedback bit must
+    # come out the same, and so must the batch losses and bias norms.
+    kind, n, activation, block_rows = PARITY_GRAPHS[graph]
+    data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
+    spec = ModelSpec(4, 3, hidden_dim=5, activation=activation)
+    if block_rows is not None:
+        monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * spec.param_count)
+    w = build_mixing_matrix(TopologySpec(kind, n))
+    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    shards = np.array_split(np.arange(data.n), n)
+    engine = make_states(n, spec, data, shards, seed=9)
+    ref = make_states(n, spec, data, shards, seed=9)
+    stack = simulator.StackedState(engine, simulator._neighbor_tables(w, spec.param_count))
+    if block_rows is not None:
+        assert max(blk.size for blk in stack.slots.blocks) == block_rows
     for _ in range(3):
-        params_in = [{j: ref[j].params.copy() for j in peers[i]} for i in range(3)]
-        works = [algorithms.ngc_prepare(s, params_in[i], hp, 10) for i, s in enumerate(ref)]
-        cross_in = [{j: works[j].outgoing[i].copy() for j in peers[i]} for i in range(3)]
-        updates = [algorithms.ngc_update(s, works[i], cross_in[i], hp, weights[i])
-                   for i, s in enumerate(ref)]
-        for i, s in enumerate(ref):
-            algorithms.ngc_apply(s, updates[i][0], updates[i][1], params_in[i], weights[i], hp)
-        run_round(engine, w, hp, "ngc", batch_size=10)
+        _, losses, grads = run_round(engine, w, hp, algorithm, 10, tables=stack)
+        want_losses, bundles = reference_round(ref, w, hp, algorithm, 10)
+        assert bits(losses) == bits(want_losses)
         for a, b in zip(engine, ref):
-            assert (a.params == b.params).all()
-            assert (a.momentum == b.momentum).all()
+            assert bits(a.params) == bits(b.params)
+            assert bits(a.momentum) == bits(b.momentum)
+            assert (a.err_self is None) == (b.err_self is None)
+            if a.err_self is not None:
+                assert bits(a.err_self) == bits(b.err_self)
+            assert a.err_out.keys() == b.err_out.keys()
+            for j in a.err_out:
+                assert bits(a.err_out[j]) == bits(b.err_out[j])
+        if bundles is not None and stack.slots.uniform:
+            assert bits(grads.bias_norms(stack.scratch)) == bits(bias_norms(bundles))
+            assert bits(bias_norms(grads)) == bits(bias_norms(bundles))
 
 
 # ------------------------------------------------------- byte accounting
