@@ -14,17 +14,18 @@ neighborhood. They differ in what the mixed gradient uses:
   compressor stream so all mixed terms live on the same grid.
 
 The round engine keeps every agent's parameters and momentum as rows of
-run-owned (N, d) arrays and applies the rules to blocks of consecutive
-rows of one degree (`SlotBlock`), slot by slot: slot s of a row is its
-s-th peer in ascending order. The block functions (`ngc_update`,
-`gossip_rows`, `dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) work in
-place and keep the per-agent rules' operation order element for element,
-so the two give the same bits:
+run-owned (N, d) arrays and applies the rules to them in place: mixing
+(`ngc_update`) and the gossip pull (`gossip_rows`) over blocks of
+consecutive rows of one degree (`SlotBlock`), slot by slot, where slot s
+of a row is its s-th peer in ascending order; the elementwise steps
+(`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over whole arrays. They
+keep the per-agent rules' operation order element for element, so the
+two forms give the same bits:
 
 * a mixed-gradient cluster starts from w_ii * g_i and adds w_ij * term_j
   in ascending peer order (`ngc_mix`);
-* the gossip sum starts from zeros and adds w_ij * x_j in ascending
-  neighbor order, self included (`gossip_step`);
+* the gossip sum adds w_ij * x_j in ascending neighbor order, self
+  included (`gossip_step`, which starts from zeros: see `gossip_rows`);
 * a bias deviation starts from the first peer's difference and divides
   by |N(i)| (`cluster_deviation`).
 
@@ -305,8 +306,9 @@ class NeighborSlots:
 
     links[i] pairs agent i's peers, ascending, with the rows of a round's
     edge table that carry its messages to them, and back[e] is the row of
-    edge e's reverse. The blocks cover the agents in order. uniform says whether every
-    neighborhood weighs its members equally (the bias terms need it).
+    edge e's reverse. The blocks cover the agents in order. uniform says
+    whether every neighborhood weighs its members equally (the bias
+    terms need it).
     """
 
     w: np.ndarray
@@ -328,13 +330,15 @@ class RoundGradients:
     (decompressed under compngc): the sender's batch gradient at the
     receiver's params. The receiver's data-variant terms are the rows
     `back`. Indexing gives agent i's GradientBundle as views; the rows
-    are overwritten by the next round.
+    are overwritten by the next round. scratch holds two (rows, d)
+    buffers of the largest block.
     """
 
     slots: NeighborSlots
     self_grads: np.ndarray
     cross: np.ndarray
     exchanged: bool
+    scratch: np.ndarray
 
     def __len__(self) -> int:
         return self.self_grads.shape[0]
@@ -350,18 +354,15 @@ class RoundGradients:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def bias_norms(self, scratch: np.ndarray) -> tuple[float, float]:
-        """metrics.bias_norms over row blocks, bit for bit; needs uniform weights.
-
-        scratch holds two (rows, d) buffers of the largest block.
-        """
+    def bias_norms(self) -> tuple[float, float]:
+        """metrics.bias_norms over row blocks, bit for bit; needs uniform weights."""
         n, dim = self.self_grads.shape
         eps, omega = np.zeros(n), np.zeros(n)
         for blk in self.slots.blocks:
             k, m = len(blk.back), blk.size
             if k == 0:
                 continue
-            dev, diff = scratch[0, :m], scratch[1, :m]
+            dev, diff = self.scratch[0, :m], self.scratch[1, :m]
             own = self.self_grads[blk.rows]
             model = self.cross[blk.edges].reshape(k, m, dim)
             eps[blk.rows] = _deviation_l1(lambda s, out: model[s], k, own, dev, diff)
@@ -429,12 +430,14 @@ def gossip_rows(blk: SlotBlock, own: np.ndarray, neighbor, out: np.ndarray,
     """out = gamma * (sum_j w_ij x_j - x_i) for one block: its gossip pull.
 
     own holds the block's rows x_i; neighbor(index, out) writes the rows
-    x[index] into out and returns it. The sum starts from zeros: adding
-    0.0 to the first term is that step, and turns a -0.0 into +0.0.
+    x[index] into out and returns it. gossip_step starts its sum from
+    zeros; starting from the first term instead changes only a sum whose
+    terms are all -0.0, and then w_ii x_i = -0.0 too, so x_i is -0.0 or
+    a negative that underflows to it. Either way mix - x_i is the same,
+    so the pull's bits are gossip_step's.
     """
     first, *rest = zip(blk.nbrs, blk.nbr_w)
     np.multiply(neighbor(first[0], out), first[1], out=out)
-    out += 0.0
     for index, w in rest:
         out += np.multiply(neighbor(index, tmp), w, out=tmp)
     out -= own
@@ -445,7 +448,7 @@ def dpsgd_prepare(params: np.ndarray, momentum: np.ndarray, grads: np.ndarray,
                   hp: HyperParams) -> None:
     """Momentum step, then params become x_tilde = x + v', what dpsgd gossips.
 
-    All three are a block's rows, updated in place; grads is consumed.
+    All three are (N, d) rows, updated in place; grads is consumed.
     """
     momentum *= hp.beta
     grads *= hp.eta

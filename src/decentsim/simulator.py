@@ -217,49 +217,38 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
     nbrs = [neighbors(w, i) for i in range(n)]
     peers = [[j for j in nb if j != i] for i, nb in enumerate(nbrs)]
     per_block = max(1, BLOCK_ELEMS // dim)
-    spans = []
-    start = 0
+    spans = []  # (first row, row count, first edge row)
+    start = edge = 0
     while start < n:
-        stop = start + 1
-        while (stop < n and stop - start < per_block
-               and len(peers[stop]) == len(peers[start])):
-            stop += 1
-        spans.append((start, stop))
-        start = stop
+        m = 1
+        while (start + m < n and m < per_block
+               and len(peers[start + m]) == len(peers[start])):
+            m += 1
+        spans.append((start, m, edge))
+        start, edge = start + m, edge + m * len(peers[start])
 
-    links = [None] * n
-    edge = 0
-    for start, stop in spans:
-        for i in range(start, stop):
-            links[i] = [(j, edge + s * (stop - start) + i - start)
-                        for s, j in enumerate(peers[i])]
-        edge += (stop - start) * len(peers[start])
+    links = [[(j, first + s * m + i - start) for s, j in enumerate(peers[i])]
+             for start, m, first in spans for i in range(start, start + m)]
     edge_of = {(i, j): e for i in range(n) for j, e in links[i]}
-    back = np.zeros(edge, dtype=np.intp)
-    for i in range(n):
-        for j, e in links[i]:
-            back[e] = edge_of[j, i]
+    back = np.empty(edge, dtype=np.intp)
+    for (i, j), e in edge_of.items():
+        back[e] = edge_of[j, i]
 
     def weight(values):
-        """One float when the whole column agrees: numpy multiplies by it faster."""
+        """A float if every row agrees (numpy's fast path), else a (rows, 1) column."""
         values = [float(v) for v in values]
-        if len(set(values)) == 1:
-            return values[0]
-        return np.array(values).reshape(-1, 1)
+        return values[0] if len(set(values)) == 1 else np.array(values).reshape(-1, 1)
 
     blocks = []
-    for start, stop in spans:
-        rows = range(start, stop)
+    for start, m, first in spans:
+        rows = range(start, start + m)
         k = len(peers[start])
         blocks.append(SlotBlock(
-            rows=slice(start, stop),
-            edges=slice(links[start][0][1], links[start][0][1] + k * (stop - start))
-            if k else slice(0, 0),
+            rows=slice(start, start + m), edges=slice(first, first + k * m),
             self_w=weight([w[i, i] for i in rows]),
             peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
             back=tuple(back[[links[i][s][1] for i in rows]] for s in range(k)),
-            nbrs=tuple(np.array([nbrs[i][t] for i in rows], dtype=np.intp)
-                       for t in range(k + 1)),
+            nbrs=tuple(np.array([nbrs[i][t] for i in rows]) for t in range(k + 1)),
             nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
         ))
     uniform = all(len({w[i, j] for j in nb}) == 1 for i, nb in enumerate(nbrs))
@@ -324,66 +313,52 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
     slots, x, v, grads, pull = stack.slots, stack.x, stack.v, stack.grads, stack.pull
     spec = states[0].spec
     dim = x.shape[1]
-    tmp = stack.scratch[2]
-
-    def neighbor(index, out):
-        return exchange_params(x, index, out)
+    if algorithm != "dpsgd" and stack.cross is None:
+        stack.cross = np.empty((slots.edges, dim))
+    cross = None if algorithm == "dpsgd" else stack.cross
+    messages = [None] * slots.edges if algorithm == "compngc" else None
 
     losses = []
-    if algorithm == "dpsgd":
-        for state, x_i, g_i in zip(states, x, grads):
-            batch = state.draw_batch(batch_size)
-            losses.append(loss_and_gradient(spec, x_i, state.data, batch, g_i)[0])
-        for blk in slots.blocks:
-            r = blk.rows
-            dpsgd_prepare(x[r], v[r], grads[r], hp)
-        for blk in slots.blocks:
-            r = blk.rows
-            gossip_rows(blk, x[r], neighbor, pull[r], tmp[:blk.size], hp.gamma)
-        for blk in slots.blocks:
-            r = blk.rows
-            dpsgd_finalize(x[r], pull[r])
-        if ledger is not None:
-            ledger.record_round(slots.edges, 4 * dim, 0)
-        return states, losses, None
-
-    if stack.cross is None:
-        stack.cross = np.empty((slots.edges, dim))
-    cross = stack.cross
-    compressed = algorithm == "compngc"
-    messages = [None] * slots.edges if compressed else None
     for state, links, x_i, g_i in zip(states, slots.links, x, grads):
         batch = state.draw_batch(batch_size)
         losses.append(loss_and_gradient(spec, x_i, state.data, batch, g_i)[0])
+        if cross is None:
+            continue
         for j, e in links:
             cross_gradient(spec, x[j], state.data, batch, cross[e])
-        if compressed:
+        if messages is not None:
             delta, state.err_self = feedback(g_i, state.err_self)
             decompress(delta, g_i)
             for j, e in links:
                 messages[e], state.err_out[j] = feedback(cross[e], state.err_out.get(j))
                 decompress(messages[e], cross[e])
 
+    if cross is None:
+        dpsgd_prepare(x, v, grads, hp)
+    else:
+        for blk in slots.blocks:
+            def data_variant(s, out, blk=blk):
+                return exchange_cross_gradients(cross, messages, blk.back[s], out)
+
+            model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
+            ngc_update(blk, grads[blk.rows], model, data_variant, v[blk.rows], hp,
+                       stack.scratch)
     for blk in slots.blocks:
-        r, m = blk.rows, blk.size
+        gossip_rows(blk, x[blk.rows], lambda index, out: exchange_params(x, index, out),
+                    pull[blk.rows], stack.scratch[2, :blk.size], hp.gamma)
 
-        def data_variant(s, out, blk=blk):
-            return exchange_cross_gradients(cross, messages, blk.back[s], out)
-
-        model = cross[blk.edges].reshape(len(blk.back), m, dim)
-        ngc_update(blk, grads[r], model, data_variant, v[r], hp, stack.scratch)
-        gossip_rows(blk, x[r], neighbor, pull[r], tmp[:m], hp.gamma)
-    for blk in slots.blocks:
-        r = blk.rows
-        ngc_apply(x[r], v[r], pull[r])
-
+    if cross is None:
+        dpsgd_finalize(x, pull)
+        result, cross_msg_bytes = None, 0
+    else:
+        ngc_apply(x, v, pull)
+        result = RoundGradients(slots, grads, cross, hp.alpha != 0.0, stack.scratch)
+        cross_msg_bytes = 0
+        if hp.alpha != 0.0:
+            cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
-        if hp.alpha == 0.0:
-            cross_msg_bytes = 0
-        else:
-            cross_msg_bytes = wire_size_bytes(dim) if compressed else 4 * dim
         ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
-    return states, losses, RoundGradients(slots, grads, cross, hp.alpha != 0.0)
+    return states, losses, result
 
 
 def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
@@ -487,7 +462,7 @@ def run(config: RunConfig) -> RunResult:
                 raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))
             if bias_ok:
-                eps_l1, omega_l1 = grads.bias_norms(stack.scratch)
+                eps_l1, omega_l1 = grads.bias_norms()
                 eps_accum += eps_l1
                 omega_accum += omega_l1
         emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,

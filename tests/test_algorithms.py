@@ -1,6 +1,8 @@
 """Update rules: mixing identity, momentum, gossip, schedules, single-agent rounds."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,25 @@ from decentsim import (
     HyperParams,
     ModelSpec,
     ProtocolError,
+    TopologySpec,
     apply_lr_schedule,
     bias_terms,
+    build_mixing_matrix,
     generate_synthetic,
     gossip_step,
     momentum_update,
+    neighbors,
     ngc_mix,
     run_round,
+    simulator,
 )
-from decentsim.algorithms import cluster_deviation, compngc_prepare, ngc_prepare
+from decentsim.algorithms import (
+    cluster_deviation,
+    compngc_prepare,
+    gossip_rows,
+    ngc_prepare,
+    ngc_update,
+)
 from decentsim.compression import decompress, ef_step
 
 from conftest import make_states
@@ -247,6 +259,79 @@ def test_gossip_step_gamma_scales_the_pull():
 def test_gossip_step_missing_operand_is_a_protocol_error():
     with pytest.raises(ProtocolError, match="missing"):
         gossip_step(np.zeros(1), 0, {0: np.zeros(1)}, {0: 0.5, 1: 0.5}, 1.0)
+
+
+# ------------------------------------------------------------- row blocks
+
+# Mostly signed zeros, then subnormals (whose products underflow to a
+# signed zero), then ordinary values: where summation order and zero
+# signs show.
+EDGE_VALUES = [-0.0] * 4 + [0.0] * 2 + [5e-324, -5e-324, 1.0, -2.5]
+GRAPHS = [("ring", 5), ("chain", 5), ("torus", 8), ("full", 4), ("ring", 2)]
+
+
+def edge_rows(rng, shape):
+    values = rng.choice(EDGE_VALUES, size=shape)
+    dense = rng.random(shape) < 0.2
+    values[dense] = rng.standard_normal(int(dense.sum()))
+    return values
+
+
+def slot_tables(kind, n, dim, block_rows):
+    """W and its slot tables, cut into blocks of block_rows agents if given."""
+    w = build_mixing_matrix(TopologySpec(kind, n))
+    elems = simulator.BLOCK_ELEMS if block_rows is None else block_rows * dim
+    with mock.patch.object(simulator, "BLOCK_ELEMS", elems):
+        return w, simulator._neighbor_tables(w, dim)
+
+
+@given(graph=st.sampled_from(GRAPHS), seed=st.integers(0, 2**32 - 1),
+       block_rows=st.sampled_from([None, 1, 2]), gamma=st.sampled_from([0.5, 1.0, 0.15]))
+@settings(max_examples=60, deadline=None)
+def test_gossip_rows_give_gossip_steps_bits(graph, seed, block_rows, gamma):
+    rng = np.random.default_rng(seed)
+    n, dim = graph[1], 7
+    w, slots = slot_tables(*graph, dim, block_rows)
+    x, x_tilde = edge_rows(rng, (n, dim)), edge_rows(rng, (n, dim))
+    pull = np.empty_like(x)
+    tmp = np.empty((n, dim))
+    for blk in slots.blocks:
+        gossip_rows(blk, x[blk.rows], lambda index, out: np.take(x, index, axis=0, out=out),
+                    pull[blk.rows], tmp[:blk.size], gamma)
+    for i in range(n):
+        weights = {j: float(w[i, j]) for j in neighbors(w, i)}
+        want = gossip_step(x_tilde[i], i, {j: x[j] for j in weights}, weights, gamma)
+        assert (x_tilde[i] + pull[i]).tobytes() == want.tobytes()
+
+
+@given(graph=st.sampled_from(GRAPHS), seed=st.integers(0, 2**32 - 1),
+       block_rows=st.sampled_from([None, 1, 2]), alpha=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_rows, alpha):
+    rng = np.random.default_rng(seed)
+    n, dim = graph[1], 7
+    w, slots = slot_tables(*graph, dim, block_rows)
+    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    own = edge_rows(rng, (n, dim))
+    cross = edge_rows(rng, (slots.edges, dim))
+    v = edge_rows(rng, (n, dim))
+    v_before = v.copy()
+    scratch = np.empty((3, n, dim))
+    for blk in slots.blocks:
+        model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
+
+        def data_variant(s, out, blk=blk):
+            return np.take(cross, blk.back[s], axis=0, out=out)
+
+        ngc_update(blk, own[blk.rows], model, data_variant, v[blk.rows], hp, scratch)
+    for i in range(n):
+        links = slots.links[i]
+        bundle = GradientBundle(
+            i, own[i], {j: cross[e] for j, e in links},
+            {j: cross[slots.back[e]] for j, e in links},
+            {j: float(w[i, j]) for j in neighbors(w, i)})
+        want = momentum_update(v_before[i], ngc_mix(bundle, alpha), hp.beta, hp.eta)
+        assert v[i].tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------- single-agent rounds

@@ -92,6 +92,10 @@ def test_decompress_is_bitwise_the_signed_scale(signs, scale):
     # bit for bit, signed zeros at scale 0.0 included.
     ct = CompressedTensor(signs, scale)
     assert decompress(ct).tobytes() == np.where(signs, scale, -scale).tobytes()
+    # The engine decompresses straight into a row of its gradient table.
+    row = np.full(signs.size, np.nan)
+    assert decompress(ct, out=row) is row
+    assert row.tobytes() == np.where(signs, scale, -scale).tobytes()
 
 
 def test_ef_step_leaves_its_inputs_unchanged_and_returns_a_fresh_residual():

@@ -228,6 +228,11 @@ def test_kernel_writes_no_input_and_returns_fresh_memory(case):
     assert after == before
     assert not np.shares_memory(grad, params)
     assert not np.shares_memory(grad, data.features)
+    # With out, the same bits go straight into the caller's row.
+    rows = np.full((2, spec.param_count), np.nan)
+    row = rows[1]
+    assert loss_and_gradient(spec, params, data, batch, out=row)[1] is row
+    assert row.tobytes() == grad.tobytes() and np.isnan(rows[0]).all()
 
 
 @pytest.mark.parametrize("bias, label, acc", [

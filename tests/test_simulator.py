@@ -251,8 +251,16 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
             assert a.err_out.keys() == b.err_out.keys()
             for j in a.err_out:
                 assert bits(a.err_out[j]) == bits(b.err_out[j])
+        if bundles is not None:
+            for got, want in zip(grads, bundles):
+                assert bits(got.self_grad) == bits(want.self_grad)
+                assert got.weights == want.weights
+                for name in ("model_variant", "data_variant"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert list(a) == list(b), name
+                    assert all(bits(a[j]) == bits(b[j]) for j in a), name
         if bundles is not None and stack.slots.uniform:
-            assert bits(grads.bias_norms(stack.scratch)) == bits(bias_norms(bundles))
+            assert bits(grads.bias_norms()) == bits(bias_norms(bundles))
             assert bits(bias_norms(grads)) == bits(bias_norms(bundles))
 
 
