@@ -281,10 +281,11 @@ class SlotBlock:
     """Consecutive agents of one degree k and their neighbor slots.
 
     Per slot, `back` holds each row's edge-table row of the message its
-    peer sends it, and `peer_w` the weight: a float if every row agrees,
-    else a (rows, 1) column. Gossip's k + 1 slots (`nbrs`, `nbr_w`) hold
-    the agent itself in its ascending place. The rows' own messages fill
-    the edge rows `edges`, slot by slot: a (k, rows) grid.
+    peer sends it, and `peer_w` the weight. Gossip's k + 1 slots (`nbrs`,
+    `nbr_w`) hold the agent itself in its ascending place. Each weight
+    (`self_w` too) is a float if every row agrees, else a (rows, 1)
+    column. The rows' own messages fill the edge rows `edges`, slot by
+    slot: a (k, rows) grid.
     """
 
     rows: slice

@@ -19,7 +19,9 @@ every pull is formed are the rows updated in place, since each pull reads
 its neighbors' pre-round rows. dpsgd first steps momentum and params to
 x_tilde, then gossips over the x_tilde rows. The row operations keep the
 per-agent rules' order element for element (see `algorithms`), so a
-round is bitwise the per-agent one.
+round is bitwise the per-agent one. After each round, `run` checks x
+for non-finite values in one reduction and, for uniform weights, takes
+the bias norms over the same blocks (`RoundGradients.bias_norms`).
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -313,9 +315,11 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
     slots, x, v, grads, pull = stack.slots, stack.x, stack.v, stack.grads, stack.pull
     spec = states[0].spec
     dim = x.shape[1]
-    if algorithm != "dpsgd" and stack.cross is None:
-        stack.cross = np.empty((slots.edges, dim))
-    cross = None if algorithm == "dpsgd" else stack.cross
+    cross = None
+    if algorithm != "dpsgd":
+        if stack.cross is None:
+            stack.cross = np.empty((slots.edges, dim))
+        cross = stack.cross
     messages = [None] * slots.edges if algorithm == "compngc" else None
 
     losses = []
