@@ -347,9 +347,12 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
             model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
             ngc_update(blk, grads[blk.rows], model, data_variant, v[blk.rows], hp,
                        stack.scratch)
+    def neighbor(index, out):
+        return exchange_params(x, index, out)
+
     for blk in slots.blocks:
-        gossip_rows(blk, x[blk.rows], lambda index, out: exchange_params(x, index, out),
-                    pull[blk.rows], stack.scratch[2, :blk.size], hp.gamma)
+        gossip_rows(blk, x[blk.rows], neighbor, pull[blk.rows], stack.scratch[2, :blk.size],
+                    hp.gamma)
 
     if cross is None:
         dpsgd_finalize(x, pull)
