@@ -13,11 +13,12 @@ neighborhood. They differ in what the mixed gradient uses:
   scaled-sign compressor; the self gradient passes through its own
   compressor stream so all mixed terms live on the same grid.
 
-The round engine keeps every agent's parameters and momentum as rows of
-run-owned (N, d) arrays and applies the rules to them in place: mixing
-(`ngc_update`) and the gossip pull (`gossip_rows`) over blocks of
-consecutive rows of one degree (`SlotBlock`), slot by slot, where slot s
-of a row is its s-th peer in ascending order; the elementwise steps
+The round engine keeps every agent's parameters, momentum and (under
+compngc) error-feedback residuals as rows of run-owned arrays and
+applies the rules to them in place: mixing (`ngc_update`) and the gossip
+pull (`gossip_rows`) over blocks of consecutive rows of one degree
+(`SlotBlock`), slot by slot, where slot s of a row is its s-th peer in
+ascending order and is read through `slot_rows`; the elementwise steps
 (`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over whole arrays. They
 keep the per-agent rules' operation order element for element, so the
 two forms give the same bits:
@@ -189,11 +190,14 @@ class AgentState:
     """One agent's training state, updated in place round after round.
 
     rng drives its batch shuffles. The compngc error-feedback buffers
-    (err_self, err_out) start empty; a missing buffer counts as zero and
-    each round stores the new residuals here, where only this agent reads
-    them. Inside the round engine params and momentum are views of this
-    agent's rows of the run's stacked (N, d) arrays, which every round
-    updates in place.
+    (err_self, err_out keyed by peer) start empty; a missing buffer counts
+    as zero, and only this agent reads them. Inside the round engine
+    params and momentum are views of this agent's rows of the run's
+    stacked (N, d) arrays, which every round updates in place. So are
+    err_self and each err_out[j] from the run's first compngc round on:
+    views of its rows of the run's (N, d) and (E, d) residual arrays,
+    which each ef_step overwrites. The per-agent compngc_prepare stores
+    fresh residuals here instead.
     """
 
     agent_id: int
@@ -282,10 +286,12 @@ class SlotBlock:
 
     Per slot, `back` holds each row's edge-table row of the message its
     peer sends it, and `peer_w` the weight. Gossip's k + 1 slots (`nbrs`,
-    `nbr_w`) hold the agent itself in its ascending place. Each weight
-    (`self_w` too) is a float if every row agrees, else a (rows, 1)
-    column. The rows' own messages fill the edge rows `edges`, slot by
-    slot: a (k, rows) grid.
+    `nbr_w`) hold the agent itself in its ascending place. A slot's rows
+    are a slice when they run consecutively upward (every slot of a
+    one-row block does), else an index array; `slot_rows` reads either.
+    Each weight (`self_w` too) is a float if every row agrees, else a
+    (rows, 1) column. The rows' own messages fill the edge rows `edges`,
+    slot by slot: a (k, rows) grid.
     """
 
     rows: slice
@@ -299,6 +305,14 @@ class SlotBlock:
     @property
     def size(self) -> int:
         return self.rows.stop - self.rows.start
+
+
+def slot_rows(a: np.ndarray, index, out: np.ndarray) -> np.ndarray:
+    """The rows a[index] of one slot: a view for a slice, else gathered into out."""
+    if isinstance(index, slice):
+        return a[index]
+    # Indices are valid by construction; mode="raise" would buffer out.
+    return np.take(a, index, axis=0, out=out, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -369,7 +383,7 @@ class RoundGradients:
             eps[blk.rows] = _deviation_l1(lambda s, out: model[s], k, own, dev, diff)
             if self.exchanged:
                 def data(s, out, blk=blk):
-                    return np.take(self.cross, blk.back[s], axis=0, out=out, mode="clip")
+                    return slot_rows(self.cross, blk.back[s], out)
 
                 omega[blk.rows] = _deviation_l1(data, k, own, dev, diff)
         return float(np.mean(eps)), float(np.mean(omega))

@@ -10,6 +10,11 @@ If mean |v| underflows to 0 (e.g. v = [5e-324, 0.0]) the message is all
 zeros and carries no signs; error feedback then keeps the whole vector as
 its residual, so decompress(ct) + residual == v still holds exactly.
 
+ef_step(grad, err, out=err) keeps a stream's residual in one buffer
+for the whole run: the round engine passes each stream's row of its
+error-feedback arrays as both err and out. The sum is elementwise, so
+out may alias err (or grad).
+
 decompress expands the signs as scale * (2*signs - 1), built in one
 buffer. Multiplying by +-1.0 is exact, so this equals
 np.where(signs, scale, -scale) bit for bit at every non-NaN scale,
@@ -57,11 +62,15 @@ def decompress(ct: CompressedTensor, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def ef_step(grad: np.ndarray, err: np.ndarray) -> tuple[CompressedTensor, np.ndarray]:
-    """Compress grad + err and return the residual as the next error buffer."""
-    if grad.shape != err.shape:
+def ef_step(grad: np.ndarray, err: np.ndarray,
+            out: np.ndarray | None = None) -> tuple[CompressedTensor, np.ndarray]:
+    """Compress grad + err and return the residual as the next error buffer.
+
+    The residual is written into out if given, which may be err itself.
+    """
+    if grad.shape != err.shape or (out is not None and out.shape != grad.shape):
         raise ShapeError("gradient and error buffer shapes differ")
-    p = grad + err
+    p = np.add(grad, err, out=out)
     ct = compress(p)
     p -= decompress(ct)
     return ct, p

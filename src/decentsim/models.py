@@ -141,6 +141,11 @@ def _log_softmax_(logits: np.ndarray) -> np.ndarray:
     return expd
 
 
+def _mean_nll(logp: np.ndarray, rows: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy: minus the mean log-probability of each row's label."""
+    return -(np.add.reduce(logp[rows, labels]) / rows.size)
+
+
 # Unsigned dtypes by item size, for the batch range check's view.
 _UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
@@ -171,7 +176,7 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
     rows = np.arange(n)
     logp, hid, w_out = _forward(spec, params, x)
     dlogits = _log_softmax_(logp)
-    loss = -(np.add.reduce(logp[rows, y]) / n)
+    loss = _mean_nll(logp, rows, y)
 
     np.exp(logp, out=dlogits)
     dlogits[rows, y] -= 1.0
@@ -191,6 +196,14 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
         np.matmul(x.T, dpre, out=dw)
         np.add.reduce(dpre, axis=0, out=db)
     return float(loss), grad
+
+
+def batch_loss(spec: ModelSpec, params: np.ndarray, data: Dataset, batch: np.ndarray) -> float:
+    """loss_and_gradient's loss from the forward pass alone, bit for bit."""
+    batch = _check_batch(data, batch)
+    logp, _, _ = _forward(spec, params, data.features.take(batch, axis=0))
+    _log_softmax_(logp)
+    return float(_mean_nll(logp, np.arange(batch.size), data.labels.take(batch)))
 
 
 def cross_gradient(spec: ModelSpec, foreign_params: np.ndarray, data: Dataset,
@@ -225,8 +238,7 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> tuple[float,
     # distinct logits and so move a "ties -> lowest class" pick.
     hits = np.count_nonzero(np.argmax(logits, axis=1) == data.labels)
     _log_softmax_(logits)
-    loss = -(np.add.reduce(logits[np.arange(data.n), data.labels]) / data.n)
-    return float(loss), hits / data.n
+    return float(_mean_nll(logits, np.arange(data.n), data.labels)), hits / data.n
 
 
 def class_centers(num_classes: int, dim: int) -> np.ndarray:

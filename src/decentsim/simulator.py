@@ -1,10 +1,16 @@
 """Synchronous round engine over stacked agent state, with byte-exact accounting.
 
 A run owns its agents' parameters x and momenta v as (N, d) arrays; each
-AgentState's params and momentum are views of its rows. W's
-neighborhoods become slot tables once per run (`_neighbor_tables`):
-agent i's peers in ascending order, the edge rows of its messages, and
-blocks of consecutive agents of one degree, max(1, 2**16 // d) rows each.
+AgentState's params and momentum are views of its rows. Under compngc
+it also owns the error-feedback residuals, created at its first compngc
+round (`StackedState.track_residuals`): err_self as (N, d) and err_out as
+(E, d), one row per directed edge in the edge table's order, each
+AgentState's err_self and err_out[j] being views of them. Every ef_step
+writes its residual back into its row. W's neighborhoods become slot
+tables once per run (`_neighbor_tables`): agent i's peers in ascending
+order, the edge rows of its messages, and blocks of consecutive agents
+of one degree, max(1, 2**16 // d) rows each. A slot whose rows run
+consecutively upward is read as a view, any other is gathered.
 
 A round has two parts. First, per agent in agent order, the gradient
 kernel and codec calls, each writing straight into its row: the self
@@ -21,7 +27,9 @@ x_tilde, then gossips over the x_tilde rows. The row operations keep the
 per-agent rules' order element for element (see `algorithms`), so a
 round is bitwise the per-agent one. After each round, `run` checks x
 for non-finite values in one reduction and, for uniform weights, takes
-the bias norms over the same blocks (`RoundGradients.bias_norms`).
+the bias norms over the same blocks (`RoundGradients.bias_norms`). The
+finite check and each emitted consensus error work in the spare (N, d)
+rows, which are free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -43,18 +51,19 @@ from .algorithms import (
     apply_lr_schedule,
     dpsgd_finalize,
     dpsgd_prepare,
-    feedback,
     gossip_rows,
     ngc_apply,
     ngc_update,
+    slot_rows,
 )
-from .compression import decompress, wire_size_bytes
+from .compression import decompress, ef_step, wire_size_bytes
 from .errors import ConfigurationError, RunAbortError
-from .metrics import MetricsRow, consensus_error, consensus_model
+from .metrics import MetricsRow, consensus_model
 from .models import (
     ACTIVATIONS,
     Dataset,
     ModelSpec,
+    batch_loss,
     cross_gradient,
     evaluate,
     generate_synthetic,
@@ -213,7 +222,9 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
     """W's slot tables, with blocks of max(1, BLOCK_ELEMS // dim) rows of one degree.
 
     A block's messages fill consecutive edge rows slot by slot, so each
-    slot's model-variant rows are one contiguous run.
+    slot's model-variant rows are one contiguous run. A gossip or
+    data-variant slot whose rows run consecutively upward is a slice,
+    which `slot_rows` reads as a view; any other is an index array.
     """
     n = w.shape[0]
     nbrs = [neighbors(w, i) for i in range(n)]
@@ -236,6 +247,12 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
     for (i, j), e in edge_of.items():
         back[e] = edge_of[j, i]
 
+    def slot(index):
+        index = [int(r) for r in index]
+        if index == list(range(index[0], index[0] + len(index))):
+            return slice(index[0], index[0] + len(index))
+        return np.array(index)
+
     def weight(values):
         """A float if every row agrees (numpy's fast path), else a (rows, 1) column."""
         values = [float(v) for v in values]
@@ -249,8 +266,8 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
             rows=slice(start, start + m), edges=slice(first, first + k * m),
             self_w=weight([w[i, i] for i in rows]),
             peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
-            back=tuple(back[[links[i][s][1] for i in rows]] for s in range(k)),
-            nbrs=tuple(np.array([nbrs[i][t] for i in rows]) for t in range(k + 1)),
+            back=tuple(slot(back[[links[i][s][1] for i in rows]]) for s in range(k)),
+            nbrs=tuple(slot([nbrs[i][t] for i in rows]) for t in range(k + 1)),
             nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
         ))
     uniform = all(len({w[i, j] for j in nb}) == 1 for i, nb in enumerate(nbrs))
@@ -262,8 +279,11 @@ class StackedState:
 
     Built from the agents, whose params and momentum become views of
     their rows. Also holds the round's gradient tables (self, and the
-    (E, d) edge table once an ngc round needs it), a spare (N, d) array
-    for the gossip pulls and three buffers of the largest block.
+    (E, d) edge table once an ngc round needs it), the error-feedback
+    rows once a compngc round needs them (`track_residuals`), a spare
+    (N, d) array for the gossip pulls and three buffers of the largest
+    block. Between rounds the spare rows hold the finite check's flags
+    and the consensus error's deviations.
     """
 
     def __init__(self, states: list[AgentState], slots: NeighborSlots):
@@ -273,27 +293,49 @@ class StackedState:
         for state, x_i, v_i in zip(states, self.x, self.v):
             state.params, state.momentum = x_i, v_i
         self.pull = np.empty_like(self.x)
+        # The first N*d bytes of the spare rows, as one flag per element.
+        self.finite = self.pull.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
         self.grads = np.empty_like(self.x)
-        self.cross = None
+        self.cross = self.err_self = self.err_out = None
         rows = max(blk.size for blk in slots.blocks)
         self.scratch = np.empty((3, rows, self.x.shape[1]))
 
+    def track_residuals(self, states: list[AgentState]):
+        """Create the error-feedback rows: err_self (N, d) and err_out (E, d) by edge.
 
-def exchange_params(x: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Deliver one gossip slot: row r of out becomes x[index[r]]."""
-    # Indices are valid by construction; mode="raise" would buffer out.
-    return np.take(x, index, axis=0, out=out, mode="clip")
+        Each row starts from the agent's buffer for that stream, or zeros
+        if it has none; the agents' err_self and err_out[j] become views
+        of the rows.
+        """
+        self.err_self = np.zeros_like(self.x)
+        self.err_out = np.zeros((self.slots.edges, self.x.shape[1]))
+        for state, links, row in zip(states, self.slots.links, self.err_self):
+            if state.err_self is not None:
+                row[...] = state.err_self
+            state.err_self = row
+            for j, e in links:
+                if j in state.err_out:
+                    self.err_out[e] = state.err_out[j]
+                state.err_out[j] = self.err_out[e]
 
 
-def exchange_cross_gradients(cross: np.ndarray, messages, index: np.ndarray,
+def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
+    """Deliver one gossip slot: the rows x[index], as a view or gathered into out."""
+    return slot_rows(x, index, out)
+
+
+def exchange_cross_gradients(cross: np.ndarray, messages, index,
                              out: np.ndarray) -> np.ndarray:
-    """Deliver one data-variant slot: row r of out is the message on edge index[r].
+    """Deliver one data-variant slot: row r is the message on edge index[r].
 
-    Raw messages are rows of the edge table; compressed ones (messages,
-    by edge) are decompressed by their receiver.
+    Raw messages are rows of the edge table, read as `exchange_params`
+    reads x; compressed ones (messages, by edge) are decompressed by
+    their receiver into out.
     """
     if messages is None:
-        return np.take(cross, index, axis=0, out=out, mode="clip")
+        return slot_rows(cross, index, out)
+    if isinstance(index, slice):
+        index = range(index.start, index.stop)
     for row, e in zip(out, index):
         decompress(messages[e], out=row)
     return out
@@ -320,21 +362,26 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
         if stack.cross is None:
             stack.cross = np.empty((slots.edges, dim))
         cross = stack.cross
-    messages = [None] * slots.edges if algorithm == "compngc" else None
+    messages = None
+    if algorithm == "compngc":
+        if stack.err_self is None:
+            stack.track_residuals(states)
+        messages = [None] * slots.edges
+    err_self, err_out = stack.err_self, stack.err_out
 
     losses = []
-    for state, links, x_i, g_i in zip(states, slots.links, x, grads):
+    for i, (state, links) in enumerate(zip(states, slots.links)):
+        g_i = grads[i]
         batch = state.draw_batch(batch_size)
-        losses.append(loss_and_gradient(spec, x_i, state.data, batch, g_i)[0])
+        losses.append(loss_and_gradient(spec, x[i], state.data, batch, g_i)[0])
         if cross is None:
             continue
         for j, e in links:
             cross_gradient(spec, x[j], state.data, batch, cross[e])
         if messages is not None:
-            delta, state.err_self = feedback(g_i, state.err_self)
-            decompress(delta, g_i)
+            decompress(ef_step(g_i, err_self[i], out=err_self[i])[0], g_i)
             for j, e in links:
-                messages[e], state.err_out[j] = feedback(cross[e], state.err_out.get(j))
+                messages[e] = ef_step(cross[e], err_out[e], out=err_out[e])[0]
                 decompress(messages[e], cross[e])
 
     if cross is None:
@@ -440,17 +487,18 @@ def run(config: RunConfig) -> RunResult:
     def emit(round_idx, epoch_count, train_loss, eps_l1, omega_l1):
         center = consensus_model(stack.x)
         val_loss, val_acc = evaluate(spec, center, val)
+        # metrics.consensus_error, with the deviations in the spare rows.
+        dev = np.subtract(stack.x, center, out=stack.pull)
+        np.square(dev, out=dev)
         rows.append(MetricsRow(
             round=round_idx, epoch=epoch_count, train_loss=train_loss,
             val_loss=float(val_loss), val_acc=float(val_acc),
-            consensus_error=consensus_error(stack.x, center),
+            consensus_error=float(dev.sum(axis=1).mean()),
             eps_l1=eps_l1, omega_l1=omega_l1,
             param_bytes=ledger.param_bytes, crossgrad_bytes=ledger.crossgrad_bytes,
         ))
 
-    init_loss = float(np.mean([
-        loss_and_gradient(spec, s.params, train, s.shard)[0] for s in states
-    ]))
+    init_loss = float(np.mean([batch_loss(spec, s.params, train, s.shard) for s in states]))
     emit(0, 0, init_loss, 0.0, 0.0)
 
     round_idx = 0
@@ -465,7 +513,7 @@ def run(config: RunConfig) -> RunResult:
                 states, w, hp_eff, config.algorithm, config.batch_size,
                 ledger=ledger, tables=stack,
             )
-            if not np.isfinite(stack.x).all():
+            if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))
             if bias_ok:

@@ -296,7 +296,7 @@ def test_gossip_rows_give_gossip_steps_bits(graph, seed, block_rows, gamma):
     pull = np.empty_like(x)
     tmp = np.empty((n, dim))
     for blk in slots.blocks:
-        gossip_rows(blk, x[blk.rows], lambda index, out: np.take(x, index, axis=0, out=out),
+        gossip_rows(blk, x[blk.rows], lambda index, out: simulator.exchange_params(x, index, out),
                     pull[blk.rows], tmp[:blk.size], gamma)
     for i in range(n):
         weights = {j: float(w[i, j]) for j in neighbors(w, i)}
@@ -321,7 +321,7 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
         model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
 
         def data_variant(s, out, blk=blk):
-            return np.take(cross, blk.back[s], axis=0, out=out)
+            return simulator.exchange_cross_gradients(cross, None, blk.back[s], out)
 
         ngc_update(blk, own[blk.rows], model, data_variant, v[blk.rows], hp, scratch)
     for i in range(n):

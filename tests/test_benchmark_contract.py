@@ -103,17 +103,48 @@ def test_perfbench_output_checks_pass_on_a_sweep(algorithm, tmp_path, monkeypatc
         assert check_run(result, sweep, seed, tmp_path) == []
 
 
-def test_traced_compngc_round_meets_the_perfbench_closed_form():
+# Per round on a 5-ring: gradients, ef_step and decompress calls, messages.
+FIVE_RING_ROUND = {"compngc": (15, 15, 40, 20), "ngc": (15, 0, 0, 20), "dpsgd": (5, 0, 0, 10)}
+
+
+@pytest.mark.parametrize("algorithm", list(FIVE_RING_ROUND))
+def test_traced_compngc_round_meets_the_perfbench_closed_form(algorithm):
     tracer_mod = load_perfbench("tracer")
     tracer = tracer_mod.Tracer()
-    config = small_config("compngc")
+    config = small_config(algorithm)
     config = dataclasses.replace(config, agents=5, per_class=25)
     with tracer_mod.patched(tracer.wrap):
         simulator.run(config)
     table = tracer_mod.SpanTable(tracer)
     rounds = table.ids(tracer_mod.ROUND)
     assert rounds.size == 4  # 2 epochs of 20-sample shards at batch 8
-    for name, count in [("models.loss_and_gradient", 15), ("compression.ef_step", 15),
-                        ("compression.decompress", 40)]:
+    grad, ef_steps, decompresses, messages = FIVE_RING_ROUND[algorithm]
+    for name, count in [("models.loss_and_gradient", grad), ("compression.ef_step", ef_steps),
+                        ("compression.decompress", decompresses)]:
         assert table.within(rounds, name).tolist() == [count] * rounds.size, name
-    assert [m for _, m in tracer.round_messages] == [20] * rounds.size
+    assert [m for _, m in tracer.round_messages] == [messages] * rounds.size
+
+
+# ------------------------------------------------ what perfbench/probes.py calls
+
+
+def test_kernel_probes_run_every_probe_once(monkeypatch):
+    # --trace 1 runs the probes after measuring; a changed signature must
+    # fail here, not at the end of a benchmark run.
+    probes = load_perfbench("probes")
+    calls = []
+
+    def once(fn, min_seconds=0.2, min_reps=5):
+        fn()
+        calls.append(fn)
+        return {"us": 0.0, "reps": 1}
+
+    monkeypatch.setattr(probes, "_median_us", once)
+    out = probes.kernel_probes()
+    assert len(calls) == 4 + 3 * 2 + 2 * 2
+    gaps = [k for k in out if k.startswith("spectral_gap.")]
+    assert len(gaps) == 3 and all(out[k]["ok"] for k in gaps), out
+
+
+def test_criterion_3_gate_runs_in_process():
+    load_perfbench("probes").GATES["criterion-3"]()

@@ -109,6 +109,21 @@ def test_ef_step_leaves_its_inputs_unchanged_and_returns_a_fresh_residual():
     assert not np.shares_memory(residual, e)
 
 
+@pytest.mark.parametrize("aliased", [False, True], ids=["separate", "aliased"])
+def test_ef_step_writes_the_fresh_residual_into_out(aliased):
+    # The engine keeps each stream's residual in one row: ef_step(g, err, out=err).
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal(257)
+    e = rng.standard_normal(257)
+    g[:40], e[:40] = -0.0, rng.choice([0.0, -0.0, 5e-324], 40)
+    want_ct, want = ef_step(g, e.copy())
+    out = e if aliased else np.full(257, np.nan)
+    ct, residual = ef_step(g, e, out=out)
+    assert residual is out
+    assert residual.tobytes() == want.tobytes()
+    assert ct.signs.tobytes() == want_ct.signs.tobytes() and ct.scale == want_ct.scale
+
+
 def test_constant_gradient_mean_of_deltas_tracks_the_gradient():
     # Telescoping: sum of emitted deltas equals K*g + e_first - e_last.
     rng = np.random.default_rng(7)
@@ -132,6 +147,8 @@ def test_shape_errors():
         compress(np.array([]))
     with pytest.raises(ShapeError):
         ef_step(np.zeros(3), np.zeros(4))
+    with pytest.raises(ShapeError):
+        ef_step(np.zeros(3), np.zeros(3), out=np.zeros(4))
     with pytest.raises(ShapeError):
         wire_size_bytes(0)
 

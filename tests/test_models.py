@@ -22,6 +22,7 @@ from decentsim import (
     loss_and_gradient,
     unflatten,
 )
+from decentsim.models import batch_loss
 
 
 def rel_err(a, b):
@@ -213,6 +214,17 @@ def test_kernel_is_bitwise_the_plain_form(case):
     assert _bits(loss) == _bits(ref_loss)
     assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
     assert _bits(*evaluate(spec, params, data)) == _bits(*_plain_evaluate(spec, params, data))
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_batch_loss_is_bitwise_the_kernels_loss(case):
+    # The run's initial loss row takes the forward pass alone.
+    spec, data, params, batch = case
+    before = params.tobytes()
+    assert _bits(batch_loss(spec, params, data, batch)) == _bits(
+        loss_and_gradient(spec, params, data, batch)[0])
+    assert params.tobytes() == before
 
 
 @given(kernel_cases())

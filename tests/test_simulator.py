@@ -34,6 +34,9 @@ from decentsim import (
     spectral_gap,
 )
 
+from decentsim.algorithms import RoundGradients, cluster_deviation
+from decentsim.compression import compress
+
 from conftest import make_states
 
 
@@ -80,6 +83,18 @@ def test_same_config_twice_gives_bitwise_identical_rows_and_params():
     assert r1.rows == r2.rows
     for s1, s2 in zip(r1.states, r2.states):
         assert (s1.params == s2.params).all()
+
+
+@pytest.mark.parametrize("algorithm", ["dpsgd", "compngc"])
+def test_emitted_rows_match_the_metrics_functions_bits(algorithm):
+    # run emits the consensus error from the spare rows and the initial
+    # loss from the forward pass alone; both are the reference bits.
+    config = tiny_config(algorithm=algorithm)
+    result = run(config)
+    assert bits(result.final_row.consensus_error) == bits(consensus_error(result.states))
+    states, _, _ = simulator.initial_states(config)
+    init = np.mean([loss_and_gradient(s.spec, s.params, s.data, s.shard)[0] for s in states])
+    assert bits(result.rows[0].train_loss) == bits(init)
 
 
 def test_different_seeds_change_the_trajectory():
@@ -262,6 +277,97 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
         if bundles is not None and stack.slots.uniform:
             assert bits(grads.bias_norms()) == bits(bias_norms(bundles))
             assert bits(bias_norms(grads)) == bits(bias_norms(bundles))
+
+
+# ------------------------------------------------------------- slot reads
+
+SLOT_GRAPHS = {"ring3": ("ring", 3, None), "ring20": ("ring", 20, None),
+               "chain7": ("chain", 7, None), "torus2x4": ("torus", 8, 2),
+               "full4": ("full", 4, None)}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, None], ids=["rows1", "rows2", "default"])
+@pytest.mark.parametrize("graph", list(SLOT_GRAPHS))
+def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
+    # A slot is a slice (read as a view) when its rows run consecutively
+    # upward, else an index array (gathered). Either way every read must
+    # return the rows np.take gathers from indices derived from W itself.
+    kind, n, torus_rows = SLOT_GRAPHS[graph]
+    dim = 9
+    if block_rows is not None:
+        monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * dim)
+    w = build_mixing_matrix(TopologySpec(kind, n, torus_rows))
+    slots = simulator._neighbor_tables(w, dim)
+    if block_rows is not None:
+        assert max(blk.size for blk in slots.blocks) == block_rows
+    edge = {(i, j): e for i in range(n) for j, e in slots.links[i]}
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, dim))
+    cross = rng.standard_normal((slots.edges, dim))
+    cross[:, :3] = [-0.0, 0.0, 5e-324]
+    messages = [compress(row) for row in cross]
+    out = np.empty((n, dim))
+
+    def check(index, rows, got, source):
+        consecutive = rows == list(range(rows[0], rows[0] + len(rows)))
+        assert isinstance(index, slice) == consecutive
+        if block_rows == 1:
+            assert isinstance(index, slice)
+        if isinstance(index, slice):
+            assert np.shares_memory(got, source)
+        assert bits(got) == bits(np.take(source, rows, axis=0))
+
+    for blk in slots.blocks:
+        agents = range(blk.rows.start, blk.rows.stop)
+        for t, index in enumerate(blk.nbrs):
+            rows = [topology.neighbors(w, i)[t] for i in agents]
+            got = simulator.exchange_params(x, index, out[:blk.size])
+            check(index, rows, got, x)
+        for s, index in enumerate(blk.back):
+            rows = [edge[slots.links[i][s][0], i] for i in agents]
+            got = simulator.exchange_cross_gradients(cross, None, index, out[:blk.size])
+            check(index, rows, got, cross)
+            got = simulator.exchange_cross_gradients(cross, messages, index, out[:blk.size])
+            assert bits(got) == bits([decompress(messages[e]) for e in rows])
+
+    # The bias norms read their omega rows the same way.
+    self_grads = rng.standard_normal((n, dim))
+    grads = RoundGradients(slots, self_grads, cross, True, np.empty((2, n, dim)))
+    eps, omega = [], []
+    for i in range(n):
+        weights = {j: float(w[i, j]) for j in topology.neighbors(w, i)}
+        peers = [j for j in weights if j != i]
+        bundle = GradientBundle(i, self_grads[i], {j: cross[edge[i, j]] for j in peers},
+                                {j: cross[edge[j, i]] for j in peers}, weights)
+        for norms, terms in ((eps, bundle.model_variant), (omega, bundle.data_variant)):
+            norms.append(np.add.reduce(np.abs(cluster_deviation(bundle, terms))))
+    assert bits(grads.bias_norms()) == bits([np.mean(eps), np.mean(omega)])
+
+
+def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
+    data = generate_synthetic(4, 6, 30, 0.3, 2)
+    spec = ModelSpec(6, 4, hidden_dim=5)
+    w = build_mixing_matrix(TopologySpec("chain", 5))
+    hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
+    states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=6)
+    stack = simulator.StackedState(states, simulator._neighbor_tables(w, spec.param_count))
+    assert stack.err_self is None and stack.err_out is None
+    for r in range(3):
+        run_round(states, w, hp, "compngc", 8, tables=stack)
+        if r == 0:
+            err_self, err_out = stack.err_self, stack.err_out
+            assert err_self.shape == (5, spec.param_count)
+            assert err_out.shape == (stack.slots.edges, spec.param_count)
+            views = [(s.err_self, dict(s.err_out)) for s in states]
+        assert stack.err_self is err_self and stack.err_out is err_out
+        for state, links, (own, out) in zip(states, stack.slots.links, views):
+            assert state.err_self is own and own.base is err_self
+            assert np.shares_memory(own, err_self[state.agent_id])
+            assert list(state.err_out) == list(out) == [j for j, _ in links]
+            assert all(state.err_out[j] is out[j] for j in out)
+            for j, e in links:
+                assert out[j].base is err_out and np.shares_memory(out[j], err_out[e])
+    assert np.abs(err_self).sum() > 0 and np.abs(err_out).sum() > 0
 
 
 # ------------------------------------------------------- byte accounting
