@@ -442,7 +442,8 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
     Builds W, checks and solves it (spectral_gap) and spawns the seed
     streams, each exactly once per run. Returns (states, w,
     validation_data); useful for diagnostics that probe the pre-training
-    configuration directly.
+    configuration directly. The agents share one read-only params array
+    and one read-only zero momentum until a round stacks them.
     """
     config.validate()
     w = build_mixing_matrix(TopologySpec(config.topology, config.agents, config.torus_rows))
@@ -458,10 +459,14 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 
     hidden = config.hidden_dim if config.model == "mlp" else 0
     spec = ModelSpec(train.dim, train.num_classes, hidden, config.activation)
+    # Every agent starts from the same x0 and zero momentum, shared and
+    # read-only; StackedState copies them into the run's rows.
     x0 = init_params(spec, streams.init_rng)
+    zero = np.zeros(spec.param_count)
+    x0.flags.writeable = zero.flags.writeable = False
     states = [
-        AgentState(agent_id=i, spec=spec, data=train, shard=shards[i], params=x0.copy(),
-                   momentum=np.zeros(spec.param_count), rng=streams.agent_rngs[i])
+        AgentState(agent_id=i, spec=spec, data=train, shard=shards[i], params=x0,
+                   momentum=zero, rng=streams.agent_rngs[i])
         for i in range(config.agents)
     ]
     return states, w, val
