@@ -98,6 +98,18 @@ def test_decompress_is_bitwise_the_signed_scale(signs, scale):
     assert row.tobytes() == np.where(signs, scale, -scale).tobytes()
 
 
+@pytest.mark.parametrize("scale", [0.37, 0.0, -0.0, 5e-324, 1.7e308, np.inf, -np.inf, np.nan,
+                                   -np.nan], ids=repr)
+def test_decompress_is_bitwise_the_elementwise_product(scale):
+    # Each coordinate must carry the bits of scale * (2*sign - 1) itself,
+    # NaN payload and sign included.
+    signs = np.random.default_rng(3).random(1000) < 0.5
+    want = signs * 2.0
+    want -= 1.0
+    want *= scale
+    assert decompress(CompressedTensor(signs, scale)).tobytes() == want.tobytes()
+
+
 def test_ef_step_leaves_its_inputs_unchanged_and_returns_a_fresh_residual():
     rng = np.random.default_rng(11)
     g = rng.standard_normal(257)
