@@ -459,8 +459,6 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 
     hidden = config.hidden_dim if config.model == "mlp" else 0
     spec = ModelSpec(train.dim, train.num_classes, hidden, config.activation)
-    # Every agent starts from the same x0 and zero momentum, shared and
-    # read-only; StackedState copies them into the run's rows.
     x0 = init_params(spec, streams.init_rng)
     zero = np.zeros(spec.param_count)
     x0.flags.writeable = zero.flags.writeable = False

@@ -141,7 +141,8 @@ def test_kernel_probes_run_every_probe_once(monkeypatch):
 
     monkeypatch.setattr(probes, "_median_us", once)
     out = probes.kernel_probes()
-    assert len(calls) == 4 + 3 * 2 + 2 * 2
+    # Four kernel shapes; at each of two d: ef_step, decompress, encode, two gossip degrees.
+    assert len(calls) == 4 + 2 * (3 + 2)
     gaps = [k for k in out if k.startswith("spectral_gap.")]
     assert len(gaps) == 3 and all(out[k]["ok"] for k in gaps), out
 
