@@ -24,8 +24,9 @@ scales included. Multiplying by +-1.0 is exact, so this equals
 np.where(signs, scale, -scale) bit for bit at every non-NaN scale,
 including 0.0 (+0.0 and -0.0 by sign), subnormals and inf. It makes two
 passes over the output, the first reading only the sign bytes: at
-d ~ 1e5 under numpy 2.4 about 90 us, against 120 us for the elementwise
-form's three passes and 460 us for np.where (2-vCPU Xeon).
+d ~ 1e5 under numpy 2.4 about 100 us, against 120 us for the elementwise
+form's three passes and 460 us for np.where (2-vCPU Xeon); at d = 874,
+4.6 against 4.0 us.
 """
 from __future__ import annotations
 
@@ -64,7 +65,9 @@ def decompress(ct: CompressedTensor, out: np.ndarray | None = None) -> np.ndarra
     neg, pos = struct.unpack("<2Q", struct.pack("<2d", -1.0 * ct.scale, 1.0 * ct.scale))
     out = np.empty(ct.signs.size) if out is None else out
     bits = out.view(np.uint64)
-    np.multiply(ct.signs, np.uint64((pos - neg) % 2**64), out=bits)
+    # As bytes, the signs multiply without a cast from bool.
+    flags = np.asarray(ct.signs, dtype=bool).view(np.uint8)
+    np.multiply(flags, np.uint64((pos - neg) % 2**64), out=bits)
     bits += np.uint64(neg)
     return out
 
