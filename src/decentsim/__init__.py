@@ -58,6 +58,7 @@ from .partition import partition_iid, partition_label_skew, skew_report
 from .simulator import (
     CommLedger,
     RunConfig,
+    StackedState,
     initial_states,
     run,
     run_round,

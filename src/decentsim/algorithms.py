@@ -14,7 +14,7 @@ neighborhood. They differ in what the mixed gradient uses:
   compressor stream so all mixed terms live on the same grid.
 
 The round engine keeps every agent's parameters, momentum and (under
-compngc) error-feedback residuals as rows of run-owned arrays and
+compngc) error-feedback residuals as rows of the run's StackedState and
 applies the rules to them in place: mixing (`ngc_update`) and the gossip
 pull (`gossip_rows`) over blocks of consecutive rows of one degree
 (`SlotBlock`), slot by slot, where slot s of a row is its s-th peer in
@@ -191,13 +191,13 @@ class AgentState:
 
     rng drives its batch shuffles. The compngc error-feedback buffers
     (err_self, err_out keyed by peer) start empty; a missing buffer counts
-    as zero, and only this agent reads them. Inside the round engine
-    params and momentum are views of this agent's rows of the run's
-    stacked (N, d) arrays, which every round updates in place. So are
-    err_self and each err_out[j] from the run's first compngc round on:
-    views of its rows of the run's (N, d) and (E, d) residual arrays,
-    which each ef_step overwrites. The per-agent compngc_prepare stores
-    fresh residuals here instead.
+    as zero, and only this agent reads them. Once the run's StackedState
+    stacks the agents, params and momentum are views of this agent's rows
+    of its (N, d) arrays, which every round updates in place. Under
+    compngc so are err_self and each err_out[j]: views of its rows of the
+    stack's zeroed (N, d) and (E, d) residual arrays, which each ef_step
+    overwrites. The per-agent compngc_prepare stores fresh residuals here
+    instead.
     """
 
     agent_id: int

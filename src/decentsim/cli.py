@@ -1,8 +1,10 @@
 """Command line front end: config resolution, sweeps, metric CSV files.
 
 Option precedence is flags > config file > built-in defaults. Config
-files are flat `key=value` lines (# starts a comment) whose keys are
-RunConfig field names; unknown keys are rejected so typos fail loudly.
+files are flat `key=value` lines of UTF-8 text whose keys are RunConfig
+field names; unknown keys are rejected so typos fail loudly. A `#` at
+the start of a line or after whitespace starts a comment, so a value
+such as `dataset=runs/data#2.csv` keeps its `#`.
 The resolved configuration is echoed into the output directory in the
 same format, and a summary JSON aggregates final metrics across seeds.
 
@@ -15,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import typing
 
@@ -40,31 +43,34 @@ def _scalar(hint):
 
 
 _FIELD_TYPES = {name: _scalar(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def read_config_file(path: str) -> dict:
     """Parse key=value lines into RunConfig field overrides."""
-    overrides = {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot open config file: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path} line {lineno}: expected key=value")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _FIELD_TYPES:
-                raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
-            try:
-                overrides[key] = _FIELD_TYPES[key](raw)
-            except ValueError as exc:
-                raise UsageError(f"{path} line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    overrides = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path} line {lineno}: expected key=value")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _FIELD_TYPES:
+            raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
+        try:
+            overrides[key] = _FIELD_TYPES[key](raw)
+        except ValueError as exc:
+            raise UsageError(f"{path} line {lineno}: {exc}") from None
     return overrides
 
 
@@ -73,7 +79,7 @@ def write_config_file(config: RunConfig, path: str):
 
     dpsgd echoes carry no alpha line, since parse_config rejects alpha there.
     """
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for f in dataclasses.fields(RunConfig):
             value = getattr(config, f.name)
             if value is None or (f.name == "alpha" and config.algorithm == "dpsgd"):
@@ -137,7 +143,7 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
 
 def emit_metrics_csv(rows: list[MetricsRow], path: str):
     """Write the metric table; floats carry 9 significant digits."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(SCHEMA_LINE + "\n")
         fh.write(CSV_HEADER + "\n")
         for r in rows:
@@ -150,7 +156,7 @@ def emit_metrics_csv(rows: list[MetricsRow], path: str):
 def read_metrics_csv(path: str) -> list[MetricsRow]:
     """Inverse of emit_metrics_csv (up to float formatting)."""
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header_seen = False
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -225,7 +231,7 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
         "total_bytes_per_agent": float(np.mean(bytes_per_agent)) if bytes_per_agent else None,
     }
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary

@@ -46,10 +46,10 @@ def consensus_model(agents) -> np.ndarray:
     return _stacked(agents).mean(axis=0)
 
 
-def consensus_error(agents, center: np.ndarray | None = None) -> float:
-    """Mean squared distance from the parameter average, which may be passed in."""
+def consensus_error(agents) -> float:
+    """Mean squared distance from the parameter average."""
     stacked = _stacked(agents)
-    dev = np.subtract(stacked, stacked.mean(axis=0) if center is None else center)
+    dev = np.subtract(stacked, stacked.mean(axis=0))
     np.square(dev, out=dev)
     return float(dev.sum(axis=1).mean())
 

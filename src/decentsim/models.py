@@ -282,37 +282,39 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
 
 
 def load_csv(path: str) -> Dataset:
-    """Read `label,f1,...,fk` rows; parse errors name the offending line."""
+    """Read `label,f1,...,fk` rows of UTF-8 text; parse errors name the offending line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot open dataset: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = []
     labels = []
     width = None
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot open dataset: {exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise ParseError(f"line {lineno}: need a label and at least one feature")
-            elif len(parts) != width:
-                raise ParseError(f"line {lineno}: expected {width} fields, got {len(parts)}")
-            try:
-                label = int(parts[0])
-                feats = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            if label < 0:
-                raise ParseError(f"line {lineno}: negative label {label}")
-            if not all(map(math.isfinite, feats)):
-                raise ParseError(f"line {lineno}: non-finite feature value")
-            labels.append(label)
-            rows.append(feats)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width < 2:
+                raise ParseError(f"line {lineno}: need a label and at least one feature")
+        elif len(parts) != width:
+            raise ParseError(f"line {lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            label = int(parts[0])
+            feats = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        if label < 0:
+            raise ParseError(f"line {lineno}: negative label {label}")
+        if not all(map(math.isfinite, feats)):
+            raise ParseError(f"line {lineno}: non-finite feature value")
+        labels.append(label)
+        rows.append(feats)
     if not rows:
         raise ParseError("no data rows found")
     labels_arr = np.asarray(labels, dtype=np.int64)

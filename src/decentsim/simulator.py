@@ -1,16 +1,18 @@
 """Synchronous round engine over stacked agent state, with byte-exact accounting.
 
-A run owns its agents' parameters x and momenta v as (N, d) arrays; each
-AgentState's params and momentum are views of its rows. Under compngc
-it also owns the error-feedback residuals, created at its first compngc
-round (`StackedState.track_residuals`): err_self as (N, d) and err_out as
-(E, d), one row per directed edge in the edge table's order, each
-AgentState's err_self and err_out[j] being views of them. Every ef_step
-writes its residual back into its row. W's neighborhoods become slot
-tables once per run (`_neighbor_tables`): agent i's peers in ascending
-order, the edge rows of its messages, and blocks of consecutive agents
-of one degree, max(1, 2**16 // d) rows each. A slot whose rows run
-consecutively upward is read as a view, any other is gathered.
+A run owns its agents' state as one StackedState, built once per run
+from the agents, W and the algorithm; `run_round` runs on it and on
+nothing else. It holds the parameters x and momenta v as (N, d) arrays,
+each AgentState's params and momentum being views of its rows. Under
+compngc it also holds the error-feedback residuals, zero at the start:
+err_self as (N, d) and err_out as (E, d), one row per directed edge in
+the edge table's order, each AgentState's err_self and err_out[j] being
+views of them. Every ef_step writes its residual back into its row. W's
+neighborhoods become slot tables once per run (`_neighbor_tables`):
+agent i's peers in ascending order, the edge rows of its messages, and
+blocks of consecutive agents of one degree, max(1, 2**16 // d) rows
+each. A slot whose rows run consecutively upward is read as a view, any
+other is gathered.
 
 A round has two parts. First, per agent in agent order, the gradient
 kernel and codec calls, each writing straight into its row: the self
@@ -275,48 +277,44 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
 
 
 class StackedState:
-    """A run's agent state as rows: params x and momenta v, both (N, d).
+    """A run's agent state as rows, and the tables a round of its algorithm needs.
 
-    Built from the agents, whose params and momentum become views of
-    their rows. Also holds the round's gradient tables (self, and the
-    (E, d) edge table once an ngc round needs it), the error-feedback
-    rows once a compngc round needs them (`track_residuals`), a spare
-    (N, d) array for the gossip pulls and three buffers of the largest
-    block. Between rounds the spare rows hold the finite check's flags
-    and the consensus error's deviations.
+    Built once per run from the agents, W and the algorithm: params x and
+    momenta v, both (N, d), whose rows become the agents' params and
+    momentum views; W's slot tables; the self-gradient rows and, for ngc
+    and compngc, the (E, d) edge table; for compngc the zeroed
+    error-feedback rows, err_self (N, d) and err_out (E, d) by edge, bound
+    as each agent's err_self and err_out[j]; a spare (N, d) array for the
+    gossip pulls and three buffers of the largest block. Between rounds the
+    spare rows hold the finite check's flags and the consensus error's
+    deviations.
     """
 
-    def __init__(self, states: list[AgentState], slots: NeighborSlots):
-        self.slots = slots
+    def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str):
+        if algorithm not in ALGORITHMS:
+            raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+        self.states = states
         self.x = np.stack([s.params for s in states])
         self.v = np.stack([s.momentum for s in states])
         for state, x_i, v_i in zip(states, self.x, self.v):
             state.params, state.momentum = x_i, v_i
+        dim = self.x.shape[1]
+        self.slots = slots = _neighbor_tables(w, dim)
         self.pull = np.empty_like(self.x)
         # The first N*d bytes of the spare rows, as one flag per element.
         self.finite = self.pull.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
         self.grads = np.empty_like(self.x)
         self.cross = self.err_self = self.err_out = None
+        if algorithm != "dpsgd":
+            self.cross = np.empty((slots.edges, dim))
+        if algorithm == "compngc":
+            self.err_self = np.zeros(self.x.shape)
+            self.err_out = np.zeros((slots.edges, dim))
+            for state, links, row in zip(states, slots.links, self.err_self):
+                state.err_self = row
+                state.err_out = {j: self.err_out[e] for j, e in links}
         rows = max(blk.size for blk in slots.blocks)
-        self.scratch = np.empty((3, rows, self.x.shape[1]))
-
-    def track_residuals(self, states: list[AgentState]):
-        """Create the error-feedback rows: err_self (N, d) and err_out (E, d) by edge.
-
-        Each row starts from the agent's buffer for that stream, or zeros
-        if it has none; the agents' err_self and err_out[j] become views
-        of the rows.
-        """
-        self.err_self = np.zeros_like(self.x)
-        self.err_out = np.zeros((self.slots.edges, self.x.shape[1]))
-        for state, links, row in zip(states, self.slots.links, self.err_self):
-            if state.err_self is not None:
-                row[...] = state.err_self
-            state.err_self = row
-            for j, e in links:
-                if j in state.err_out:
-                    self.err_out[e] = state.err_out[j]
-                state.err_out[j] = self.err_out[e]
+        self.scratch = np.empty((3, rows, dim))
 
 
 def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
@@ -341,33 +339,18 @@ def exchange_cross_gradients(cross: np.ndarray, messages, index,
     return out
 
 
-def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorithm: str,
-              batch_size: int, ledger: CommLedger | None = None, tables=None):
-    """One synchronous round, agents updated in place; returns (states, losses, grads).
+def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
+              ledger: CommLedger | None = None):
+    """One synchronous round on the run's rows, in place; returns (losses, grads).
 
-    tables is the run's StackedState over these states; without it the
-    round stacks the states' current params and momenta itself. grads is
-    the round's RoundGradients (None for dpsgd).
+    grads is the round's RoundGradients (None for dpsgd).
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    stack = tables
-    if stack is None:
-        stack = StackedState(states, _neighbor_tables(w, states[0].params.size))
-    slots, x, v, grads, pull = stack.slots, stack.x, stack.v, stack.grads, stack.pull
+    states, slots, x, v, grads, pull = (stack.states, stack.slots, stack.x, stack.v,
+                                        stack.grads, stack.pull)
+    cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
     spec = states[0].spec
     dim = x.shape[1]
-    cross = None
-    if algorithm != "dpsgd":
-        if stack.cross is None:
-            stack.cross = np.empty((slots.edges, dim))
-        cross = stack.cross
-    messages = None
-    if algorithm == "compngc":
-        if stack.err_self is None:
-            stack.track_residuals(states)
-        messages = [None] * slots.edges
-    err_self, err_out = stack.err_self, stack.err_out
+    messages = None if err_self is None else [None] * slots.edges
 
     losses = []
     for i, (state, links) in enumerate(zip(states, slots.links)):
@@ -412,7 +395,7 @@ def run_round(states: list[AgentState], w: np.ndarray, hp: HyperParams, algorith
             cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
         ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
-    return states, losses, result
+    return losses, result
 
 
 def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
@@ -443,7 +426,8 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
     streams, each exactly once per run. Returns (states, w,
     validation_data); useful for diagnostics that probe the pre-training
     configuration directly. The agents share one read-only params array
-    and one read-only zero momentum until a round stacks them.
+    and one read-only zero momentum until the run's StackedState stacks
+    them.
     """
     config.validate()
     w = build_mixing_matrix(TopologySpec(config.topology, config.agents, config.torus_rows))
@@ -481,7 +465,7 @@ def run(config: RunConfig) -> RunResult:
     if rounds_per_epoch < 1:
         raise ConfigurationError("batch_size exceeds the smallest shard")
 
-    stack = StackedState(states, _neighbor_tables(w, spec.param_count))
+    stack = StackedState(states, w, config.algorithm)
     ledger = CommLedger()
     bias_ok = stack.slots.uniform and config.algorithm in ("ngc", "compngc")
 
@@ -512,10 +496,7 @@ def run(config: RunConfig) -> RunResult:
         omega_accum = 0.0
         for _ in range(rounds_per_epoch):
             round_idx += 1
-            _, losses, grads = run_round(
-                states, w, hp_eff, config.algorithm, config.batch_size,
-                ledger=ledger, tables=stack,
-            )
+            losses, grads = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))

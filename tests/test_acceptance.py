@@ -19,6 +19,7 @@ from decentsim import (
     HyperParams,
     ModelSpec,
     RunConfig,
+    StackedState,
     TopologySpec,
     bias_terms,
     build_mixing_matrix,
@@ -214,8 +215,9 @@ def test_criterion_05_single_node_and_pure_gossip_reductions():
     worst = 0.0
     for algorithm in ("ngc", "dpsgd"):
         states = make_states(1, spec, data, [shard], seed=99, shared_rng_seed=1234)
+        stack = StackedState(states, np.ones((1, 1)), algorithm)
         for _ in range(100):
-            states, _, _ = run_round(states, np.ones((1, 1)), hp, algorithm, batch_size=10)
+            run_round(stack, hp, batch_size=10)
         oracle = heavyball_oracle(spec, data, shard, 1234, hp, 100, 10)
         denom = max(np.abs(oracle).max(), 1e-12)
         worst = max(worst, float(np.abs(states[0].params - oracle).max() / denom))
@@ -233,8 +235,9 @@ def test_criterion_05_single_node_and_pure_gossip_reductions():
     mean_before = np.mean([s.params for s in states], axis=0)
     err = consensus_error(states)
     worst_contract = 0.0
+    stack = StackedState(states, w, "dpsgd")
     for _ in range(8):
-        states, _, _ = run_round(states, w, gossip_hp, "dpsgd", batch_size=5)
+        run_round(stack, gossip_hp, batch_size=5)
         new_err = consensus_error(states)
         worst_contract = max(worst_contract, new_err / err)
         err = new_err
@@ -390,7 +393,7 @@ def test_criterion_09_variance_bound_diagnostic():
 def round_zero_bias(config: RunConfig) -> tuple[float, float]:
     states, w, _ = initial_states(config)
     hp = config.hyper_params()
-    _, _, bundles = run_round(states, w, hp, "ngc", config.batch_size)
+    _, bundles = run_round(StackedState(states, w, "ngc"), hp, config.batch_size)
     eps_max = 0.0
     omega_l1 = 0.0
     for bundle in bundles:

@@ -14,6 +14,7 @@ from decentsim import (
     HyperParams,
     ModelSpec,
     ProtocolError,
+    StackedState,
     TopologySpec,
     apply_lr_schedule,
     bias_terms,
@@ -367,8 +368,9 @@ def test_single_agent_round_reduces_to_momentum_sgd(algorithm, small_data, small
     shard = np.arange(small_data.n)
     states = make_states(1, small_spec, small_data, [shard], seed=99,
                          shared_rng_seed=1234)
+    stack = StackedState(states, W_ONE_AGENT, algorithm)
     for _ in range(100):
-        states, _, _ = run_round(states, W_ONE_AGENT, hp, algorithm, batch_size=10)
+        run_round(stack, hp, batch_size=10)
     [state] = states
     oracle = momentum_sgd_oracle(small_spec, small_data, shard, 1234, hp, 100, 10)
     denom = max(np.abs(oracle).max(), 1e-12)
@@ -383,9 +385,11 @@ def test_single_agent_compressed_round_differs_from_uncompressed():
                     shared_rng_seed=5)
     b = make_states(1, spec, data, [np.arange(data.n)], seed=1,
                     shared_rng_seed=5)
+    stack_a = StackedState(a, W_ONE_AGENT, "compngc")
+    stack_b = StackedState(b, W_ONE_AGENT, "ngc")
     for _ in range(5):
-        a, _, _ = run_round(a, W_ONE_AGENT, hp, "compngc", batch_size=10)
-        b, _, _ = run_round(b, W_ONE_AGENT, hp, "ngc", batch_size=10)
+        run_round(stack_a, hp, batch_size=10)
+        run_round(stack_b, hp, batch_size=10)
     assert not np.allclose(a[0].params, b[0].params)
 
 

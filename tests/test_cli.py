@@ -57,6 +57,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         parse_config(["--config", str(cfg_file)])
 
 
+def test_config_file_comments_start_at_a_line_start_or_after_whitespace(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# header\n   # indented\nagents=4  # note\ntopology=full\t# tab\n"
+                        "dataset=runs/data#2.csv\n")
+    assert read_config_file(str(cfg_file)) == {
+        "agents": 4, "topology": "full", "dataset": "runs/data#2.csv"}
+
+
 def test_config_file_reports_the_bad_line(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("agents=4\nepochs=ten\n")
@@ -110,7 +118,7 @@ def test_config_echo_round_trips(tmp_path):
     config = RunConfig(
         algorithm="compngc", agents=6, topology="torus", torus_rows=2, partition="iid",
         alpha=0.25, beta=0.5, eta=0.125, gamma=0.75, schedule="constant", epochs=7,
-        batch_size=9, seed=11, dataset="data.csv", data_seed=13, classes=4, dim=3,
+        batch_size=9, seed=11, dataset="runs/data#2.csv", data_seed=13, classes=4, dim=3,
         per_class=17, spread=0.3, val_per_class=6, val_fraction=0.4, model="logistic",
         hidden_dim=8, activation="relu", workers=1,
     )
@@ -293,6 +301,7 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
+    ("algorithm=sgd", "unknown algorithm 'sgd'"),
     ("topology=star", "unknown topology 'star'"),
     ("activation=softplus", "unknown activation 'softplus'"),
     ("data_seed=-3", "seeds must be nonnegative"),
@@ -309,13 +318,28 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
     # The config-file path skips argparse's choices, so RunConfig.validate
-    # must catch the first four before run_sweep creates any directory;
+    # must catch the first five before run_sweep creates any directory;
     # the rest fail in set-up, before a seed directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")
     out = tmp_path / "badout"
     assert run_main(["--config", str(cfg), "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--config", b"agents=4\n# caf\xe9 in Latin-1\n"),
+    ("--dataset", b"0,1.0,2.0\n1,0.5,\xff\n"),
+], ids=["config", "dataset"])
+def test_non_utf8_input_exits_two_naming_the_file_and_writes_nothing(flag, content, tmp_path,
+                                                                     capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_main([flag, str(bad), "--epochs", "1", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 text" in err
     assert not out.exists()
 
 

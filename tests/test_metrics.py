@@ -11,6 +11,7 @@ from decentsim import (
     GradientBundle,
     HyperParams,
     ModelSpec,
+    StackedState,
     TopologySpec,
     bias_norms,
     build_mixing_matrix,
@@ -88,8 +89,9 @@ def test_bias_norms_and_consensus_error_leave_their_inputs_unchanged(algorithm, 
     # params array written through would corrupt the next round.
     states, w = skewed_states()
     hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    stack = StackedState(states, w, algorithm)
     for _ in range(3):
-        states, _, bundles = run_round(states, w, hp, algorithm, batch_size=7)
+        _, bundles = run_round(stack, hp, batch_size=7)
 
     def arrays():
         out = [s.params for s in states]
@@ -142,8 +144,9 @@ def test_variance_bound_holds_at_shared_initial_params():
 def test_variance_bound_holds_after_some_training():
     states, w = skewed_states()
     hp = HyperParams(1.0, 0.9, 0.01, 0.5, "constant")
+    stack = StackedState(states, w, "ngc")
     for _ in range(20):
-        states, _, _ = run_round(states, w, hp, "ngc", batch_size=7)
+        run_round(stack, hp, batch_size=7)
     report = variance_bound_check(states, w, batch_size=7, sample_count=150, seed=4)
     assert report.passed
 

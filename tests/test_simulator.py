@@ -1,7 +1,6 @@
 """Engine: determinism, exchange accounting, gossip dynamics, aborts."""
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -16,6 +15,7 @@ from decentsim import (
     ModelSpec,
     RunAbortError,
     RunConfig,
+    StackedState,
     TopologySpec,
     bias_norms,
     build_mixing_matrix,
@@ -120,33 +120,47 @@ def test_two_identical_agents_stay_bitwise_identical():
     for alg in ("dpsgd", "ngc", "compngc"):
         states = make_states(2, spec, data, [shard, shard], seed=4,
                              shared_rng_seed=321)
+        stack = StackedState(states, w, alg)
         for _ in range(10):
-            states, _, _ = run_round(states, w, hp, alg, batch_size=10)
+            run_round(stack, hp, batch_size=10)
             assert (states[0].params == states[1].params).all()
 
 
-def test_compngc_error_buffers_start_empty_and_act_as_zero():
+def test_compngc_error_feedback_rows_start_at_zero():
     data = generate_synthetic(4, 6, 24, 0.3, 2)
     spec = ModelSpec(6, 4, hidden_dim=5)
     w = build_mixing_matrix(TopologySpec("ring", 4))
-    hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
     shards = np.array_split(np.arange(data.n), 4)
-    lazy = make_states(4, spec, data, shards, seed=6)
-    assert lazy[0].err_self is None and lazy[0].err_out == {}
-    zero = np.zeros(spec.param_count)
-    seeded = [
-        dataclasses.replace(s, err_self=zero.copy(),
-                            err_out={(i - 1) % 4: zero.copy(), (i + 1) % 4: zero.copy()})
-        for i, s in enumerate(make_states(4, spec, data, shards, seed=6))
-    ]
-    for _ in range(20):
-        lazy, _, _ = run_round(lazy, w, hp, "compngc", batch_size=8)
-        seeded, _, _ = run_round(seeded, w, hp, "compngc", batch_size=8)
-    for a, b in zip(lazy, seeded):
-        assert (a.params == b.params).all()
-        assert (a.err_self == b.err_self).all()
-        assert a.err_out.keys() == b.err_out.keys()
-        assert all((a.err_out[j] == b.err_out[j]).all() for j in a.err_out)
+    states = make_states(4, spec, data, shards, seed=6)
+    assert states[0].err_self is None and states[0].err_out == {}
+    stack = StackedState(states, w, "compngc")
+    d = spec.param_count
+    assert stack.err_self.shape == (4, d)
+    assert stack.err_out.shape == (stack.slots.edges, d) == (8, d)
+    for rows in (stack.err_self, stack.err_out):
+        assert rows.tobytes() == bytes(rows.nbytes)  # +0.0 everywhere
+    for state, links in zip(states, stack.slots.links):
+        assert np.shares_memory(state.err_self, stack.err_self[state.agent_id])
+        assert state.err_self.tobytes() == bytes(8 * d)
+        assert list(state.err_out) == [j for j, _ in links]
+        for j, e in links:
+            assert np.shares_memory(state.err_out[j], stack.err_out[e])
+            assert state.err_out[j].tobytes() == bytes(8 * d)
+    for alg in ("dpsgd", "ngc"):
+        other = make_states(4, spec, data, shards, seed=6)
+        stack = StackedState(other, w, alg)
+        assert stack.err_self is None and stack.err_out is None
+        assert other[0].err_self is None and other[0].err_out == {}
+        assert (stack.cross is None) == (alg == "dpsgd")
+
+
+def test_stacked_state_rejects_an_unknown_algorithm():
+    data = generate_synthetic(4, 6, 24, 0.3, 2)
+    spec = ModelSpec(6, 4, hidden_dim=5)
+    w = build_mixing_matrix(TopologySpec("ring", 4))
+    states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
+    with pytest.raises(ConfigurationError, match="unknown algorithm 'sgd'"):
+        StackedState(states, w, "sgd")
 
 
 # ------------------------------------------------------ in-place rounds
@@ -161,10 +175,12 @@ def test_run_round_updates_every_agent_in_place(alg):
     states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
     before = list(states)
     x0 = states[0].params
-    returned, _, _ = run_round(states, w, hp, alg, batch_size=8)
-    assert returned is states
+    stack = StackedState(states, w, alg)
+    run_round(stack, hp, batch_size=8)
+    assert stack.states is states
     assert all(a is b for a, b in zip(states, before))
     assert states[0].params is not x0 and not (states[0].params == x0).all()
+    assert all(np.shares_memory(s.params, stack.x[i]) for i, s in enumerate(states))
 
 
 def reference_round(states, w, hp, algorithm, batch_size):
@@ -250,11 +266,11 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     shards = np.array_split(np.arange(data.n), n)
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
-    stack = simulator.StackedState(engine, simulator._neighbor_tables(w, spec.param_count))
+    stack = StackedState(engine, w, algorithm)
     if block_rows is not None:
         assert max(blk.size for blk in stack.slots.blocks) == block_rows
     for _ in range(3):
-        _, losses, grads = run_round(engine, w, hp, algorithm, 10, tables=stack)
+        losses, grads = run_round(stack, hp, 10)
         want_losses, bundles = reference_round(ref, w, hp, algorithm, 10)
         assert bits(losses) == bits(want_losses)
         for a, b in zip(engine, ref):
@@ -350,15 +366,13 @@ def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
     w = build_mixing_matrix(TopologySpec("chain", 5))
     hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
     states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=6)
-    stack = simulator.StackedState(states, simulator._neighbor_tables(w, spec.param_count))
-    assert stack.err_self is None and stack.err_out is None
-    for r in range(3):
-        run_round(states, w, hp, "compngc", 8, tables=stack)
-        if r == 0:
-            err_self, err_out = stack.err_self, stack.err_out
-            assert err_self.shape == (5, spec.param_count)
-            assert err_out.shape == (stack.slots.edges, spec.param_count)
-            views = [(s.err_self, dict(s.err_out)) for s in states]
+    stack = StackedState(states, w, "compngc")
+    err_self, err_out = stack.err_self, stack.err_out
+    assert err_self.shape == (5, spec.param_count)
+    assert err_out.shape == (stack.slots.edges, spec.param_count)
+    views = [(s.err_self, dict(s.err_out)) for s in states]
+    for _ in range(3):
+        run_round(stack, hp, 8)
         assert stack.err_self is err_self and stack.err_out is err_out
         for state, links, (own, out) in zip(states, stack.slots.links, views):
             assert state.err_self is own and own.base is err_self
@@ -387,7 +401,7 @@ def test_ring5_param_exchange_is_4000_bytes_per_round_at_d100():
     states = make_states(5, spec, data, shards, seed=0)
     hp = HyperParams(0.0, 0.0, 0.01, 1.0, "constant")
     ledger = CommLedger()
-    run_round(states, w, hp, "ngc", batch_size=4, ledger=ledger)
+    run_round(StackedState(states, w, "ngc"), hp, batch_size=4, ledger=ledger)
     assert ledger.param_bytes == 4000  # 10 directed edges * 4 bytes * d=100
     assert ledger.crossgrad_bytes == 0  # alpha == 0 sends nothing
     assert ledger.messages == 10
@@ -456,8 +470,9 @@ def test_pure_gossip_preserves_mean_and_contracts_by_rho(alg):
     hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0, schedule="constant")
     mean_before = np.mean([s.params for s in states], axis=0)
     err = consensus_error(states)
+    stack = StackedState(states, w, alg)
     for _ in range(8):
-        states, _, _ = run_round(states, w, hp, alg, batch_size=5)
+        run_round(stack, hp, batch_size=5)
         new_err = consensus_error(states)
         assert new_err <= (rho + 1e-6) * err
         err = new_err
@@ -475,7 +490,7 @@ def test_pure_gossip_on_a_full_graph_reaches_consensus_in_one_round():
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
     hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0, schedule="constant")
-    states, _, _ = run_round(states, w, hp, "dpsgd", batch_size=5)
+    run_round(StackedState(states, w, "dpsgd"), hp, batch_size=5)
     assert consensus_error(states) <= 1e-24
 
 
