@@ -1,15 +1,15 @@
 """Command line front end: config resolution, sweeps, metric CSV files.
 
-Option precedence is flags > config file > built-in defaults. Config
-files are flat `key=value` lines of UTF-8 text whose keys are RunConfig
-field names; unknown keys are rejected so typos fail loudly. A `#` at
-the start of a line or after whitespace starts a comment, so a value
-such as `dataset=runs/data#2.csv` keeps its `#`.
-The resolved configuration is echoed into the output directory in the
-same format, and a summary JSON aggregates final metrics across seeds.
-
-Exit codes: 0 success, 2 usage or configuration problem, 3 runtime abort;
-`exit_code` holds the mapping for the CLI and the experiment scripts.
+RunConfig is the one schema: each config flag takes its field's type and
+RunConfig.validate is the one value check, so an unknown value fails alike
+from a flag or a config file and names the allowed ones. Flags override
+config files, which override defaults. Config files are UTF-8 `key=value`
+lines keyed by RunConfig fields; a `#` at a line start or after whitespace
+starts a comment. Each seed's config.txt echo must read back as the same
+config, so validate rejects a dataset with a line break, edge whitespace,
+whitespace before `#` or non-UTF-8 text. Exit codes: 0 success, 2 usage or
+configuration problem, 3 runtime abort (`exit_code` is the map). Exit 2
+leaves nothing the sweep created, even when a later seed fails set-up.
 """
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ import argparse
 import dataclasses
 import json
 import os
-import re
+import shutil
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -27,9 +28,8 @@ from .benchmarks import seed_list
 from .compression import compress, decode, decompress, ef_step, encode, wire_size_bytes
 from .errors import ConfigurationError, DecentsimError, ParseError, RunAbortError, UsageError
 from .metrics import MetricsRow
-from .models import evaluate
-from .simulator import ALGORITHMS, PARTITIONS, RunConfig, run
-from .topology import TOPOLOGIES
+from .models import evaluate, numbered_lines
+from .simulator import CHOICES, COMMENT, RunConfig, run
 
 SCHEMA_LINE = "# decentsim metrics schema v1"
 _ROW_HINTS = typing.get_type_hints(MetricsRow)
@@ -43,28 +43,18 @@ def _scalar(hint):
 
 
 _FIELD_TYPES = {name: _scalar(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
-_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def read_config_file(path: str) -> dict:
     """Parse key=value lines into RunConfig field overrides."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot open config file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     overrides = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
+    for lineno, line in numbered_lines(path, "config file", UsageError, UsageError):
+        stripped = COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise UsageError(f"{path} line {lineno}: expected key=value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+        key, _, raw = map(str.strip, stripped.partition("="))
         if key not in _FIELD_TYPES:
             raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
         try:
@@ -75,10 +65,7 @@ def read_config_file(path: str) -> dict:
 
 
 def write_config_file(config: RunConfig, path: str):
-    """Echo the resolved configuration; readable back by read_config_file.
-
-    dpsgd echoes carry no alpha line, since parse_config rejects alpha there.
-    """
+    """Echo config as read_config_file reads it; a dpsgd echo omits alpha, which dpsgd rejects."""
     with open(path, "w", encoding="utf-8") as fh:
         for f in dataclasses.fields(RunConfig):
             value = getattr(config, f.name)
@@ -93,18 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decentralized training simulator (dpsgd, ngc, compngc).",
     )
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--agents", type=int)
-    p.add_argument("--topology", choices=TOPOLOGIES)
-    p.add_argument("--partition", choices=PARTITIONS)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    for name in ("algorithm", "agents", "topology", "partition", "alpha", "beta", "eta",
+                 "gamma", "epochs", "batch_size", "dataset"):  # typed as in RunConfig
+        choices = CHOICES.get(name)
+        p.add_argument("--" + name.replace("_", "-"), type=_FIELD_TYPES[name],
+                       metavar=choices and "{" + ",".join(choices) + "}",
+                       help="'synthetic' or a CSV path" if name == "dataset" else None)
     p.add_argument("--seeds", "--seed", help="comma-separated seed list")
-    p.add_argument("--dataset", help="'synthetic' or a CSV path")
     p.add_argument("--out-dir", default="runs")
     p.add_argument("--compress-check", action="store_true",
                    help="run the compressor self-test and exit")
@@ -115,10 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
     """Resolve flags over config file over defaults; returns config and seeds."""
     args = _build_parser().parse_args(argv)
-    overrides: dict = {}
-    if args.config:
-        overrides.update(read_config_file(args.config))
-
+    overrides = read_config_file(args.config) if args.config else {}
     overrides.update({key: val for key, val in vars(args).items()
                       if key in _FIELD_TYPES and val is not None})
 
@@ -154,27 +133,25 @@ def emit_metrics_csv(rows: list[MetricsRow], path: str):
 
 
 def read_metrics_csv(path: str) -> list[MetricsRow]:
-    """Inverse of emit_metrics_csv (up to float formatting)."""
+    """Inverse of emit_metrics_csv (up to float formatting); ParseError on a bad file."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != CSV_HEADER:
-                    raise ParseError(f"line {lineno}: unexpected header {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != len(_COLUMNS):
-                raise ParseError(f"line {lineno}: expected {len(_COLUMNS)} fields, "
-                                 f"got {len(parts)}")
-            try:
-                rows.append(MetricsRow(*(kind(p) for (_, kind), p in zip(_COLUMNS, parts))))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+    header_seen = False
+    for lineno, line in numbered_lines(path, "metrics file", ParseError, ParseError):
+        if line.startswith("#"):
+            continue
+        if not header_seen:
+            if line != CSV_HEADER:
+                raise ParseError(f"line {lineno}: unexpected header {line!r}")
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != len(_COLUMNS):
+            raise ParseError(f"line {lineno}: expected {len(_COLUMNS)} fields, "
+                             f"got {len(parts)}")
+        try:
+            rows.append(MetricsRow(*(kind(p) for (_, kind), p in zip(_COLUMNS, parts))))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
     if not header_seen:
         raise ParseError("no header line found")
     return rows
@@ -185,8 +162,9 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
     """Run one config across seeds; write per-seed CSVs plus a summary JSON.
 
     Every seed's config is validated before the first run, and a seed's
-    directory is written only once its run has returned or aborted, so an
-    error that set-up finds leaves nothing behind.
+    directory is written once its run has returned or aborted. An error
+    that a later seed's set-up finds removes the directories and files that
+    earlier seeds created, so any error but an abort leaves nothing behind.
     """
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     for cfg in configs:
@@ -195,13 +173,24 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
     failed = []
     final_accs = []
     bytes_per_agent = []
+    made = []  # every directory and file the writes below create, outermost first
     for seed, cfg in zip(seeds, configs):
         try:
             result = run(cfg)
         except RunAbortError as exc:
             result = None
             failed.append({"seed": seed, "error": str(exc)})
+        except DecentsimError:
+            for path in filter(os.path.exists, made):
+                if os.path.isdir(path):
+                    shutil.rmtree(path)
+                else:
+                    os.remove(path)
+            raise
         seed_dir = os.path.join(out_dir, f"seed_{seed}")
+        seed_path = Path(seed_dir).absolute()
+        made += [p for p in (*reversed(seed_path.parents), seed_path, seed_path / "config.txt",
+                             seed_path / "metrics.csv") if not p.exists()]
         os.makedirs(seed_dir, exist_ok=True)
         write_config_file(cfg, os.path.join(seed_dir, "config.txt"))
         if result is None:

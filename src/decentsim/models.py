@@ -281,22 +281,24 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
     return Dataset(feats, labels, num_classes)
 
 
-def load_csv(path: str) -> Dataset:
-    """Read `label,f1,...,fk` rows of UTF-8 text; parse errors name the offending line."""
+def numbered_lines(path: str, what: str, open_error: type, decode_error: type) -> list:
+    """A UTF-8 file's non-blank lines as (number, stripped line); open_error or decode_error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            return [(n, line.strip()) for n, line in enumerate(fh, start=1)
+                    if not line.isspace()]
     except OSError as exc:
-        raise ConfigurationError(f"cannot open dataset: {exc}") from None
+        raise open_error(f"cannot open {what}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise decode_error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_csv(path: str) -> Dataset:
+    """Read `label,f1,...,fk` rows of UTF-8 text; parse errors name the offending line."""
     rows = []
     labels = []
     width = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(path, "dataset", ConfigurationError, ParseError):
         parts = line.split(",")
         if width is None:
             width = len(parts)

@@ -39,6 +39,7 @@ costs its serialized size. Self-loops are local and cost nothing.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,6 +79,12 @@ from .topology import TOPOLOGIES, TopologySpec, build_mixing_matrix, neighbors, 
 
 ALGORITHMS = ("dpsgd", "ngc", "compngc")
 PARTITIONS = ("iid", "skew")
+MODELS = ("logistic", "mlp")
+# RunConfig's fields with fixed value sets; validate's one check of them.
+CHOICES = {"algorithm": ALGORITHMS, "topology": TOPOLOGIES, "partition": PARTITIONS,
+           "model": MODELS, "activation": ACTIVATIONS}
+# Config lines are `key=value`, stripped; `#` at a line start or after whitespace opens a comment.
+COMMENT = re.compile(r"(?:^|\s)#")
 _VAL_SEED_OFFSET = 10_000_019
 
 
@@ -113,18 +120,17 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(f"unknown topology {self.topology!r}")
-        if self.partition not in PARTITIONS:
-            raise ConfigurationError(f"unknown partition {self.partition!r}")
-        if self.model not in ("logistic", "mlp"):
-            raise ConfigurationError(f"unknown model {self.model!r}")
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigurationError(f"unknown {key} {getattr(self, key)!r} "
+                                         f"(choose from {', '.join(allowed)})")
         if self.model == "mlp" and self.hidden_dim < 1:
             raise ConfigurationError("mlp needs a positive hidden_dim")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
+        value = self.dataset  # free text, so its echo line must read back unchanged
+        if (value != value.strip() or COMMENT.search(f"dataset={value}")
+                or any(c in "\n\r" or "\ud800" <= c <= "\udfff" for c in value)):
+            raise ConfigurationError(f"dataset {value!r} cannot be echoed: config values hold "
+                                     "no line break, edge whitespace, ' #' or non-UTF-8 text")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be positive")
         if self.batch_size < 1:

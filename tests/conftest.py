@@ -6,6 +6,9 @@ import pytest
 
 from decentsim import AgentState, Dataset, ModelSpec, generate_synthetic, init_params
 
+# tests/reference.py holds shared assertions; rewrite them as in a test module.
+pytest.register_assert_rewrite("reference")
+
 
 def make_states(num_agents: int, spec: ModelSpec, data: Dataset, shards,
                 seed: int = 0, shared_rng_seed=None) -> list[AgentState]:

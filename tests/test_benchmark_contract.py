@@ -41,6 +41,28 @@ def test_every_benchmark_sweep_config_validates(workload):
         sweep.config.validate()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_every_frozen_config_validates_and_survives_its_echo(tmp_path):
+    # The frozen benchmark's sweep configs and the golden config.txt files
+    # must stay inside what RunConfig.validate accepts, and each must read
+    # back unchanged from its echo (the golden ones byte for byte).
+    configs = [sweep.config for workload in ("skew-ring5", "wide-compngc", "ring-many")
+               for sweep in load_perfbench("workloads").WORKLOADS[workload].sweeps(1)]
+    echoes = sorted(GOLDEN.glob("*/seed_*/config.txt"))
+    assert len(echoes) == 14
+    configs += [RunConfig(**cli.read_config_file(str(path))) for path in echoes]
+    path = tmp_path / "config.txt"
+    for config in configs:
+        config.validate()
+        cli.write_config_file(config, str(path))
+        assert RunConfig(**cli.read_config_file(str(path))) == config
+    for echo, config in zip(echoes, configs[-len(echoes):]):
+        cli.write_config_file(config, str(path))
+        assert path.read_bytes() == echo.read_bytes(), echo
+
+
 def test_every_traced_name_is_a_callable_of_its_module():
     for short, names in load_perfbench("tracer").TRACED.items():
         module = importlib.import_module(f"decentsim.{short}")

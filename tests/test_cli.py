@@ -3,12 +3,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decentsim import (
+    ConfigurationError,
     MetricsRow,
+    ParseError,
     PartitionError,
     ProtocolError,
     RunConfig,
@@ -17,6 +23,8 @@ from decentsim import (
     run,
 )
 from decentsim.cli import (
+    _FIELD_TYPES,
+    _build_parser,
     compress_self_check,
     emit_metrics_csv,
     main,
@@ -26,6 +34,7 @@ from decentsim.cli import (
     run_sweep,
     write_config_file,
 )
+from decentsim.simulator import CHOICES
 
 
 def test_empty_invocation_resolves_to_documented_defaults():
@@ -139,6 +148,132 @@ def test_workers_is_no_longer_a_flag(capsys):
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
+CONFIG_FLAGS = ["algorithm", "agents", "topology", "partition", "alpha", "beta", "eta",
+                "gamma", "epochs", "batch_size", "dataset"]
+
+
+def test_config_flags_take_their_runconfig_types_and_leave_values_to_validate():
+    # One schema: argparse converts each flag's text with its RunConfig
+    # annotation and checks no value itself, so RunConfig.validate is the
+    # one check for flags and config files alike.
+    hints = typing.get_type_hints(RunConfig)
+    actions = {a.dest: a for a in _build_parser()._actions if a.dest in _FIELD_TYPES}
+    assert list(actions) == CONFIG_FLAGS
+    for name, action in actions.items():
+        assert action.type is hints[name] is _FIELD_TYPES[name], name
+        assert action.choices is None, name
+        assert action.option_strings == ["--" + name.replace("_", "-")]
+
+
+def test_help_lists_the_allowed_values(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        parse_config(["--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("algorithm", "topology", "partition"):
+        assert f"--{name} {{{','.join(CHOICES[name])}}}" in out
+    assert "{dpsgd,ngc,compngc}" in out and "{ring,chain,torus,full}" in out
+    assert "--dataset DATASET" in out and "'synthetic' or a CSV path" in out
+    assert "--agents AGENTS" in out and "--batch-size BATCH_SIZE" in out
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("key, value", [("algorithm", "sgd"), ("topology", "star"),
+                                        ("partition", "dirichlet")])
+def test_unknown_value_fails_alike_from_a_flag_or_a_file(source, key, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--epochs", "1", "--out-dir", str(out)]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: unknown {key} {value!r} "
+                   f"(choose from {', '.join(CHOICES[key])})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    "a\nagents=99", "a\rb.csv", "a\r\n", " lead.csv", "trail.csv ", "trail.csv\t",
+    "\u3000wide.csv", "runs/my data #2.csv", "runs/data\t#2.csv", "x.csv #note",
+    "\udcff.csv",
+])
+def test_dataset_the_echo_cannot_carry_back_is_rejected(dataset, tmp_path, capsys):
+    # Rejected rather than quoted, so the echo keeps its plain key=value
+    # lines. Before the check, "a\nagents=99" echoed and read back as
+    # agents=99 and "runs/my data #2.csv" as "runs/my data".
+    with pytest.raises(ConfigurationError, match="cannot be echoed"):
+        RunConfig(dataset=dataset).validate()
+    out = tmp_path / "out"
+    assert run_main(["--dataset", dataset, "--out-dir", str(out)]) == 2
+    assert "cannot be echoed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    "synthetic", "runs/data#2.csv", "#lead.csv", "my data.csv", "a=b.csv", "tab\tinside.csv",
+    "d\u00e5t\u00e4/\u5b57.csv", "",
+])
+def test_dataset_the_echo_carries_back_is_accepted(dataset, tmp_path):
+    config = RunConfig(dataset=dataset)
+    config.validate()
+    path = tmp_path / "config.txt"
+    write_config_file(config, str(path))
+    assert RunConfig(**read_config_file(str(path))) == config
+
+
+_HOSTILE_CHARS = st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\u2028\u3000#=\u00e9\u5b57")
+_HOSTILE_TEXT = st.text(_HOSTILE_CHARS | st.characters() | st.just("\udcff"), max_size=10)
+_HOSTILE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, math.inf, -math.inf, math.nan, 0.5]),
+    st.floats())
+_KNOWN = {**CHOICES, "schedule": ("step", "constant"),
+          "dataset": ("synthetic", "runs/data#2.csv", "my data.csv")}
+
+
+def _field_values(field):
+    kind = _FIELD_TYPES[field.name]
+    if kind is str:
+        values = st.sampled_from(_KNOWN[field.name]) | _HOSTILE_TEXT
+    elif kind is float:
+        values = _HOSTILE_FLOATS
+    else:
+        values = st.integers(-3, 2**63)
+    return values | st.none() if field.default is None else values
+
+
+_FIELD_VALUES = {f.name: _field_values(f) for f in dataclasses.fields(RunConfig)}
+
+
+@st.composite
+def hostile_configs(draw):
+    """A RunConfig whose dataset and up to four other fields are drawn, the rest defaults."""
+    others = sorted(set(_FIELD_VALUES) - {"dataset"})
+    names = draw(st.lists(st.sampled_from(others), max_size=4, unique=True))
+    return RunConfig(**{name: draw(_FIELD_VALUES[name]) for name in ["dataset", *names]})
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=hostile_configs())
+def test_every_config_validate_accepts_reads_back_from_its_echo(config, tmp_path_factory):
+    # Either validate rejects the config, or write_config_file then
+    # read_config_file gives it back. reprs are compared, which tells -0.0
+    # from 0.0 and reads nan as equal to itself.
+    try:
+        config.validate()
+    except ConfigurationError:
+        return
+    path = tmp_path_factory.getbasetemp() / "echo-config.txt"
+    write_config_file(config, str(path))
+    again = RunConfig(**read_config_file(str(path)))
+    if config.algorithm == "dpsgd":  # the echo omits alpha by design
+        config = dataclasses.replace(config, alpha=RunConfig.alpha)
+    assert repr(again) == repr(config)
+
+
 def test_dpsgd_config_echo_is_reusable(tmp_path):
     # The echo must not write the alpha that parse_config rejects for dpsgd.
     config, _, _ = parse_config(["--algorithm", "dpsgd", "--epochs", "1"])
@@ -179,6 +314,16 @@ def test_metrics_csv_rejects_malformed_files(tmp_path):
     bad.write_text("round,epoch\n1,2\n")
     with pytest.raises(ParseError):
         read_metrics_csv(str(bad))
+
+
+def test_metrics_csv_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "metrics.csv"
+    emit_metrics_csv(sample_rows(), str(path))
+    path.write_bytes(path.read_bytes() + b"\xff,1,2\n")
+    with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
+        read_metrics_csv(str(path))
+    with pytest.raises(ParseError, match="cannot open metrics file"):
+        read_metrics_csv(str(tmp_path / "missing.csv"))
 
 
 # ------------------------------------------------------------------ sweeps
@@ -317,7 +462,7 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
-    # The config-file path skips argparse's choices, so RunConfig.validate
+    # RunConfig.validate, the one value check for flags and config files,
     # must catch the first five before run_sweep creates any directory;
     # the rest fail in set-up, before a seed directory is written.
     cfg = tmp_path / "bad.cfg"
@@ -370,6 +515,41 @@ def test_set_up_error_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys):
                      "--out-dir", str(out)]) == 2
     assert "batch_size exceeds the smallest shard" in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_three_class_csv(path):
+    # 60 rows, 20 per class. The validation split depends on the seed, and
+    # under seed 1 (not seed 2) it leaves some skewed shard below 14 rows.
+    rows = [f"{c},{c + 0.01 * k:.2f},{k % 7 - c:.1f}" for c in range(3) for k in range(20)]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_set_up_error_in_a_later_seed_removes_what_the_sweep_wrote(tmp_path, capsys):
+    data = write_three_class_csv(tmp_path / "data.csv")
+    argv = ["--dataset", str(data), "--agents", "3", "--partition", "skew",
+            "--batch-size", "14", "--epochs", "1"]
+    assert run_main(argv + ["--seeds", "2", "--out-dir", str(tmp_path / "ok")]) == 0
+    out = tmp_path / "runs" / "new" / "out"  # makedirs would create runs/ too
+    assert run_main(argv + ["--seeds", "2,1", "--out-dir", str(out)]) == 2
+    assert "batch_size exceeds the smallest shard" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_failed_sweep_into_an_existing_out_dir_removes_only_what_it_created(tmp_path):
+    data = write_three_class_csv(tmp_path / "data.csv")
+    out = tmp_path / "out"
+    (out / "seed_2").mkdir(parents=True)
+    (out / "notes.txt").write_text("mine\n")
+    (out / "seed_2" / "config.txt").write_text("old echo\n")
+    config = RunConfig(dataset=str(data), agents=3, partition="skew", batch_size=14, epochs=1)
+    with pytest.raises(ConfigurationError, match="batch_size exceeds the smallest shard"):
+        run_sweep(config, [3, 2, 1], str(out))
+    # seed_3/ and seed_2/metrics.csv were new and are gone; seed_2/config.txt
+    # existed, so it stays, rewritten by seed 2's run.
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "notes.txt", "seed_2", "seed_2/config.txt"]
+    assert (out / "notes.txt").read_text() == "mine\n"
 
 
 def test_main_compress_check_exit_zero(capsys):

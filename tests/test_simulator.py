@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decentsim import simulator, topology
 from decentsim import (
@@ -20,24 +23,21 @@ from decentsim import (
     bias_norms,
     build_mixing_matrix,
     consensus_error,
-    cross_gradient,
     decompress,
-    ef_step,
     generate_synthetic,
-    gossip_step,
     loss_and_gradient,
-    momentum_update,
-    ngc_mix,
     run,
     run_round,
     seed_streams,
     spectral_gap,
 )
 
-from decentsim.algorithms import RoundGradients, cluster_deviation
+from decentsim.algorithms import BLOCK_ELEMS, RoundGradients, cluster_deviation
 from decentsim.compression import compress
+from decentsim.models import ACTIVATIONS
 
 from conftest import make_states
+from reference import assert_rounds_match, bits
 
 
 def tiny_config(**kw) -> RunConfig:
@@ -183,54 +183,6 @@ def test_run_round_updates_every_agent_in_place(alg):
     assert all(np.shares_memory(s.params, stack.x[i]) for i, s in enumerate(states))
 
 
-def reference_round(states, w, hp, algorithm, batch_size):
-    """One round agent by agent from the per-agent rules, every operand a copy.
-
-    Every update finishes before any gossip, and gossip reads the copies
-    of the pre-round (or, for dpsgd, x_tilde) params.
-    """
-    n = len(states)
-    weights = [{j: float(w[i, j]) for j in topology.neighbors(w, i)} for i in range(n)]
-    peers = [[j for j in weights[i] if j != i] for i in range(n)]
-    x = [s.params.copy() for s in states]
-    losses, self_grads, model, sent = [], [], [], {}
-    for i, s in enumerate(states):
-        batch = s.draw_batch(batch_size)
-        loss, g = loss_and_gradient(s.spec, x[i], s.data, batch)
-        losses.append(loss)
-        mv = {j: cross_gradient(s.spec, x[j], s.data, batch) for j in peers[i]}
-        if algorithm == "compngc":
-            zero = np.zeros_like(g)
-            delta, s.err_self = ef_step(g, zero if s.err_self is None else s.err_self)
-            g = decompress(delta)
-            for j in peers[i]:
-                message, s.err_out[j] = ef_step(mv[j], s.err_out.get(j, zero))
-                mv[j], sent[i, j] = decompress(message), decompress(message)
-        else:
-            sent.update({(i, j): mv[j].copy() for j in peers[i]})
-        self_grads.append(g)
-        model.append(mv)
-    if algorithm == "dpsgd":
-        tilde = []
-        for i, s in enumerate(states):
-            s.momentum = momentum_update(s.momentum, self_grads[i], hp.beta, hp.eta)
-            tilde.append(x[i] + s.momentum)
-        for i, s in enumerate(states):
-            operands = {j: tilde[j].copy() for j in weights[i]}
-            s.params = gossip_step(tilde[i], i, operands, weights[i], hp.gamma)
-        return losses, None
-    bundles = []
-    for i, s in enumerate(states):
-        data_variant = {j: sent[j, i] for j in peers[i]} if hp.alpha != 0.0 else {}
-        bundles.append(GradientBundle(i, self_grads[i], model[i], data_variant, weights[i]))
-        s.momentum = momentum_update(s.momentum, ngc_mix(bundles[-1], hp.alpha),
-                                     hp.beta, hp.eta)
-    for i, s in enumerate(states):
-        operands = {j: x[j].copy() for j in weights[i]}
-        s.params = gossip_step(x[i] + s.momentum, i, operands, weights[i], hp.gamma)
-    return losses, bundles
-
-
 # graph, agents, activation, rows per block (None: the default rule)
 PARITY_GRAPHS = {
     "ring3": ("ring", 3, "tanh", None),
@@ -242,10 +194,6 @@ PARITY_CASES = [(g, "dpsgd", 1.0) for g in PARITY_GRAPHS] + [
     (g, alg, alpha) for g in PARITY_GRAPHS for alg in ("ngc", "compngc")
     for alpha in (0.0, 0.5, 1.0)
 ]
-
-
-def bits(a) -> bytes:
-    return np.asarray(a, dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("graph, algorithm, alpha", PARITY_CASES,
@@ -269,30 +217,73 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     stack = StackedState(engine, w, algorithm)
     if block_rows is not None:
         assert max(blk.size for blk in stack.slots.blocks) == block_rows
-    for _ in range(3):
-        losses, grads = run_round(stack, hp, 10)
-        want_losses, bundles = reference_round(ref, w, hp, algorithm, 10)
-        assert bits(losses) == bits(want_losses)
-        for a, b in zip(engine, ref):
-            assert bits(a.params) == bits(b.params)
-            assert bits(a.momentum) == bits(b.momentum)
-            assert (a.err_self is None) == (b.err_self is None)
-            if a.err_self is not None:
-                assert bits(a.err_self) == bits(b.err_self)
-            assert a.err_out.keys() == b.err_out.keys()
-            for j in a.err_out:
-                assert bits(a.err_out[j]) == bits(b.err_out[j])
-        if bundles is not None:
-            for got, want in zip(grads, bundles):
-                assert bits(got.self_grad) == bits(want.self_grad)
-                assert got.weights == want.weights
-                for name in ("model_variant", "data_variant"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert list(a) == list(b), name
-                    assert all(bits(a[j]) == bits(b[j]) for j in a), name
-        if bundles is not None and stack.slots.uniform:
-            assert bits(grads.bias_norms()) == bits(bias_norms(bundles))
-            assert bits(bias_norms(grads)) == bits(bias_norms(bundles))
+    assert_rounds_match(stack, ref, w, hp, algorithm, 10)
+
+
+def metropolis_weights(n: int, edges) -> np.ndarray:
+    """Metropolis-Hastings W of an undirected graph (Xiao & Boyd, 2004).
+
+    w_ij = 1 / (1 + max(deg i, deg j)) on each edge; the diagonal takes the
+    rest of its row.
+    """
+    edges = {frozenset(e) for e in edges}
+    degree = np.zeros(n, dtype=int)
+    for i, j in edges:
+        degree[[i, j]] += 1
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+    w[np.diag_indices(n)] = 1.0 - w.sum(axis=1)
+    return w
+
+
+@st.composite
+def metropolis_graphs(draw, max_agents=12):
+    """W of a random connected graph of 2..max_agents agents.
+
+    A random spanning tree keeps the graph connected; extra edges and a
+    random relabelling make the degrees and the slot patterns irregular.
+    """
+    n = draw(st.integers(2, max_agents))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[k], label[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return metropolis_weights(n, edges + draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+
+
+# A hidden width that puts d = 8 * 8200 + 3 = 65,603 above BLOCK_ELEMS (2**16),
+# so the default rule gives one-row blocks.
+WIDE_HIDDEN = 8200
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=metropolis_graphs(), algorithm=st.sampled_from(simulator.ALGORITHMS),
+       alpha=st.sampled_from([0.0, 0.5, 1.0]), activation=st.sampled_from(ACTIVATIONS),
+       block_rows=st.sampled_from([1, 2, 3, None]), hidden=st.just(5))
+@example(w=metropolis_weights(4, [(1, 0), (1, 2), (1, 3)]), algorithm="compngc", alpha=0.5,
+         activation="relu", block_rows=None, hidden=WIDE_HIDDEN)
+def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, alpha,
+                                                                  activation, block_rows,
+                                                                  hidden):
+    # The parity test above on graphs the named topologies never make:
+    # irregular degrees, non-uniform W and slots that are not slices. The
+    # explicit example is a star whose d exceeds BLOCK_ELEMS.
+    n = w.shape[0]
+    data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
+    spec = ModelSpec(4, 3, hidden_dim=hidden, activation=activation)
+    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    shards = np.array_split(np.arange(data.n), n)
+    engine = make_states(n, spec, data, shards, seed=9)
+    ref = make_states(n, spec, data, shards, seed=9)
+    elems = BLOCK_ELEMS if block_rows is None else block_rows * spec.param_count
+    with mock.patch.object(simulator, "BLOCK_ELEMS", elems):
+        stack = StackedState(engine, w, algorithm)
+    sizes = {blk.size for blk in stack.slots.blocks}
+    if hidden == WIDE_HIDDEN:
+        assert spec.param_count > BLOCK_ELEMS and sizes == {1}
+    if block_rows is not None:
+        assert max(sizes) <= block_rows
+    assert_rounds_match(stack, ref, w, hp, algorithm, 10)
 
 
 # ------------------------------------------------------------- slot reads
