@@ -31,7 +31,6 @@ from .errors import (
 )
 from .metrics import (
     MetricsRow,
-    bias_norms,
     consensus_error,
     consensus_model,
     variance_bound_check,
@@ -54,7 +53,7 @@ from .models import (
     loss_and_gradient,
     unflatten,
 )
-from .partition import partition_iid, partition_label_skew, skew_report
+from .partition import partition_iid, partition_label_skew
 from .simulator import (
     CommLedger,
     RunConfig,

@@ -30,10 +30,10 @@ two forms give the same bits:
 * a bias deviation starts from the first peer's difference and divides
   by |N(i)| (`cluster_deviation`).
 
-The per-agent forms (`ngc_mix`, `bias_terms`, `gossip_step`,
-`momentum_update`, `ngc_prepare`, `compngc_prepare`) take dicts keyed by
-agent id and check their inputs; they define the rules the blocks are
-tested against. The blocks check nothing: set-up checks W once.
+The per-agent forms (`ngc_prepare`, `compngc_prepare`, `ngc_mix`,
+`bias_terms`, `momentum_update`, `gossip_step`) take dicts keyed by agent
+id and check their inputs; the parity tests' reference round runs them.
+The blocks check nothing: set-up checks W once.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .errors import ConfigurationError, ProtocolError
 from .models import Dataset, ModelSpec, cross_gradient, loss_and_gradient
 
 WEIGHT_SUM_TOL = 1e-9
+SCHEDULES = ("step", "constant")
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class HyperParams:
             raise ConfigurationError(f"eta {self.eta} must be nonnegative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError(f"gamma {self.gamma} outside (0, 1]")
-        if self.schedule not in ("step", "constant"):
+        if self.schedule not in SCHEDULES:
             raise ConfigurationError(f"unknown schedule {self.schedule!r}")
 
 
@@ -253,11 +254,6 @@ def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperPa
     return NgcWork(loss, self_grad, model_variant, outgoing)
 
 
-def feedback(grad: np.ndarray, err: np.ndarray | None) -> tuple[CompressedTensor, np.ndarray]:
-    """ef_step on one compressor stream; a missing buffer counts as zero."""
-    return ef_step(grad, np.zeros_like(grad) if err is None else err)
-
-
 def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
                     batch_size: int) -> NgcWork:
     """ngc_prepare's gradients, each routed through its compressor stream.
@@ -265,10 +261,12 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
     The agent's error-feedback buffers start empty (zero) and take the new residuals.
     """
     raw = ngc_prepare(state, params_in, hp, batch_size)
-    delta_self, state.err_self = feedback(raw.self_grad, state.err_self)
+    zero = np.zeros_like(raw.self_grad)
+    err_self = zero if state.err_self is None else state.err_self
+    delta_self, state.err_self = ef_step(raw.self_grad, err_self)
     outgoing: dict[int, CompressedTensor] = {}
     for j, grad in raw.model_variant.items():
-        outgoing[j], state.err_out[j] = feedback(grad, state.err_out.get(j))
+        outgoing[j], state.err_out[j] = ef_step(grad, state.err_out.get(j, zero))
     model_variant = {j: decompress(delta) for j, delta in outgoing.items()}
     return NgcWork(raw.batch_loss, decompress(delta_self), model_variant, outgoing)
 

@@ -46,8 +46,8 @@ _FIELD_TYPES = {name: _scalar(hint) for name, hint in typing.get_type_hints(RunC
 
 
 def read_config_file(path: str) -> dict:
-    """Parse key=value lines into RunConfig field overrides."""
-    overrides = {}
+    """Parse key=value lines into RunConfig field overrides; a key may appear once."""
+    overrides, seen = {}, {}
     for lineno, line in numbered_lines(path, "config file", UsageError, UsageError):
         stripped = COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
@@ -57,6 +57,8 @@ def read_config_file(path: str) -> dict:
         key, _, raw = map(str.strip, stripped.partition("="))
         if key not in _FIELD_TYPES:
             raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise UsageError(f"{path} line {lineno}: key {key!r} repeats line {seen[key]}")
         try:
             overrides[key] = _FIELD_TYPES[key](raw)
         except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Run diagnostics: consensus quantities, cluster bias norms, variance bound.
+"""Run diagnostics: consensus quantities and the variance bound.
 
 The variance-bound check is a Monte-Carlo plug-in estimate of
 E||(1/N) sum_i (g_mixed^i - g^i)||^2 <= 4 (sigma^2/N + zeta^2), the bound
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import AgentState, GradientBundle, bias_terms, ngc_mix
+from .algorithms import AgentState, GradientBundle, ngc_mix
 from .errors import ConfigurationError
 from .models import cross_gradient, loss_and_gradient
 from .topology import neighbors
@@ -54,22 +54,6 @@ def consensus_error(agents) -> float:
     return float(dev.sum(axis=1).mean())
 
 
-def bias_norms(bundles) -> tuple[float, float]:
-    """Mean l1 norms of the two cluster deviations across agents, bundle by bundle.
-
-    The round engine computes the same bits over row blocks
-    (RoundGradients.bias_norms).
-    """
-    eps_norms = []
-    omega_norms = []
-    for bundle in bundles:
-        eps, omega = bias_terms(bundle)
-        # bias_terms returns fresh arrays, so the absolute values go in place.
-        eps_norms.append(np.add.reduce(np.abs(eps, out=eps)))
-        omega_norms.append(np.add.reduce(np.abs(omega, out=omega)))
-    return float(np.mean(eps_norms)), float(np.mean(omega_norms))
-
-
 @dataclass(frozen=True)
 class VarianceBoundReport:
     """Plug-in check of the mixed-gradient deviation bound."""
@@ -79,11 +63,6 @@ class VarianceBoundReport:
     zeta2_hat: float
     bound: float
     passed: bool
-
-
-def _full_gradient(state: AgentState, params: np.ndarray) -> np.ndarray:
-    _, grad = loss_and_gradient(state.spec, params, state.data, state.shard)
-    return grad
 
 
 def variance_bound_check(states: list[AgentState], w: np.ndarray, batch_size: int,
@@ -106,9 +85,8 @@ def variance_bound_check(states: list[AgentState], w: np.ndarray, batch_size: in
     weights = [{j: float(w[i, j]) for j in neighbors(w, i)} for i in range(n)]
 
     # Population-level gradients per shard at every agent's parameters.
-    full = np.stack(
-        [[_full_gradient(states[j], states[i].params) for j in range(n)] for i in range(n)]
-    )
+    full = np.stack([[loss_and_gradient(s.spec, states[i].params, s.data, s.shard)[1]
+                      for s in states] for i in range(n)])
     zeta2_hat = 0.0
     for i in range(n):
         mean_grad = full[i].mean(axis=0)

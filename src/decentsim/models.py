@@ -274,10 +274,14 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
     rng = np.random.default_rng(seed)
     feats = np.empty((num_classes * per_class, dim))
     labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        lo = c * per_class
-        feats[lo : lo + per_class] = centers[c] + spread * rng.standard_normal((per_class, dim))
-        labels[lo : lo + per_class] = c
+    try:
+        with np.errstate(over="raise"):  # an overflow is the one way to a non-finite feature
+            for c in range(num_classes):
+                rows = slice(c * per_class, (c + 1) * per_class)
+                feats[rows] = centers[c] + spread * rng.standard_normal((per_class, dim))
+                labels[rows] = c
+    except FloatingPointError:
+        raise ConfigurationError(f"spread {spread} overflows the synthetic features") from None
     return Dataset(feats, labels, num_classes)
 
 
@@ -287,10 +291,10 @@ def numbered_lines(path: str, what: str, open_error: type, decode_error: type) -
         with open(path, encoding="utf-8") as fh:
             return [(n, line.strip()) for n, line in enumerate(fh, start=1)
                     if not line.isspace()]
-    except OSError as exc:
-        raise open_error(f"cannot open {what}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise decode_error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise open_error(f"cannot open {what}: {exc}") from None
 
 
 def load_csv(path: str) -> Dataset:

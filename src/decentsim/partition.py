@@ -62,12 +62,3 @@ def partition_label_skew(data: Dataset, w: np.ndarray, seed: int) -> list[np.nda
         if shared:
             raise PartitionError(f"edge ({i}, {j}) shares classes {sorted(shared)}")
     return out
-
-
-def skew_report(data: Dataset, shards: list[np.ndarray]) -> np.ndarray:
-    """Count matrix (agents x classes) of label occurrences per shard."""
-    counts = np.zeros((len(shards), data.num_classes), dtype=np.int64)
-    for i, shard in enumerate(shards):
-        vals, cnt = np.unique(data.labels[shard], return_counts=True)
-        counts[i, vals] = cnt
-    return counts

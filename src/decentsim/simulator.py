@@ -46,6 +46,7 @@ import numpy as np
 
 from .algorithms import (
     BLOCK_ELEMS,
+    SCHEDULES,
     AgentState,
     HyperParams,
     NeighborSlots,
@@ -82,7 +83,7 @@ PARTITIONS = ("iid", "skew")
 MODELS = ("logistic", "mlp")
 # RunConfig's fields with fixed value sets; validate's one check of them.
 CHOICES = {"algorithm": ALGORITHMS, "topology": TOPOLOGIES, "partition": PARTITIONS,
-           "model": MODELS, "activation": ACTIVATIONS}
+           "schedule": SCHEDULES, "model": MODELS, "activation": ACTIVATIONS}
 # Config lines are `key=value`, stripped; `#` at a line start or after whitespace opens a comment.
 COMMENT = re.compile(r"(?:^|\s)#")
 _VAL_SEED_OFFSET = 10_000_019
@@ -461,7 +462,11 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one full training run; deterministic in config alone."""
+    """Execute one full training run; deterministic in config alone.
+
+    eps_l1 and omega_l1 are written as 0 unless the algorithm is ngc or
+    compngc and every neighbourhood of W weighs its members equally.
+    """
     states, w, val = initial_states(config)
     hp = config.hyper_params()
     spec = states[0].spec

@@ -56,7 +56,6 @@ class StochasticityReport:
     max_col_dev: float
     asymmetry: float
     min_entry: float
-    min_diagonal: float
 
     @property
     def passed(self) -> bool:
@@ -134,7 +133,6 @@ def validate_doubly_stochastic(w: np.ndarray) -> StochasticityReport:
         max_col_dev=float(np.abs(w.sum(axis=0) - 1.0).max()),
         asymmetry=float(np.abs(w - w.T).max()),
         min_entry=float(w.min()),
-        min_diagonal=float(np.diag(w).min()),
     )
 
 

@@ -5,65 +5,75 @@ import numpy as np
 
 from decentsim import (
     GradientBundle,
-    bias_norms,
-    cross_gradient,
+    bias_terms,
     decompress,
-    ef_step,
     gossip_step,
-    loss_and_gradient,
     momentum_update,
     ngc_mix,
     run_round,
 )
+from decentsim.algorithms import compngc_prepare, ngc_prepare
 from decentsim.topology import neighbors
 
 
 def reference_round(states, w, hp, algorithm, batch_size):
     """One round agent by agent from the per-agent rules, every operand a copy.
 
-    Every update finishes before any gossip, and gossip reads the copies
-    of the pre-round (or, for dpsgd, x_tilde) params.
+    Each agent prepares with ngc_prepare (compngc_prepare under compngc;
+    under dpsgd with no neighbour params) and reads its data-variant terms
+    from its peers' outgoing messages. Every update finishes before any
+    gossip, and gossip reads the copies of the pre-round (or, for dpsgd,
+    x_tilde) params.
     """
     n = len(states)
     weights = [{j: float(w[i, j]) for j in neighbors(w, i)} for i in range(n)]
     peers = [[j for j in weights[i] if j != i] for i in range(n)]
     x = [s.params.copy() for s in states]
-    losses, self_grads, model, sent = [], [], [], {}
-    for i, s in enumerate(states):
-        batch = s.draw_batch(batch_size)
-        loss, g = loss_and_gradient(s.spec, x[i], s.data, batch)
-        losses.append(loss)
-        mv = {j: cross_gradient(s.spec, x[j], s.data, batch) for j in peers[i]}
-        if algorithm == "compngc":
-            zero = np.zeros_like(g)
-            delta, s.err_self = ef_step(g, zero if s.err_self is None else s.err_self)
-            g = decompress(delta)
-            for j in peers[i]:
-                message, s.err_out[j] = ef_step(mv[j], s.err_out.get(j, zero))
-                mv[j], sent[i, j] = decompress(message), decompress(message)
-        else:
-            sent.update({(i, j): mv[j].copy() for j in peers[i]})
-        self_grads.append(g)
-        model.append(mv)
+    prepare = compngc_prepare if algorithm == "compngc" else ngc_prepare
+    work = [prepare(s, {} if algorithm == "dpsgd" else {j: x[j] for j in peers[i]},
+                    hp, batch_size) for i, s in enumerate(states)]
+    losses = [wk.batch_loss for wk in work]
     if algorithm == "dpsgd":
         tilde = []
-        for i, s in enumerate(states):
-            s.momentum = momentum_update(s.momentum, self_grads[i], hp.beta, hp.eta)
+        for i, (s, wk) in enumerate(zip(states, work)):
+            s.momentum = momentum_update(s.momentum, wk.self_grad, hp.beta, hp.eta)
             tilde.append(x[i] + s.momentum)
         for i, s in enumerate(states):
             operands = {j: tilde[j].copy() for j in weights[i]}
             s.params = gossip_step(tilde[i], i, operands, weights[i], hp.gamma)
         return losses, None
+
+    def received(i, j):
+        term = work[j].outgoing[i]
+        return decompress(term) if algorithm == "compngc" else term
+
     bundles = []
-    for i, s in enumerate(states):
-        data_variant = {j: sent[j, i] for j in peers[i]} if hp.alpha != 0.0 else {}
-        bundles.append(GradientBundle(i, self_grads[i], model[i], data_variant, weights[i]))
+    for i, (s, wk) in enumerate(zip(states, work)):
+        data_variant = {j: received(i, j) for j in peers[i]} if hp.alpha != 0.0 else {}
+        bundles.append(GradientBundle(i, wk.self_grad, wk.model_variant, data_variant,
+                                      weights[i]))
         s.momentum = momentum_update(s.momentum, ngc_mix(bundles[-1], hp.alpha),
                                      hp.beta, hp.eta)
     for i, s in enumerate(states):
         operands = {j: x[j].copy() for j in weights[i]}
         s.params = gossip_step(x[i] + s.momentum, i, operands, weights[i], hp.gamma)
     return losses, bundles
+
+
+def bias_norms(bundles) -> tuple[float, float]:
+    """Mean l1 norms of the two cluster deviations across agents, bundle by bundle.
+
+    The round engine computes the same bits over row blocks
+    (RoundGradients.bias_norms).
+    """
+    eps_norms = []
+    omega_norms = []
+    for bundle in bundles:
+        eps, omega = bias_terms(bundle)
+        # bias_terms returns fresh arrays, so the absolute values go in place.
+        eps_norms.append(np.add.reduce(np.abs(eps, out=eps)))
+        omega_norms.append(np.add.reduce(np.abs(omega, out=omega)))
+    return float(np.mean(eps_norms)), float(np.mean(omega_norms))
 
 
 def bits(a) -> bytes:

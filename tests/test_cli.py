@@ -1,7 +1,9 @@
 """Command line: precedence, validation, CSV schema, sweeps, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import typing
@@ -230,8 +232,7 @@ _HOSTILE_TEXT = st.text(_HOSTILE_CHARS | st.characters() | st.just("\udcff"), ma
 _HOSTILE_FLOATS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, math.inf, -math.inf, math.nan, 0.5]),
     st.floats())
-_KNOWN = {**CHOICES, "schedule": ("step", "constant"),
-          "dataset": ("synthetic", "runs/data#2.csv", "my data.csv")}
+_KNOWN = {**CHOICES, "dataset": ("synthetic", "runs/data#2.csv", "my data.csv")}
 
 
 def _field_values(field):
@@ -446,13 +447,16 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
+    ("agents=4\nagents=6", "line 2: key 'agents' repeats line 1"),
     ("algorithm=sgd", "unknown algorithm 'sgd'"),
     ("topology=star", "unknown topology 'star'"),
     ("activation=softplus", "unknown activation 'softplus'"),
+    ("schedule=cosine", "unknown schedule 'cosine' (choose from step, constant)"),
     ("data_seed=-3", "seeds must be nonnegative"),
     ("workers=2", "workers must be 1: the round engine is serial"),
     # Only set-up (data, partition, W, shard sizes) finds these.
     ("spread=-1", "spread must be positive"),
+    ("spread=1e308", "spread 1e+308 overflows the synthetic features"),
     ("spread=nan", "spread must be positive and finite"),
     ("spread=inf", "spread must be positive and finite"),
     ("agents=1", "ring needs at least two agents"),
@@ -462,9 +466,10 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
-    # RunConfig.validate, the one value check for flags and config files,
-    # must catch the first five before run_sweep creates any directory;
-    # the rest fail in set-up, before a seed directory is written.
+    # read_config_file must catch the repeated key, and RunConfig.validate,
+    # the one value check for flags and config files, the next six, before
+    # run_sweep creates any directory; the rest fail in set-up, before a
+    # seed directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")
     out = tmp_path / "badout"
@@ -486,6 +491,75 @@ def test_non_utf8_input_exits_two_naming_the_file_and_writes_nothing(flag, conte
     err = capsys.readouterr().err
     assert f"{bad}: not UTF-8 text" in err
     assert not out.exists()
+
+
+# What the CLI fuzz below draws: every config key, valid four times in five,
+# else hostile, while each run stays tiny (at most one epoch, four agents
+# and 20 samples a class; the base lines stand in for keys the file leaves
+# out). Integers are drawn from [valid low, high], or down to -2 if hostile.
+_CLI_INTS = {"agents": (2, 4), "torus_rows": (2, 3), "epochs": (1, 1),
+             "batch_size": (1, 40), "seed": (0, 3), "data_seed": (0, 3),
+             "classes": (2, 4), "dim": (1, 4), "per_class": (1, 20),
+             "val_per_class": (1, 5), "hidden_dim": (1, 4), "workers": (1, 1)}
+_CLI_FLOATS = {"alpha": (0.0, 1.0), "beta": (0.0, 0.99), "eta": (0.0, 1.0),
+               "gamma": (1e-3, 1.0), "spread": (1e-3, 1e308), "val_fraction": (0.05, 0.5)}
+_CLI_BASE = {"epochs": "1", "agents": "3", "per_class": "20", "val_per_class": "5"}
+_CLI_FLAGS = [name for name in vars(_build_parser().parse_args([])) if name in _FIELD_TYPES]
+_CLI_JUNK = st.sampled_from(["", "sgd", "1.5", "0x10", "nan", "-inf", "1e308", "-"])
+
+
+def _cli_values(name, csv_path):
+    """A key's value as config text: valid four times in five, else hostile."""
+    if name in _CLI_INTS:
+        low, high = _CLI_INTS[name]
+        valid, hostile = st.integers(low, high), st.integers(-2, high)
+    elif name in _CLI_FLOATS:
+        valid, hostile = st.floats(*_CLI_FLOATS[name]), _HOSTILE_FLOATS
+    elif name == "dataset":
+        valid, hostile = st.sampled_from(["synthetic", csv_path]), _HOSTILE_TEXT
+    else:
+        valid, hostile = st.sampled_from(CHOICES[name]), _HOSTILE_TEXT
+    hostile = hostile.map(repr if name in _CLI_FLOATS else str) | _CLI_JUNK
+    valid = valid.map(repr if name in _CLI_FLOATS else str)
+    return st.integers(0, 4).flatmap(lambda k: hostile if k == 0 else valid)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_on_hostile_files_and_flags_exits_0_2_or_3_and_exit_2_writes_nothing(
+        data, tmp_path_factory):
+    # Config-file text and argv drawn over the known keys, a key repeated
+    # one time in four. main returns 0, 2 or 3 (argparse exits 2 itself)
+    # and raises nothing; on exit 2 the out-dir does not exist, otherwise
+    # summary.json does.
+    assert {*_CLI_INTS, *_CLI_FLOATS, *CHOICES, "dataset"} == set(_FIELD_TYPES)
+    tmp = tmp_path_factory.mktemp("cli")
+    csv = tmp / "data.csv"
+    csv.write_text("".join(f"{k % 3},{k * 0.1},{-k * 0.2}\n" for k in range(30)))
+    values = {name: _cli_values(name, str(csv)) for name in _FIELD_TYPES}
+    names = data.draw(st.lists(st.sampled_from(sorted(values)), max_size=6, unique=True))
+    names += data.draw(st.integers(0, 3).map(lambda k: names[:1] if k == 0 else []))
+    lines = [(name, data.draw(values[name], name)) for name in names]
+    text = [f"{key}={value}" for key, value in _CLI_BASE.items() if key not in names]
+    text = "\n".join(text + [f"{key}={value}" for key, value in lines]) + "\n"
+    cfg = tmp / "run.cfg"
+    cfg.write_bytes(text.encode("utf-8", "surrogatepass"))  # a surrogate makes it non-UTF-8
+    out = tmp / "out"
+    argv = ["--config", str(cfg), "--out-dir", str(out)]
+    argv += data.draw(st.sampled_from([[], [], ["--seeds", "2,1"], ["--seeds", "1,1"],
+                                       ["--seed", "-1"], ["--seeds", ""]]), "seeds")
+    for name in data.draw(st.lists(st.sampled_from(_CLI_FLAGS), max_size=3), "flags"):
+        argv.append(f"--{name.replace('_', '-')}={data.draw(values[name], name)}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert out.exists() == (code != 2)
+    if code != 2:
+        assert (out / "summary.json").exists()
 
 
 def test_seed_is_a_second_spelling_of_seeds():

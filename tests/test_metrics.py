@@ -13,7 +13,6 @@ from decentsim import (
     ModelSpec,
     StackedState,
     TopologySpec,
-    bias_norms,
     build_mixing_matrix,
     consensus_error,
     consensus_model,
@@ -24,6 +23,7 @@ from decentsim import (
 )
 
 from conftest import make_states
+from reference import bias_norms
 
 
 def states_with_params(params_list):

@@ -398,6 +398,15 @@ def test_synthetic_seeds_give_different_draws():
     assert not (a.features == b.features).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_synthetic_features_that_overflow_are_a_configuration_error():
+    # A CSV with a non-finite feature is rejected, and so is synthetic data
+    # whose spread overflows a feature to inf, without a numpy warning.
+    with pytest.raises(ConfigurationError, match="spread 1e\\+308 overflows"):
+        generate_synthetic(3, 4, 50, 1e308, 0)
+    assert np.isfinite(generate_synthetic(3, 4, 50, 1e300, 0).features).all()
+
+
 def test_synthetic_tight_spread_clusters_near_distinct_centers():
     data = generate_synthetic(2, 2, 50, 1e-4, 0)
     c0 = data.features[data.labels == 0].mean(axis=0)

@@ -12,12 +12,20 @@ from decentsim import (
     generate_synthetic,
     partition_iid,
     partition_label_skew,
-    skew_report,
 )
 
 
 def mixing(kind, n):
     return build_mixing_matrix(TopologySpec(kind, n))
+
+
+def skew_report(data: Dataset, shards: list[np.ndarray]) -> np.ndarray:
+    """Count matrix (agents x classes) of label occurrences per shard."""
+    counts = np.zeros((len(shards), data.num_classes), dtype=np.int64)
+    for i, shard in enumerate(shards):
+        vals, cnt = np.unique(data.labels[shard], return_counts=True)
+        counts[i, vals] = cnt
+    return counts
 
 
 def shard_classes(data, shards):

@@ -20,7 +20,6 @@ from decentsim import (
     RunConfig,
     StackedState,
     TopologySpec,
-    bias_norms,
     build_mixing_matrix,
     consensus_error,
     decompress,
