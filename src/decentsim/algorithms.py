@@ -15,13 +15,13 @@ neighborhood. They differ in what the mixed gradient uses:
 
 The round engine keeps every agent's parameters, momentum and (under
 compngc) error-feedback residuals as rows of the run's StackedState and
-applies the rules to them in place: mixing (`ngc_update`) and the gossip
-pull (`gossip_rows`) over blocks of consecutive rows of one degree
-(`SlotBlock`), slot by slot, where slot s of a row is its s-th peer in
-ascending order and is read through `slot_rows`; the elementwise steps
-(`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over whole arrays. They
-keep the per-agent rules' operation order element for element, so the
-two forms give the same bits:
+applies the rules to them in place: mixing (`ngc_update`), the bias norms
+(`deviation_l1`) and the gossip pull (`gossip_rows`) over blocks of
+consecutive rows of one degree (`SlotBlock`), slot by slot, where slot s
+of a row is its s-th peer in ascending order and is read through
+`slot_rows`; the elementwise steps (`dpsgd_prepare`, `ngc_apply`,
+`dpsgd_finalize`) over whole arrays. They keep the per-agent rules'
+operation order element for element, so the two forms give the same bits:
 
 * a mixed-gradient cluster starts from w_ii * g_i and adds w_ij * term_j
   in ascending peer order (`ngc_mix`);
@@ -258,16 +258,19 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
                     batch_size: int) -> NgcWork:
     """ngc_prepare's gradients, each routed through its compressor stream.
 
-    The agent's error-feedback buffers start empty (zero) and take the new residuals.
+    The agent's error-feedback buffers start empty (zero) and take the new
+    residuals. Every stream advances each round; as in ngc_prepare, nothing
+    is sent when alpha == 0.
     """
     raw = ngc_prepare(state, params_in, hp, batch_size)
     zero = np.zeros_like(raw.self_grad)
     err_self = zero if state.err_self is None else state.err_self
     delta_self, state.err_self = ef_step(raw.self_grad, err_self)
-    outgoing: dict[int, CompressedTensor] = {}
+    deltas: dict[int, CompressedTensor] = {}
     for j, grad in raw.model_variant.items():
-        outgoing[j], state.err_out[j] = ef_step(grad, state.err_out.get(j, zero))
-    model_variant = {j: decompress(delta) for j, delta in outgoing.items()}
+        deltas[j], state.err_out[j] = ef_step(grad, state.err_out.get(j, zero))
+    model_variant = {j: decompress(delta) for j, delta in deltas.items()}
+    outgoing = deltas if hp.alpha != 0.0 else {}
     return NgcWork(raw.batch_loss, decompress(delta_self), model_variant, outgoing)
 
 
@@ -335,70 +338,6 @@ class NeighborSlots:
         return self.back.size
 
 
-@dataclass(frozen=True)
-class RoundGradients:
-    """One round's gradient rows: self (N, d) and the sent cross-gradients (E, d).
-
-    Row e of `cross` is the message on edge e, as its sender mixes it
-    (decompressed under compngc): the sender's batch gradient at the
-    receiver's params. The receiver's data-variant terms are the rows
-    `back`. Indexing gives agent i's GradientBundle as views; the rows
-    are overwritten by the next round. scratch holds two (rows, d)
-    buffers of the largest block.
-    """
-
-    slots: NeighborSlots
-    self_grads: np.ndarray
-    cross: np.ndarray
-    exchanged: bool
-    scratch: np.ndarray
-
-    def __len__(self) -> int:
-        return self.self_grads.shape[0]
-
-    def __getitem__(self, i: int) -> GradientBundle:
-        links, w = self.slots.links[i], self.slots.w
-        back = self.slots.back
-        model_variant = {j: self.cross[e] for j, e in links}
-        data_variant = {j: self.cross[back[e]] for j, e in links} if self.exchanged else {}
-        weights = {j: float(w[i, j]) for j in sorted([i, *model_variant])}
-        return GradientBundle(i, self.self_grads[i], model_variant, data_variant, weights)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def bias_norms(self) -> tuple[float, float]:
-        """metrics.bias_norms over row blocks, bit for bit; needs uniform weights."""
-        n, dim = self.self_grads.shape
-        eps, omega = np.zeros(n), np.zeros(n)
-        for blk in self.slots.blocks:
-            k, m = len(blk.back), blk.size
-            if k == 0:
-                continue
-            dev, diff = self.scratch[0, :m], self.scratch[1, :m]
-            own = self.self_grads[blk.rows]
-            model = self.cross[blk.edges].reshape(k, m, dim)
-            eps[blk.rows] = _deviation_l1(lambda s, out: model[s], k, own, dev, diff)
-            if self.exchanged:
-                def data(s, out, blk=blk):
-                    return slot_rows(self.cross, blk.back[s], out)
-
-                omega[blk.rows] = _deviation_l1(data, k, own, dev, diff)
-        return float(np.mean(eps)), float(np.mean(omega))
-
-
-def _deviation_l1(term, k, own, dev, diff) -> np.ndarray:
-    """Per row, |sum_s (term(s) - own) / (k + 1)|_1, as cluster_deviation sums it.
-
-    term(s, out) returns slot s's rows, written into out or as a view.
-    """
-    np.subtract(term(0, dev), own, out=dev)
-    for s in range(1, k):
-        dev += np.subtract(term(s, diff), own, out=diff)
-    dev /= k + 1
-    return np.add.reduce(np.abs(dev, out=dev), axis=1)
-
-
 # ------------------------------------------------------------- row blocks
 
 
@@ -436,6 +375,19 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, model: np.ndarray, data_variant,
     momentum *= hp.beta
     mixed *= hp.eta
     momentum -= mixed
+
+
+def deviation_l1(term, k, own, dev, diff) -> np.ndarray:
+    """Per row, |sum_s (term(s) - own) / (k + 1)|_1, as cluster_deviation sums it.
+
+    term(s, out) returns slot s's rows, written into out or as a view; dev
+    and diff are (rows, d) buffers.
+    """
+    np.subtract(term(0, dev), own, out=dev)
+    for s in range(1, k):
+        dev += np.subtract(term(s, diff), own, out=diff)
+    dev /= k + 1
+    return np.add.reduce(np.abs(dev, out=dev), axis=1)
 
 
 def gossip_rows(blk: SlotBlock, own: np.ndarray, neighbor, out: np.ndarray,

@@ -76,8 +76,15 @@ def write_config_file(config: RunConfig, path: str):
             fh.write(f"{f.name}={value}\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise UsageError, so main returns 2 instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="decentsim",
         description="Decentralized training simulator (dpsgd, ngc, compngc).",
     )

@@ -27,11 +27,12 @@ every pull is formed are the rows updated in place, since each pull reads
 its neighbors' pre-round rows. dpsgd first steps momentum and params to
 x_tilde, then gossips over the x_tilde rows. The row operations keep the
 per-agent rules' order element for element (see `algorithms`), so a
-round is bitwise the per-agent one. After each round, `run` checks x
-for non-finite values in one reduction and, for uniform weights, takes
-the bias norms over the same blocks (`RoundGradients.bias_norms`). The
-finite check and each emitted consensus error work in the spare (N, d)
-rows, which are free between rounds.
+round is bitwise the per-agent one. For uniform weights the mixing pass
+also takes each block's bias norms (`deviation_l1`) from the rows it has
+just read, and the round returns their means. After each round, `run`
+checks x for non-finite values in one reduction. The finite check and
+each emitted consensus error work in the spare (N, d) rows, which are
+free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -50,9 +51,9 @@ from .algorithms import (
     AgentState,
     HyperParams,
     NeighborSlots,
-    RoundGradients,
     SlotBlock,
     apply_lr_schedule,
+    deviation_l1,
     dpsgd_finalize,
     dpsgd_prepare,
     gossip_rows,
@@ -348,9 +349,12 @@ def exchange_cross_gradients(cross: np.ndarray, messages, index,
 
 def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
               ledger: CommLedger | None = None):
-    """One synchronous round on the run's rows, in place; returns (losses, grads).
+    """One synchronous round on the run's rows, in place; returns (losses, bias).
 
-    grads is the round's RoundGradients (None for dpsgd).
+    bias is (eps_l1, omega_l1), the mean over agents of the l1 norms of
+    the model- and data-variant clusters' deviations from the self
+    gradient (omega is 0 when alpha = 0). It is None for dpsgd and unless
+    every neighbourhood of W weighs its members equally.
     """
     states, slots, x, v, grads, pull = (stack.states, stack.slots, stack.x, stack.v,
                                         stack.grads, stack.pull)
@@ -374,6 +378,8 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
                 messages[e] = ef_step(cross[e], err_out[e], out=err_out[e])[0]
                 decompress(messages[e], cross[e])
 
+    n = len(states)
+    norms = (np.zeros(n), np.zeros(n)) if cross is not None and slots.uniform else None
     if cross is None:
         dpsgd_prepare(x, v, grads, hp)
     else:
@@ -381,9 +387,16 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
             def data_variant(s, out, blk=blk):
                 return exchange_cross_gradients(cross, messages, blk.back[s], out)
 
-            model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
-            ngc_update(blk, grads[blk.rows], model, data_variant, v[blk.rows], hp,
-                       stack.scratch)
+            k, m = len(blk.back), blk.size
+            own, model = grads[blk.rows], cross[blk.edges].reshape(k, m, dim)
+            ngc_update(blk, own, model, data_variant, v[blk.rows], hp, stack.scratch)
+            if norms is not None and k:
+                dev, diff = stack.scratch[0, :m], stack.scratch[1, :m]
+                norms[0][blk.rows] = deviation_l1(lambda s, out: model[s], k, own, dev, diff)
+                if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
+                    norms[1][blk.rows] = deviation_l1(
+                        lambda s, out: slot_rows(cross, blk.back[s], out), k, own, dev, diff)
+
     def neighbor(index, out):
         return exchange_params(x, index, out)
 
@@ -391,18 +404,17 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
         gossip_rows(blk, x[blk.rows], neighbor, pull[blk.rows], stack.scratch[2, :blk.size],
                     hp.gamma)
 
+    cross_msg_bytes = 0
     if cross is None:
         dpsgd_finalize(x, pull)
-        result, cross_msg_bytes = None, 0
     else:
         ngc_apply(x, v, pull)
-        result = RoundGradients(slots, grads, cross, hp.alpha != 0.0, stack.scratch)
-        cross_msg_bytes = 0
         if hp.alpha != 0.0:
             cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
         ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
-    return losses, result
+    bias = None if norms is None else (float(np.mean(norms[0])), float(np.mean(norms[1])))
+    return losses, bias
 
 
 def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
@@ -464,8 +476,8 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 def run(config: RunConfig) -> RunResult:
     """Execute one full training run; deterministic in config alone.
 
-    eps_l1 and omega_l1 are written as 0 unless the algorithm is ngc or
-    compngc and every neighbourhood of W weighs its members equally.
+    eps_l1 and omega_l1 are written as 0 wherever run_round returns no
+    bias norms: for dpsgd, and on W whose weights are not uniform.
     """
     states, w, val = initial_states(config)
     hp = config.hyper_params()
@@ -478,7 +490,6 @@ def run(config: RunConfig) -> RunResult:
 
     stack = StackedState(states, w, config.algorithm)
     ledger = CommLedger()
-    bias_ok = stack.slots.uniform and config.algorithm in ("ngc", "compngc")
 
     rows: list[MetricsRow] = []
 
@@ -507,14 +518,13 @@ def run(config: RunConfig) -> RunResult:
         omega_accum = 0.0
         for _ in range(rounds_per_epoch):
             round_idx += 1
-            losses, grads = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
+            losses, bias = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
             loss_accum += float(np.mean(losses))
-            if bias_ok:
-                eps_l1, omega_l1 = grads.bias_norms()
-                eps_accum += eps_l1
-                omega_accum += omega_l1
+            if bias is not None:
+                eps_accum += bias[0]
+                omega_accum += bias[1]
         emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,
              eps_accum / rounds_per_epoch, omega_accum / rounds_per_epoch)
 

@@ -49,7 +49,7 @@ def reference_round(states, w, hp, algorithm, batch_size):
 
     bundles = []
     for i, (s, wk) in enumerate(zip(states, work)):
-        data_variant = {j: received(i, j) for j in peers[i]} if hp.alpha != 0.0 else {}
+        data_variant = {j: received(i, j) for j in peers[i] if i in work[j].outgoing}
         bundles.append(GradientBundle(i, wk.self_grad, wk.model_variant, data_variant,
                                       weights[i]))
         s.momentum = momentum_update(s.momentum, ngc_mix(bundles[-1], hp.alpha),
@@ -60,11 +60,29 @@ def reference_round(states, w, hp, algorithm, batch_size):
     return losses, bundles
 
 
+def engine_bundles(stack, alpha):
+    """Each agent's GradientBundle as views of the stack's rows after an ngc/compngc round.
+
+    Row e of stack.cross is the message on edge e as its sender mixes it
+    (decompressed under compngc); agent i's data-variant terms are the rows
+    of its edges' reverses, none when alpha = 0.
+    """
+    slots = stack.slots
+    bundles = []
+    for i, links in enumerate(slots.links):
+        model_variant = {j: stack.cross[e] for j, e in links}
+        data_variant = ({j: stack.cross[slots.back[e]] for j, e in links}
+                        if alpha != 0.0 else {})
+        weights = {j: float(slots.w[i, j]) for j in sorted([i, *model_variant])}
+        bundles.append(GradientBundle(i, stack.grads[i], model_variant, data_variant, weights))
+    return bundles
+
+
 def bias_norms(bundles) -> tuple[float, float]:
     """Mean l1 norms of the two cluster deviations across agents, bundle by bundle.
 
-    The round engine computes the same bits over row blocks
-    (RoundGradients.bias_norms).
+    run_round returns the same bits, computed in its mixing pass over row
+    blocks; on the bundles of a round (engine_bundles) the two must agree.
     """
     eps_norms = []
     omega_norms = []
@@ -85,10 +103,10 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
 
     Every round the batch losses, params, momenta and error-feedback rows
     must agree, and so must each agent's gradient bundle and, where W's
-    weights are uniform, the bias norms.
+    weights are uniform, the bias norms; elsewhere the round returns none.
     """
     for _ in range(rounds):
-        losses, grads = run_round(stack, hp, batch_size)
+        losses, bias = run_round(stack, hp, batch_size)
         want_losses, bundles = reference_round(ref, w, hp, algorithm, batch_size)
         assert bits(losses) == bits(want_losses)
         for a, b in zip(stack.states, ref):
@@ -101,7 +119,7 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
             for j in a.err_out:
                 assert bits(a.err_out[j]) == bits(b.err_out[j])
         if bundles is not None:
-            for got, want in zip(grads, bundles):
+            for got, want in zip(engine_bundles(stack, hp.alpha), bundles):
                 assert bits(got.self_grad) == bits(want.self_grad)
                 assert got.weights == want.weights
                 for name in ("model_variant", "data_variant"):
@@ -109,5 +127,6 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
                     assert list(a) == list(b), name
                     assert all(bits(a[j]) == bits(b[j]) for j in a), name
         if bundles is not None and stack.slots.uniform:
-            assert bits(grads.bias_norms()) == bits(bias_norms(bundles))
-            assert bits(bias_norms(grads)) == bits(bias_norms(bundles))
+            assert bits(bias) == bits(bias_norms(bundles))
+        else:
+            assert bias is None

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_states
+from reference import engine_bundles
 from decentsim import (
     BENCHMARK_SEEDS,
     AgentState,
@@ -393,7 +394,9 @@ def test_criterion_09_variance_bound_diagnostic():
 def round_zero_bias(config: RunConfig) -> tuple[float, float]:
     states, w, _ = initial_states(config)
     hp = config.hyper_params()
-    _, bundles = run_round(StackedState(states, w, "ngc"), hp, config.batch_size)
+    stack = StackedState(states, w, "ngc")
+    run_round(stack, hp, config.batch_size)
+    bundles = engine_bundles(stack, hp.alpha)
     eps_max = 0.0
     omega_l1 = 0.0
     for bundle in bundles:

@@ -414,8 +414,8 @@ def test_round_outbox_addresses_every_neighbor_when_alpha_set(small_data, small_
 def test_compngc_prepare_is_ngc_prepare_through_error_feedback(small_data, small_spec):
     # Two copies of agent 0 on one batch stream: compngc_prepare on one must
     # equal ngc_prepare's raw gradients, each through its own ef_step, on
-    # the other. The second round starts from the residuals the first stored.
-    hp = HyperParams(alpha=1.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
+    # the other. Each round starts from the residuals the last one stored.
+    # The alpha = 0 round sends nothing, yet every stream still advances.
     shards = [np.arange(0, 30), np.arange(30, 60), np.arange(60, 90)]
     comp, left, right = make_states(3, small_spec, small_data, shards, seed=3,
                                     shared_rng_seed=5)
@@ -427,19 +427,22 @@ def test_compngc_prepare_is_ngc_prepare_through_error_feedback(small_data, small
     def bits(x):
         return np.asarray(x, dtype=np.float64).tobytes()
 
-    for _ in range(2):
+    for alpha in (1.0, 0.0, 1.0):
+        hp = HyperParams(alpha=alpha, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
         work = compngc_prepare(comp, params_in, hp, batch_size=10)
         ref = ngc_prepare(plain, params_in, hp, batch_size=10)
         assert bits(work.batch_loss) == bits(ref.batch_loss)
         delta, err_self = ef_step(ref.self_grad, err_self)
         assert bits(work.self_grad) == bits(decompress(delta))
         assert bits(comp.err_self) == bits(err_self)
-        assert set(work.model_variant) == set(work.outgoing) == set(params_in)
+        assert set(work.model_variant) == set(params_in)
+        assert set(work.outgoing) == (set(params_in) if alpha != 0.0 else set())
         for j in params_in:
             delta, err_out[j] = ef_step(ref.model_variant[j], err_out[j])
-            sent = work.outgoing[j]
-            assert sent.signs.tobytes() == delta.signs.tobytes()
-            assert bits(sent.scale) == bits(delta.scale)
+            if alpha != 0.0:
+                sent = work.outgoing[j]
+                assert sent.signs.tobytes() == delta.signs.tobytes()
+                assert bits(sent.scale) == bits(delta.scale)
             assert bits(work.model_variant[j]) == bits(decompress(delta))
             assert bits(comp.err_out[j]) == bits(err_out[j])
 

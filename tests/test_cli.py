@@ -143,11 +143,20 @@ def test_config_echo_round_trips(tmp_path):
     assert RunConfig(**overrides) == config
 
 
-def test_workers_is_no_longer_a_flag(capsys):
-    with pytest.raises(SystemExit) as exc_info:
+def test_workers_is_no_longer_a_flag():
+    with pytest.raises(UsageError, match="unrecognized arguments: --workers"):
         parse_config(["--workers", "1"])
-    assert exc_info.value.code == 2
-    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--agents=abc"], "argument --agents: invalid int value: 'abc'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--agents"], "argument --agents: expected one argument"),
+])
+def test_malformed_flags_return_two_with_one_error_line(argv, message, capsys):
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 CONFIG_FLAGS = ["algorithm", "agents", "topology", "partition", "alpha", "beta", "eta",
@@ -530,8 +539,8 @@ def _cli_values(name, csv_path):
 def test_cli_on_hostile_files_and_flags_exits_0_2_or_3_and_exit_2_writes_nothing(
         data, tmp_path_factory):
     # Config-file text and argv drawn over the known keys, a key repeated
-    # one time in four. main returns 0, 2 or 3 (argparse exits 2 itself)
-    # and raises nothing; on exit 2 the out-dir does not exist, otherwise
+    # one time in four. main returns 0, 2 or 3 and raises nothing; on
+    # exit 2 the out-dir does not exist, otherwise
     # summary.json does.
     assert {*_CLI_INTS, *_CLI_FLOATS, *CHOICES, "dataset"} == set(_FIELD_TYPES)
     tmp = tmp_path_factory.mktemp("cli")
@@ -552,10 +561,7 @@ def test_cli_on_hostile_files_and_flags_exits_0_2_or_3_and_exit_2_writes_nothing
     for name in data.draw(st.lists(st.sampled_from(_CLI_FLAGS), max_size=3), "flags"):
         argv.append(f"--{name.replace('_', '-')}={data.draw(values[name], name)}")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2, 3)
     assert out.exists() == (code != 2)
     if code != 2:

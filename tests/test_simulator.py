@@ -13,7 +13,6 @@ from decentsim import simulator, topology
 from decentsim import (
     CommLedger,
     ConfigurationError,
-    GradientBundle,
     HyperParams,
     ModelSpec,
     RunAbortError,
@@ -31,12 +30,12 @@ from decentsim import (
     spectral_gap,
 )
 
-from decentsim.algorithms import BLOCK_ELEMS, RoundGradients, cluster_deviation
+from decentsim.algorithms import BLOCK_ELEMS
 from decentsim.compression import compress
 from decentsim.models import ACTIVATIONS
 
 from conftest import make_states
-from reference import assert_rounds_match, bits
+from reference import assert_rounds_match, bias_norms, bits, engine_bundles
 
 
 def tiny_config(**kw) -> RunConfig:
@@ -336,18 +335,43 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
             got = simulator.exchange_cross_gradients(cross, messages, index, out[:blk.size])
             assert bits(got) == bits([decompress(messages[e]) for e in rows])
 
-    # The bias norms read their omega rows the same way.
-    self_grads = rng.standard_normal((n, dim))
-    grads = RoundGradients(slots, self_grads, cross, True, np.empty((2, n, dim)))
-    eps, omega = [], []
-    for i in range(n):
-        weights = {j: float(w[i, j]) for j in topology.neighbors(w, i)}
-        peers = [j for j in weights if j != i]
-        bundle = GradientBundle(i, self_grads[i], {j: cross[edge[i, j]] for j in peers},
-                                {j: cross[edge[j, i]] for j in peers}, weights)
-        for norms, terms in ((eps, bundle.model_variant), (omega, bundle.data_variant)):
-            norms.append(np.add.reduce(np.abs(cluster_deviation(bundle, terms))))
-    assert bits(grads.bias_norms()) == bits([np.mean(eps), np.mean(omega)])
+    # The round's bias norms read their omega rows the same way, over the
+    # same blocks; they are defined only where W's weights are uniform.
+    data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
+    spec = ModelSpec(4, 3)
+    if block_rows is not None:
+        monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * spec.param_count)
+    states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=4)
+    stack = StackedState(states, w, "ngc")
+    for _ in range(2):
+        _, bias = run_round(stack, HyperParams(0.5, 0.9, 0.05, 0.5, "constant"), 10)
+    if stack.slots.uniform:
+        assert bits(bias) == bits(bias_norms(engine_bundles(stack, 0.5)))
+    else:
+        assert bias is None
+
+
+def test_round_returns_the_bias_norms_only_where_they_are_defined():
+    # (eps_l1, omega_l1) on uniform W, bit for bit the per-bundle reference,
+    # with omega 0.0 at alpha = 0; None for dpsgd and on a Metropolis chain.
+    data = generate_synthetic(3, 4, 50, 0.3, 3)
+    spec = ModelSpec(4, 3, hidden_dim=5)
+
+    def two_rounds(topology_kind, algorithm, alpha):
+        w = build_mixing_matrix(TopologySpec(topology_kind, 5))
+        states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=4)
+        stack = StackedState(states, w, algorithm)
+        for _ in range(2):
+            _, bias = run_round(stack, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
+        return stack, bias
+
+    assert two_rounds("ring", "dpsgd", 1.0)[1] is None
+    for algorithm in ("ngc", "compngc"):
+        assert two_rounds("chain", algorithm, 0.5)[1] is None
+        for alpha in (0.0, 0.5, 1.0):
+            stack, bias = two_rounds("ring", algorithm, alpha)
+            assert bits(bias) == bits(bias_norms(engine_bundles(stack, alpha)))
+            assert bias[0] > 0.0 and (bias[1] == 0.0) == (alpha == 0.0)
 
 
 def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
