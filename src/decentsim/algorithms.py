@@ -15,13 +15,14 @@ neighborhood. They differ in what the mixed gradient uses:
 
 The round engine keeps every agent's parameters, momentum and (under
 compngc) error-feedback residuals as rows of the run's StackedState and
-applies the rules to them in place: mixing (`ngc_update`), the bias norms
-(`deviation_l1`) and the gossip pull (`gossip_rows`) over blocks of
-consecutive rows of one degree (`SlotBlock`), slot by slot, where slot s
-of a row is its s-th peer in ascending order and is read through
-`slot_rows`; the elementwise steps (`dpsgd_prepare`, `ngc_apply`,
-`dpsgd_finalize`) over whole arrays. They keep the per-agent rules'
-operation order element for element, so the two forms give the same bits:
+applies the rules to them in place: the bias norms (`deviation_l1`),
+mixing (`ngc_update`) and the gossip pull (`gossip_rows`), both into the
+self-gradient rows, over blocks of consecutive rows of one degree
+(`SlotBlock`), slot by slot, slot s of a row being its s-th peer in
+ascending order, read through `slot_rows`; the elementwise steps
+(`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over whole arrays. They
+keep the per-agent rules' order element for element, so both forms give
+the same bits:
 
 * a mixed-gradient cluster starts from w_ii * g_i and adds w_ij * term_j
   in ascending peer order (`ngc_mix`);
@@ -345,13 +346,13 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, model: np.ndarray, data_variant,
                momentum: np.ndarray, hp: HyperParams, scratch: np.ndarray) -> None:
     """Mix one block's gradient clusters and take its momentum step in place.
 
-    own holds the block's self-gradient rows and model its (k, rows, d)
-    model-variant rows; data_variant(s, out) writes slot s's
-    data-variant rows into out and returns it. scratch holds three
-    (rows, d) buffers of the largest block.
+    own holds the block's self-gradient rows, which end holding eta *
+    mixed, and model its (k, rows, d) model-variant rows; data_variant(s,
+    out) writes slot s's data-variant rows into out and returns it.
+    scratch holds two (rows, d) buffers of the largest block.
     """
     m = blk.size
-    acc, other, tmp = scratch[0, :m], scratch[1, :m], scratch[2, :m]
+    other, tmp = scratch[0, :m], scratch[1, :m]
 
     def cluster(term, out):
         np.multiply(own, blk.self_w, out=out)
@@ -363,14 +364,14 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, model: np.ndarray, data_variant,
         return model[s]
 
     if hp.alpha == 0.0:
-        mixed = cluster(model_variant, acc)
+        mixed = cluster(model_variant, own)
     elif hp.alpha == 1.0:
-        mixed = cluster(data_variant, acc)
+        mixed = cluster(data_variant, own)
     else:
-        mixed = cluster(model_variant, acc)
-        mixed *= 1.0 - hp.alpha
-        data = cluster(data_variant, other)
+        data = cluster(data_variant, other)  # reads own, so first
         data *= hp.alpha
+        mixed = cluster(model_variant, own)
+        mixed *= 1.0 - hp.alpha
         mixed += data
     momentum *= hp.beta
     mixed *= hp.eta

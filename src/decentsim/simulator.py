@@ -20,18 +20,18 @@ gradient into row i of an (N, d) table and, for ngc and compngc, the
 gradient at each peer's params into that edge's row of an (E, d) table
 (through error feedback and decompression under compngc). Second, the
 rest of the round as row operations, block by block: data-variant
-delivery (`exchange_cross_gradients`), mixing and the momentum step
-(`ngc_update`), and the gossip pull (`gossip_rows` over the neighbor rows
-that `exchange_params` delivers) into a spare (N, d) array; only once
-every pull is formed are the rows updated in place, since each pull reads
-its neighbors' pre-round rows. dpsgd first steps momentum and params to
-x_tilde, then gossips over the x_tilde rows. The row operations keep the
-per-agent rules' order element for element (see `algorithms`), so a
-round is bitwise the per-agent one. For uniform weights the mixing pass
-also takes each block's bias norms (`deviation_l1`) from the rows it has
-just read, and the round returns their means. After each round, `run`
-checks x for non-finite values in one reduction. The finite check and
-each emitted consensus error work in the spare (N, d) rows, which are
+delivery (`exchange_cross_gradients`), mixing into the self-gradient rows
+and the momentum step (`ngc_update`), and the gossip pull (`gossip_rows`
+over the neighbor rows that `exchange_params` delivers) into those spent
+rows; only once every pull is formed is x updated in place, since each
+pull reads its neighbors' pre-round rows. dpsgd first steps momentum and
+params to x_tilde, then gossips over the x_tilde rows. The row operations
+keep the per-agent rules' order element for element (see `algorithms`),
+so a round is bitwise the per-agent one. For uniform weights the mixing
+pass first takes each block's bias norms (`deviation_l1`) from the rows
+it is about to mix, and the round returns their means. After each round,
+`run` checks x for non-finite values in one reduction. The finite check
+and each emitted consensus error work in the gradient rows, which are
 free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
@@ -289,13 +289,13 @@ class StackedState:
 
     Built once per run from the agents, W and the algorithm: params x and
     momenta v, both (N, d), whose rows become the agents' params and
-    momentum views; W's slot tables; the self-gradient rows and, for ngc
+    momentum views; W's slot tables; the (N, d) self-gradient rows, which
+    a round mixes in and then fills with the gossip pulls, and, for ngc
     and compngc, the (E, d) edge table; for compngc the zeroed
     error-feedback rows, err_self (N, d) and err_out (E, d) by edge, bound
-    as each agent's err_self and err_out[j]; a spare (N, d) array for the
-    gossip pulls and three buffers of the largest block. Between rounds the
-    spare rows hold the finite check's flags and the consensus error's
-    deviations.
+    as each agent's err_self and err_out[j]; and two buffers of the
+    largest block (one for dpsgd). Between rounds the gradient rows hold
+    the finite check's flags and the consensus error's deviations.
     """
 
     def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str):
@@ -308,10 +308,9 @@ class StackedState:
             state.params, state.momentum = x_i, v_i
         dim = self.x.shape[1]
         self.slots = slots = _neighbor_tables(w, dim)
-        self.pull = np.empty_like(self.x)
-        # The first N*d bytes of the spare rows, as one flag per element.
-        self.finite = self.pull.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
         self.grads = np.empty_like(self.x)
+        # The first N*d bytes of the gradient rows, as one flag per element.
+        self.finite = self.grads.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
         self.cross = self.err_self = self.err_out = None
         if algorithm != "dpsgd":
             self.cross = np.empty((slots.edges, dim))
@@ -322,7 +321,7 @@ class StackedState:
                 state.err_self = row
                 state.err_out = {j: self.err_out[e] for j, e in links}
         rows = max(blk.size for blk in slots.blocks)
-        self.scratch = np.empty((3, rows, dim))
+        self.scratch = np.empty((1 if self.cross is None else 2, rows, dim))
 
 
 def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
@@ -356,8 +355,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     gradient (omega is 0 when alpha = 0). It is None for dpsgd and unless
     every neighbourhood of W weighs its members equally.
     """
-    states, slots, x, v, grads, pull = (stack.states, stack.slots, stack.x, stack.v,
-                                        stack.grads, stack.pull)
+    states, slots, x, v, grads = stack.states, stack.slots, stack.x, stack.v, stack.grads
     cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
     spec = states[0].spec
     dim = x.shape[1]
@@ -389,26 +387,26 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
 
             k, m = len(blk.back), blk.size
             own, model = grads[blk.rows], cross[blk.edges].reshape(k, m, dim)
-            ngc_update(blk, own, model, data_variant, v[blk.rows], hp, stack.scratch)
-            if norms is not None and k:
+            if norms is not None and k:  # before ngc_update mixes into own
                 dev, diff = stack.scratch[0, :m], stack.scratch[1, :m]
                 norms[0][blk.rows] = deviation_l1(lambda s, out: model[s], k, own, dev, diff)
                 if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
                     norms[1][blk.rows] = deviation_l1(
                         lambda s, out: slot_rows(cross, blk.back[s], out), k, own, dev, diff)
+            ngc_update(blk, own, model, data_variant, v[blk.rows], hp, stack.scratch)
 
     def neighbor(index, out):
         return exchange_params(x, index, out)
 
-    for blk in slots.blocks:
-        gossip_rows(blk, x[blk.rows], neighbor, pull[blk.rows], stack.scratch[2, :blk.size],
+    for blk in slots.blocks:  # each pull into the block's spent gradient rows
+        gossip_rows(blk, x[blk.rows], neighbor, grads[blk.rows], stack.scratch[0, :blk.size],
                     hp.gamma)
 
     cross_msg_bytes = 0
     if cross is None:
-        dpsgd_finalize(x, pull)
+        dpsgd_finalize(x, grads)
     else:
-        ngc_apply(x, v, pull)
+        ngc_apply(x, v, grads)
         if hp.alpha != 0.0:
             cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
@@ -496,8 +494,8 @@ def run(config: RunConfig) -> RunResult:
     def emit(round_idx, epoch_count, train_loss, eps_l1, omega_l1):
         center = consensus_model(stack.x)
         val_loss, val_acc = evaluate(spec, center, val)
-        # metrics.consensus_error, with the deviations in the spare rows.
-        dev = np.subtract(stack.x, center, out=stack.pull)
+        # metrics.consensus_error, with the deviations in the gradient rows.
+        dev = np.subtract(stack.x, center, out=stack.grads)
         np.square(dev, out=dev)
         rows.append(MetricsRow(
             round=round_idx, epoch=epoch_count, train_loss=train_loss,

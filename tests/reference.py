@@ -11,6 +11,7 @@ from decentsim import (
     momentum_update,
     ngc_mix,
     run_round,
+    simulator,
 )
 from decentsim.algorithms import compngc_prepare, ngc_prepare
 from decentsim.topology import neighbors
@@ -60,29 +61,49 @@ def reference_round(states, w, hp, algorithm, batch_size):
     return losses, bundles
 
 
-def engine_bundles(stack, alpha):
-    """Each agent's GradientBundle as views of the stack's rows after an ngc/compngc round.
+def round_with_bundles(stack, hp, batch_size, ledger=None):
+    """run_round, plus each agent's GradientBundle as the round mixes it.
 
-    Row e of stack.cross is the message on edge e as its sender mixes it
+    The round mixes into the self-gradient rows and then fills them with
+    the gossip pulls, so the bundles are built from copies of stack.grads
+    and stack.cross taken at its first ngc_update call. Row e of
+    stack.cross is the message on edge e as its sender mixes it
     (decompressed under compngc); agent i's data-variant terms are the rows
-    of its edges' reverses, none when alpha = 0.
+    of its edges' reverses, none when alpha = 0. Returns (losses, bias,
+    bundles), bundles None for dpsgd.
     """
     slots = stack.slots
+    taken = []
+
+    def spy(*args):
+        if not taken:
+            taken.extend((stack.grads.copy(), stack.cross.copy()))
+        return mix(*args)
+
+    mix = simulator.ngc_update
+    simulator.ngc_update = spy
+    try:
+        losses, bias = run_round(stack, hp, batch_size, ledger)
+    finally:
+        simulator.ngc_update = mix
+    if not taken:
+        return losses, bias, None
+    grads, cross = taken
     bundles = []
     for i, links in enumerate(slots.links):
-        model_variant = {j: stack.cross[e] for j, e in links}
-        data_variant = ({j: stack.cross[slots.back[e]] for j, e in links}
-                        if alpha != 0.0 else {})
+        model_variant = {j: cross[e] for j, e in links}
+        data_variant = ({j: cross[slots.back[e]] for j, e in links}
+                        if hp.alpha != 0.0 else {})
         weights = {j: float(slots.w[i, j]) for j in sorted([i, *model_variant])}
-        bundles.append(GradientBundle(i, stack.grads[i], model_variant, data_variant, weights))
-    return bundles
+        bundles.append(GradientBundle(i, grads[i], model_variant, data_variant, weights))
+    return losses, bias, bundles
 
 
 def bias_norms(bundles) -> tuple[float, float]:
     """Mean l1 norms of the two cluster deviations across agents, bundle by bundle.
 
     run_round returns the same bits, computed in its mixing pass over row
-    blocks; on the bundles of a round (engine_bundles) the two must agree.
+    blocks; on the bundles of a round (round_with_bundles) the two must agree.
     """
     eps_norms = []
     omega_norms = []
@@ -106,7 +127,7 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
     weights are uniform, the bias norms; elsewhere the round returns none.
     """
     for _ in range(rounds):
-        losses, bias = run_round(stack, hp, batch_size)
+        losses, bias, got_bundles = round_with_bundles(stack, hp, batch_size)
         want_losses, bundles = reference_round(ref, w, hp, algorithm, batch_size)
         assert bits(losses) == bits(want_losses)
         for a, b in zip(stack.states, ref):
@@ -119,7 +140,7 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
             for j in a.err_out:
                 assert bits(a.err_out[j]) == bits(b.err_out[j])
         if bundles is not None:
-            for got, want in zip(engine_bundles(stack, hp.alpha), bundles):
+            for got, want in zip(got_bundles, bundles):
                 assert bits(got.self_grad) == bits(want.self_grad)
                 assert got.weights == want.weights
                 for name in ("model_variant", "data_variant"):

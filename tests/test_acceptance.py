@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_states
-from reference import engine_bundles
+from reference import round_with_bundles
 from decentsim import (
     BENCHMARK_SEEDS,
     AgentState,
@@ -395,8 +395,7 @@ def round_zero_bias(config: RunConfig) -> tuple[float, float]:
     states, w, _ = initial_states(config)
     hp = config.hyper_params()
     stack = StackedState(states, w, "ngc")
-    run_round(stack, hp, config.batch_size)
-    bundles = engine_bundles(stack, hp.alpha)
+    bundles = round_with_bundles(stack, hp, config.batch_size)[2]
     eps_max = 0.0
     omega_l1 = 0.0
     for bundle in bundles:

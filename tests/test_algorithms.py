@@ -316,8 +316,8 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     own = edge_rows(rng, (n, dim))
     cross = edge_rows(rng, (slots.edges, dim))
     v = edge_rows(rng, (n, dim))
-    v_before = v.copy()
-    scratch = np.empty((3, n, dim))
+    own_before, v_before = own.copy(), v.copy()
+    scratch = np.empty((2, n, dim))
     for blk in slots.blocks:
         model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
 
@@ -328,11 +328,13 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     for i in range(n):
         links = slots.links[i]
         bundle = GradientBundle(
-            i, own[i], {j: cross[e] for j, e in links},
+            i, own_before[i], {j: cross[e] for j, e in links},
             {j: cross[slots.back[e]] for j, e in links},
             {j: float(w[i, j]) for j in neighbors(w, i)})
-        want = momentum_update(v_before[i], ngc_mix(bundle, alpha), hp.beta, hp.eta)
+        mixed = ngc_mix(bundle, alpha)
+        want = momentum_update(v_before[i], mixed, hp.beta, hp.eta)
         assert v[i].tobytes() == want.tobytes()
+        assert own[i].tobytes() == (hp.eta * mixed).tobytes()
 
 
 # ----------------------------------------------------- single-agent rounds

@@ -23,7 +23,7 @@ from decentsim import (
 )
 
 from conftest import make_states
-from reference import bias_norms, engine_bundles
+from reference import bias_norms, round_with_bundles
 
 
 def states_with_params(params_list):
@@ -90,9 +90,9 @@ def test_bias_norms_and_consensus_error_leave_their_inputs_unchanged(algorithm, 
     states, w = skewed_states()
     hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
     stack = StackedState(states, w, algorithm)
-    for _ in range(3):
+    for _ in range(2):
         run_round(stack, hp, batch_size=7)
-    bundles = engine_bundles(stack, alpha)
+    bundles = round_with_bundles(stack, hp, batch_size=7)[2]
 
     def arrays():
         out = [s.params for s in states]

@@ -35,7 +35,7 @@ from decentsim.compression import compress
 from decentsim.models import ACTIVATIONS
 
 from conftest import make_states
-from reference import assert_rounds_match, bias_norms, bits, engine_bundles
+from reference import assert_rounds_match, bias_norms, bits, round_with_bundles
 
 
 def tiny_config(**kw) -> RunConfig:
@@ -284,6 +284,36 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
     assert_rounds_match(stack, ref, w, hp, algorithm, 10)
 
 
+# Rows of d floats a StackedState allocates, for N agents, E directed edges
+# and m rows in its largest block: x, v and the gradient rows, which also
+# take the gossip pulls; the edge table; the error-feedback rows; and the
+# block buffers.
+TABLE_ROWS = {"dpsgd": lambda n, e, m: 3 * n + m,
+              "ngc": lambda n, e, m: 3 * n + e + 2 * m,
+              "compngc": lambda n, e, m: 4 * n + 2 * e + 2 * m}
+
+
+@pytest.mark.parametrize("algorithm", simulator.ALGORITHMS)
+@pytest.mark.parametrize("kind, hidden, m", [("ring", 5, 5), ("chain", 5, 3),
+                                             ("ring", WIDE_HIDDEN, 1),
+                                             ("chain", WIDE_HIDDEN, 1)])
+def test_stacked_state_allocates_its_closed_form_of_table_rows(algorithm, kind, hidden, m):
+    # The chain has Metropolis weights and degrees 1, 2, 2, 2, 1, so its
+    # small-d blocks hold 1, 3 and 1 rows; at d > BLOCK_ELEMS every block
+    # holds one row.
+    n = 5
+    data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
+    spec = ModelSpec(4, 3, hidden_dim=hidden)
+    w = build_mixing_matrix(TopologySpec(kind, n))
+    states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
+    stack = StackedState(states, w, algorithm)
+    arrays = [a for a in vars(stack).values() if isinstance(a, np.ndarray)]
+    owned = [a for a in arrays if a.base is None]
+    assert all(any(np.shares_memory(a, o) for o in owned) for a in arrays)
+    rows = TABLE_ROWS[algorithm](n, np.count_nonzero(w) - n, m)
+    assert sum(a.nbytes for a in owned) == rows * spec.param_count * 8
+
+
 # ------------------------------------------------------------- slot reads
 
 SLOT_GRAPHS = {"ring3": ("ring", 3, None), "ring20": ("ring", 20, None),
@@ -343,10 +373,11 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
         monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * spec.param_count)
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=4)
     stack = StackedState(states, w, "ngc")
+    hp = HyperParams(0.5, 0.9, 0.05, 0.5, "constant")
     for _ in range(2):
-        _, bias = run_round(stack, HyperParams(0.5, 0.9, 0.05, 0.5, "constant"), 10)
+        _, bias, bundles = round_with_bundles(stack, hp, 10)
     if stack.slots.uniform:
-        assert bits(bias) == bits(bias_norms(engine_bundles(stack, 0.5)))
+        assert bits(bias) == bits(bias_norms(bundles))
     else:
         assert bias is None
 
@@ -362,15 +393,16 @@ def test_round_returns_the_bias_norms_only_where_they_are_defined():
         states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=4)
         stack = StackedState(states, w, algorithm)
         for _ in range(2):
-            _, bias = run_round(stack, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
-        return stack, bias
+            _, bias, bundles = round_with_bundles(
+                stack, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
+        return bundles, bias
 
     assert two_rounds("ring", "dpsgd", 1.0)[1] is None
     for algorithm in ("ngc", "compngc"):
         assert two_rounds("chain", algorithm, 0.5)[1] is None
         for alpha in (0.0, 0.5, 1.0):
-            stack, bias = two_rounds("ring", algorithm, alpha)
-            assert bits(bias) == bits(bias_norms(engine_bundles(stack, alpha)))
+            bundles, bias = two_rounds("ring", algorithm, alpha)
+            assert bits(bias) == bits(bias_norms(bundles))
             assert bias[0] > 0.0 and (bias[1] == 0.0) == (alpha == 0.0)
 
 
