@@ -8,8 +8,8 @@ lines keyed by RunConfig fields; a `#` at a line start or after whitespace
 starts a comment. Each seed's config.txt echo must read back as the same
 config, so validate rejects a dataset with a line break, edge whitespace,
 whitespace before `#` or non-UTF-8 text. Exit codes: 0 success, 2 usage or
-configuration problem, 3 runtime abort (`exit_code` is the map). Exit 2
-leaves nothing the sweep created, even when a later seed fails set-up.
+configuration problem, 3 runtime abort (`exit_code` is the map). A sweep
+runs every seed before it writes, so exit 2 leaves the out-dir as it was.
 """
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ import argparse
 import dataclasses
 import json
 import os
-import shutil
 import sys
 import typing
-from pathlib import Path
 
 import numpy as np
 
@@ -168,55 +166,41 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
 
 def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
               verbose: bool = False) -> dict:
-    """Run one config across seeds; write per-seed CSVs plus a summary JSON.
+    """Run one config across seeds, then write per-seed CSVs plus a summary JSON.
 
-    Every seed's config is validated before the first run, and a seed's
-    directory is written once its run has returned or aborted. An error
-    that a later seed's set-up finds removes the directories and files that
-    earlier seeds created, so any error but an abort leaves nothing behind.
+    Every seed's config is validated before the first run, and every seed
+    runs before the first write, so any error but an abort leaves out_dir
+    as it was. An interrupted sweep writes nothing either.
     """
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     for cfg in configs:
         cfg.validate()
-    completed = []
-    failed = []
-    final_accs = []
-    bytes_per_agent = []
-    made = []  # every directory and file the writes below create, outermost first
-    for seed, cfg in zip(seeds, configs):
+    completed, failed, final_accs, bytes_per_agent, rows = [], [], [], [], {}
+    for cfg in configs:
         try:
             result = run(cfg)
         except RunAbortError as exc:
-            result = None
-            failed.append({"seed": seed, "error": str(exc)})
-        except DecentsimError:
-            for path in filter(os.path.exists, made):
-                if os.path.isdir(path):
-                    shutil.rmtree(path)
-                else:
-                    os.remove(path)
-            raise
-        seed_dir = os.path.join(out_dir, f"seed_{seed}")
-        seed_path = Path(seed_dir).absolute()
-        made += [p for p in (*reversed(seed_path.parents), seed_path, seed_path / "config.txt",
-                             seed_path / "metrics.csv") if not p.exists()]
-        os.makedirs(seed_dir, exist_ok=True)
-        write_config_file(cfg, os.path.join(seed_dir, "config.txt"))
-        if result is None:
+            failed.append({"seed": cfg.seed, "error": str(exc)})
             continue
-        emit_metrics_csv(result.rows, os.path.join(seed_dir, "metrics.csv"))
-        completed.append(seed)
+        rows[cfg.seed] = result.rows
+        completed.append(cfg.seed)
         final_accs.append(result.final_row.val_acc)
         bytes_per_agent.append(result.ledger.total_bytes / cfg.agents)
         if verbose:
             for row in result.rows:
-                print(f"seed {seed} epoch {row.epoch}: val_acc {row.val_acc:.4f} "
+                print(f"seed {cfg.seed} epoch {row.epoch}: val_acc {row.val_acc:.4f} "
                       f"val_loss {row.val_loss:.6f} consensus_err {row.consensus_error:.3e}")
             per_agent = [
                 evaluate(result.spec, s.params, result.val_data)[1] for s in result.states
             ]
-            print(f"seed {seed} per-agent val_acc: "
+            print(f"seed {cfg.seed} per-agent val_acc: "
                   + " ".join(f"{a:.4f}" for a in per_agent))
+    for cfg in configs:
+        seed_dir = os.path.join(out_dir, f"seed_{cfg.seed}")
+        os.makedirs(seed_dir, exist_ok=True)
+        write_config_file(cfg, os.path.join(seed_dir, "config.txt"))
+        if cfg.seed in rows:
+            emit_metrics_csv(rows[cfg.seed], os.path.join(seed_dir, "metrics.csv"))
     summary = {
         "algorithm": config.algorithm,
         "topology": config.topology,

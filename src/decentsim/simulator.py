@@ -63,7 +63,7 @@ from .algorithms import (
 )
 from .compression import decompress, ef_step, wire_size_bytes
 from .errors import ConfigurationError, RunAbortError
-from .metrics import MetricsRow, consensus_model
+from .metrics import MetricsRow, consensus_error, consensus_model
 from .models import (
     ACTIVATIONS,
     Dataset,
@@ -99,11 +99,11 @@ class RunConfig:
     topology: str = "ring"
     torus_rows: int | None = None
     partition: str = "skew"
-    alpha: float = 1.0
-    beta: float = 0.9
-    eta: float = 0.01
-    gamma: float = 0.5
-    schedule: str = "step"
+    alpha: float = HyperParams.alpha
+    beta: float = HyperParams.beta
+    eta: float = HyperParams.eta
+    gamma: float = HyperParams.gamma
+    schedule: str = HyperParams.schedule
     epochs: int = 60
     batch_size: int = 32
     seed: int = 1
@@ -494,13 +494,10 @@ def run(config: RunConfig) -> RunResult:
     def emit(round_idx, epoch_count, train_loss, eps_l1, omega_l1):
         center = consensus_model(stack.x)
         val_loss, val_acc = evaluate(spec, center, val)
-        # metrics.consensus_error, with the deviations in the gradient rows.
-        dev = np.subtract(stack.x, center, out=stack.grads)
-        np.square(dev, out=dev)
         rows.append(MetricsRow(
             round=round_idx, epoch=epoch_count, train_loss=train_loss,
             val_loss=float(val_loss), val_acc=float(val_acc),
-            consensus_error=float(dev.sum(axis=1).mean()),
+            consensus_error=consensus_error(stack.x, out=stack.grads),
             eps_l1=eps_l1, omega_l1=omega_l1,
             param_bytes=ledger.param_bytes, crossgrad_bytes=ledger.crossgrad_bytes,
         ))

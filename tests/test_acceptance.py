@@ -8,13 +8,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from conftest import make_states
 from reference import round_with_bundles
 from decentsim import (
     BENCHMARK_SEEDS,
-    AgentState,
     ConfigurationError,
     GradientBundle,
     HyperParams,
@@ -42,12 +40,7 @@ from decentsim import (
     variance_bound_check,
 )
 from decentsim.cli import emit_metrics_csv
-from decentsim.compression import (
-    compress,
-    decompress,
-    ef_step,
-    wire_size_bytes,
-)
+from decentsim.compression import decompress, ef_step, wire_size_bytes
 
 
 def report(num: int, detail: str) -> None:

@@ -19,6 +19,7 @@ from decentsim import (
     ParseError,
     PartitionError,
     ProtocolError,
+    RunAbortError,
     RunConfig,
     ShapeError,
     UsageError,
@@ -625,11 +626,45 @@ def test_a_failed_sweep_into_an_existing_out_dir_removes_only_what_it_created(tm
     config = RunConfig(dataset=str(data), agents=3, partition="skew", batch_size=14, epochs=1)
     with pytest.raises(ConfigurationError, match="batch_size exceeds the smallest shard"):
         run_sweep(config, [3, 2, 1], str(out))
-    # seed_3/ and seed_2/metrics.csv were new and are gone; seed_2/config.txt
-    # existed, so it stays, rewritten by seed 2's run.
+    # Seeds 3 and 2 ran, but seed 1's set-up failed before any write: no
+    # new file exists and seed_2/config.txt keeps its old echo.
     assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
         "notes.txt", "seed_2", "seed_2/config.txt"]
     assert (out / "notes.txt").read_text() == "mine\n"
+    assert (out / "seed_2" / "config.txt").read_text() == "old echo\n"
+
+
+def _run_failing_at(monkeypatch, seed, error):
+    """Make cli.run raise error at seed and run the other seeds as usual."""
+    def run_or_fail(cfg):
+        if cfg.seed == seed:
+            raise error
+        return run(cfg)
+
+    monkeypatch.setattr("decentsim.cli.run", run_or_fail)
+
+
+def test_an_interrupted_sweep_writes_nothing(tmp_path, monkeypatch):
+    _run_failing_at(monkeypatch, 2, KeyboardInterrupt())
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(sweep_config(epochs=1), [1, 2, 3], str(out))
+    assert not out.exists()
+
+
+def test_a_sweep_writes_aborted_and_completed_seeds_alike(tmp_path, monkeypatch):
+    _run_failing_at(monkeypatch, 2, RunAbortError(3))
+    out = tmp_path / "out"
+    summary = run_sweep(sweep_config(epochs=1), [1, 2, 3], str(out))
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+        "seed_1/config.txt", "seed_1/metrics.csv", "seed_2/config.txt",
+        "seed_3/config.txt", "seed_3/metrics.csv", "summary.json"]
+    assert json.loads((out / "summary.json").read_text()) == summary
+    assert summary["completed"] == [1, 3]
+    assert summary["failed"] == [{"seed": 2, "error": "non-finite parameters at round 3"}]
+    accs = [read_metrics_csv(str(out / f"seed_{s}" / "metrics.csv"))[-1].val_acc
+            for s in (1, 3)]
+    assert summary["final_acc_mean"] == pytest.approx(np.mean(accs))
 
 
 def test_main_compress_check_exit_zero(capsys):
