@@ -19,10 +19,10 @@ applies the rules to them in place: the bias norms (`deviation_l1`),
 mixing (`ngc_update`) and the gossip pull (`gossip_rows`), both into the
 self-gradient rows, over blocks of consecutive rows of one degree
 (`SlotBlock`), slot by slot, slot s of a row being its s-th peer in
-ascending order, read through `slot_rows`; the elementwise steps
-(`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over whole arrays. They
-keep the per-agent rules' order element for element, so both forms give
-the same bits:
+ascending order, its rows read through a reader `read(index, out)`; the
+elementwise steps (`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over
+whole arrays. They keep the per-agent rules' order element for element,
+so both forms give the same bits:
 
 * a mixed-gradient cluster starts from w_ii * g_i and adds w_ij * term_j
   in ascending peer order (`ngc_mix`);
@@ -286,18 +286,17 @@ BLOCK_ELEMS = 2**16
 class SlotBlock:
     """Consecutive agents of one degree k and their neighbor slots.
 
-    Per slot, `back` holds each row's edge-table row of the message its
-    peer sends it, and `peer_w` the weight. Gossip's k + 1 slots (`nbrs`,
-    `nbr_w`) hold the agent itself in its ascending place. A slot's rows
-    are a slice when they run consecutively upward (every slot of a
-    one-row block does), else an index array; `slot_rows` reads either.
-    Each weight (`self_w` too) is a float if every row agrees, else a
-    (rows, 1) column. The rows' own messages fill the edge rows `edges`,
-    slot by slot: a (k, rows) grid.
+    Per slot, `sent` holds the edge rows of the block's own messages to that
+    peer, `back` each row's edge row of the message its peer sends it, and
+    `peer_w` the weight. Gossip's k + 1 slots (`nbrs`, `nbr_w`) hold the agent
+    itself in its ascending place. A slot's rows are a slice when they run
+    consecutively upward (every `sent` slot and every slot of a one-row block
+    do), else an index array; a reader `read(index, out)` takes either. Each
+    weight (`self_w` too) is a float if all rows agree, else a (rows, 1) column.
     """
 
     rows: slice
-    edges: slice
+    sent: tuple
     self_w: np.ndarray
     peer_w: tuple
     back: tuple
@@ -342,35 +341,32 @@ class NeighborSlots:
 # ------------------------------------------------------------- row blocks
 
 
-def ngc_update(blk: SlotBlock, own: np.ndarray, model: np.ndarray, data_variant,
-               momentum: np.ndarray, hp: HyperParams, scratch: np.ndarray) -> None:
+def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: np.ndarray,
+               hp: HyperParams, scratch: np.ndarray) -> None:
     """Mix one block's gradient clusters and take its momentum step in place.
 
     own holds the block's self-gradient rows, which end holding eta *
-    mixed, and model its (k, rows, d) model-variant rows; data_variant(s,
-    out) writes slot s's data-variant rows into out and returns it.
-    scratch holds two (rows, d) buffers of the largest block.
+    mixed. read_sent and read_back read a slot's model- and data-variant
+    rows from `blk.sent` and `blk.back`; scratch holds two (rows, d)
+    buffers of the largest block.
     """
     m = blk.size
     other, tmp = scratch[0, :m], scratch[1, :m]
 
-    def cluster(term, out):
+    def cluster(read, slots, out):
         np.multiply(own, blk.self_w, out=out)
-        for s, w in enumerate(blk.peer_w):
-            out += np.multiply(term(s, tmp), w, out=tmp)
+        for index, w in zip(slots, blk.peer_w):
+            out += np.multiply(read(index, tmp), w, out=tmp)
         return out
 
-    def model_variant(s, _):
-        return model[s]
-
     if hp.alpha == 0.0:
-        mixed = cluster(model_variant, own)
+        mixed = cluster(read_sent, blk.sent, own)
     elif hp.alpha == 1.0:
-        mixed = cluster(data_variant, own)
+        mixed = cluster(read_back, blk.back, own)
     else:
-        data = cluster(data_variant, other)  # reads own, so first
+        data = cluster(read_back, blk.back, other)  # reads own, so first
         data *= hp.alpha
-        mixed = cluster(model_variant, own)
+        mixed = cluster(read_sent, blk.sent, own)
         mixed *= 1.0 - hp.alpha
         mixed += data
     momentum *= hp.beta
@@ -378,34 +374,34 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, model: np.ndarray, data_variant,
     momentum -= mixed
 
 
-def deviation_l1(term, k, own, dev, diff) -> np.ndarray:
-    """Per row, |sum_s (term(s) - own) / (k + 1)|_1, as cluster_deviation sums it.
+def deviation_l1(read, slots, own, dev, diff) -> np.ndarray:
+    """Per row, |sum_s (read(slots[s]) - own) / (k + 1)|_1, as cluster_deviation sums it.
 
-    term(s, out) returns slot s's rows, written into out or as a view; dev
-    and diff are (rows, d) buffers.
+    read(index, out) returns the rows of one of the k slots, written into
+    out or as a view; dev and diff are (rows, d) buffers.
     """
-    np.subtract(term(0, dev), own, out=dev)
-    for s in range(1, k):
-        dev += np.subtract(term(s, diff), own, out=diff)
-    dev /= k + 1
+    np.subtract(read(slots[0], dev), own, out=dev)
+    for index in slots[1:]:
+        dev += np.subtract(read(index, diff), own, out=diff)
+    dev /= len(slots) + 1
     return np.add.reduce(np.abs(dev, out=dev), axis=1)
 
 
-def gossip_rows(blk: SlotBlock, own: np.ndarray, neighbor, out: np.ndarray,
+def gossip_rows(blk: SlotBlock, own: np.ndarray, read, out: np.ndarray,
                 tmp: np.ndarray, gamma: float) -> None:
     """out = gamma * (sum_j w_ij x_j - x_i) for one block: its gossip pull.
 
-    own holds the block's rows x_i; neighbor(index, out) writes the rows
-    x[index] into out and returns it. gossip_step starts its sum from
-    zeros; starting from the first term instead changes only a sum whose
-    terms are all -0.0, and then w_ii x_i = -0.0 too, so x_i is -0.0 or
-    a negative that underflows to it. Either way mix - x_i is the same,
-    so the pull's bits are gossip_step's.
+    own holds the block's rows x_i; read(index, out) returns the rows
+    x[index] of a slot of `blk.nbrs`, written into out or as a view.
+    gossip_step starts its sum from zeros; starting from the first term
+    instead changes only a sum whose terms are all -0.0, and then w_ii x_i
+    = -0.0 too, so x_i is -0.0 or a negative that underflows to it. Either
+    way mix - x_i is the same, so the pull's bits are gossip_step's.
     """
     first, *rest = zip(blk.nbrs, blk.nbr_w)
-    np.multiply(neighbor(first[0], out), first[1], out=out)
+    np.multiply(read(first[0], out), first[1], out=out)
     for index, w in rest:
-        out += np.multiply(neighbor(index, tmp), w, out=tmp)
+        out += np.multiply(read(index, tmp), w, out=tmp)
     out -= own
     out *= gamma
 

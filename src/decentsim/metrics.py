@@ -46,10 +46,10 @@ def consensus_model(agents) -> np.ndarray:
     return _stacked(agents).mean(axis=0)
 
 
-def consensus_error(agents, out=None) -> float:
-    """Mean squared distance from the parameter average; out, if given, takes the deviations."""
+def consensus_error(agents, out=None, center=None) -> float:
+    """Mean squared distance from center (default: the parameter mean); out takes the deviations."""
     stacked = _stacked(agents)
-    dev = np.subtract(stacked, stacked.mean(axis=0), out=out)
+    dev = np.subtract(stacked, stacked.mean(axis=0) if center is None else center, out=out)
     np.square(dev, out=dev)
     return float(dev.sum(axis=1).mean())
 

@@ -14,25 +14,25 @@ blocks of consecutive agents of one degree, max(1, 2**16 // d) rows
 each. A slot whose rows run consecutively upward is read as a view, any
 other is gathered.
 
-A round has two parts. First, per agent in agent order, the gradient
-kernel and codec calls, each writing straight into its row: the self
-gradient into row i of an (N, d) table and, for ngc and compngc, the
-gradient at each peer's params into that edge's row of an (E, d) table
-(through error feedback and decompression under compngc). Second, the
-rest of the round as row operations, block by block: data-variant
-delivery (`exchange_cross_gradients`), mixing into the self-gradient rows
-and the momentum step (`ngc_update`), and the gossip pull (`gossip_rows`
-over the neighbor rows that `exchange_params` delivers) into those spent
-rows; only once every pull is formed is x updated in place, since each
-pull reads its neighbors' pre-round rows. dpsgd first steps momentum and
-params to x_tilde, then gossips over the x_tilde rows. The row operations
-keep the per-agent rules' order element for element (see `algorithms`),
-so a round is bitwise the per-agent one. For uniform weights the mixing
-pass first takes each block's bias norms (`deviation_l1`) from the rows
-it is about to mix, and the round returns their means. After each round,
-`run` checks x for non-finite values in one reduction. The finite check
-and each emitted consensus error work in the gradient rows, which are
-free between rounds.
+A round has four passes. The kernel pass, per agent in agent order, draws
+a batch and writes the self gradient into row i of an (N, d) table and,
+for ngc and compngc, the gradient at each peer's params into that edge's
+row of an (E, d) table. Under compngc the codec pass sends each self row,
+then each edge row, through its error-feedback stream and writes back the
+decompressed value, keeping each edge's message. The block pass, for
+uniform weights, takes each block's bias norms (`deviation_l1`) from the
+rows it is about to mix, then mixes into the self-gradient rows and steps
+momentum (`ngc_update`), reading data-variant rows through
+`exchange_cross_gradients`; dpsgd instead steps momentum and params to
+x_tilde. The gossip pass writes each block's pull (`gossip_rows` over the
+rows `exchange_params` delivers) into its spent gradient rows; only then
+is x updated in place, since each pull reads its neighbors' pre-round (for
+dpsgd, x_tilde) rows. The block rules read every slot through a reader
+`read(index, out)`, three of which the round builds once. They keep the
+per-agent rules' order element for element (see `algorithms`), so a round
+is bitwise the per-agent one. After each round, `run` checks x for
+non-finite values in one reduction. The finite check and each emitted
+consensus error work in the gradient rows, which are free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -273,7 +274,8 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
         rows = range(start, start + m)
         k = len(peers[start])
         blocks.append(SlotBlock(
-            rows=slice(start, start + m), edges=slice(first, first + k * m),
+            rows=slice(start, start + m),
+            sent=tuple(slice(first + s * m, first + (s + 1) * m) for s in range(k)),
             self_w=weight([w[i, i] for i in rows]),
             peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
             back=tuple(slot(back[[links[i][s][1] for i in rows]]) for s in range(k)),
@@ -359,47 +361,42 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
     spec = states[0].spec
     dim = x.shape[1]
-    messages = None if err_self is None else [None] * slots.edges
 
     losses = []
     for i, (state, links) in enumerate(zip(states, slots.links)):
-        g_i = grads[i]
         batch = state.draw_batch(batch_size)
-        losses.append(loss_and_gradient(spec, x[i], state.data, batch, g_i)[0])
-        if cross is None:
-            continue
-        for j, e in links:
-            cross_gradient(spec, x[j], state.data, batch, cross[e])
-        if messages is not None:
-            decompress(ef_step(g_i, err_self[i], out=err_self[i])[0], g_i)
+        losses.append(loss_and_gradient(spec, x[i], state.data, batch, grads[i])[0])
+        if cross is not None:
             for j, e in links:
-                messages[e] = ef_step(cross[e], err_out[e], out=err_out[e])[0]
-                decompress(messages[e], cross[e])
+                cross_gradient(spec, x[j], state.data, batch, cross[e])
 
-    n = len(states)
-    norms = (np.zeros(n), np.zeros(n)) if cross is not None and slots.uniform else None
+    messages = None
+    if err_self is not None:  # each row through its error-feedback stream
+        for g, err in zip(grads, err_self):
+            decompress(ef_step(g, err, out=err)[0], g)
+        messages = []
+        for g, err in zip(cross, err_out):
+            messages.append(ef_step(g, err, out=err)[0])
+            decompress(messages[-1], g)
+
+    norms = np.zeros((2, len(x))) if cross is not None and slots.uniform else None
     if cross is None:
         dpsgd_prepare(x, v, grads, hp)
     else:
+        read_cross = partial(slot_rows, cross)
+        read_back = partial(exchange_cross_gradients, cross, messages)
         for blk in slots.blocks:
-            def data_variant(s, out, blk=blk):
-                return exchange_cross_gradients(cross, messages, blk.back[s], out)
-
-            k, m = len(blk.back), blk.size
-            own, model = grads[blk.rows], cross[blk.edges].reshape(k, m, dim)
-            if norms is not None and k:  # before ngc_update mixes into own
-                dev, diff = stack.scratch[0, :m], stack.scratch[1, :m]
-                norms[0][blk.rows] = deviation_l1(lambda s, out: model[s], k, own, dev, diff)
+            own = grads[blk.rows]
+            if norms is not None and blk.sent:  # before ngc_update mixes into own
+                dev, diff = stack.scratch[:, :blk.size]
+                norms[0, blk.rows] = deviation_l1(read_cross, blk.sent, own, dev, diff)
                 if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
-                    norms[1][blk.rows] = deviation_l1(
-                        lambda s, out: slot_rows(cross, blk.back[s], out), k, own, dev, diff)
-            ngc_update(blk, own, model, data_variant, v[blk.rows], hp, stack.scratch)
+                    norms[1, blk.rows] = deviation_l1(read_cross, blk.back, own, dev, diff)
+            ngc_update(blk, own, read_cross, read_back, v[blk.rows], hp, stack.scratch)
 
-    def neighbor(index, out):
-        return exchange_params(x, index, out)
-
+    read_x = partial(exchange_params, x)
     for blk in slots.blocks:  # each pull into the block's spent gradient rows
-        gossip_rows(blk, x[blk.rows], neighbor, grads[blk.rows], stack.scratch[0, :blk.size],
+        gossip_rows(blk, x[blk.rows], read_x, grads[blk.rows], stack.scratch[0, :blk.size],
                     hp.gamma)
 
     cross_msg_bytes = 0
@@ -497,7 +494,7 @@ def run(config: RunConfig) -> RunResult:
         rows.append(MetricsRow(
             round=round_idx, epoch=epoch_count, train_loss=train_loss,
             val_loss=float(val_loss), val_acc=float(val_acc),
-            consensus_error=consensus_error(stack.x, out=stack.grads),
+            consensus_error=consensus_error(stack.x, out=stack.grads, center=center),
             eps_l1=eps_l1, omega_l1=omega_l1,
             param_bytes=ledger.param_bytes, crossgrad_bytes=ledger.crossgrad_bytes,
         ))

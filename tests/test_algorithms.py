@@ -1,6 +1,7 @@
 """Update rules: mixing identity, momentum, gossip, schedules, single-agent rounds."""
 from __future__ import annotations
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,7 @@ from decentsim.algorithms import (
     gossip_rows,
     ngc_prepare,
     ngc_update,
+    slot_rows,
 )
 from decentsim.compression import decompress, ef_step
 
@@ -318,13 +320,10 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     v = edge_rows(rng, (n, dim))
     own_before, v_before = own.copy(), v.copy()
     scratch = np.empty((2, n, dim))
+    read_sent = partial(slot_rows, cross)
+    read_back = partial(simulator.exchange_cross_gradients, cross, None)
     for blk in slots.blocks:
-        model = cross[blk.edges].reshape(len(blk.back), blk.size, dim)
-
-        def data_variant(s, out, blk=blk):
-            return simulator.exchange_cross_gradients(cross, None, blk.back[s], out)
-
-        ngc_update(blk, own[blk.rows], model, data_variant, v[blk.rows], hp, scratch)
+        ngc_update(blk, own[blk.rows], read_sent, read_back, v[blk.rows], hp, scratch)
     for i in range(n):
         links = slots.links[i]
         bundle = GradientBundle(

@@ -16,6 +16,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from decentsim import ModelSpec, RunConfig, cli, simulator, wire_size_bytes
@@ -125,24 +126,46 @@ def test_perfbench_output_checks_pass_on_a_sweep(algorithm, tmp_path, monkeypatc
         assert check_run(result, sweep, seed, tmp_path) == []
 
 
-# Per round on a 5-ring: gradients, ef_step and decompress calls, messages.
-FIVE_RING_ROUND = {"compngc": (15, 15, 40, 20), "ngc": (15, 0, 0, 20), "dpsgd": (5, 0, 0, 10)}
+def traced_round(algorithm: str, sent: bool, n: int, e: int):
+    """Per round with N agents and E directed edges: gradient, ef_step and
+    decompress calls, and messages; sent says whether cross-gradients are sent."""
+    codec = (n + e, 2 * (n + e) + e * sent) if algorithm == "compngc" else (0, 0)
+    return (n if algorithm == "dpsgd" else n + e), *codec, e * (1 + sent)
 
 
-@pytest.mark.parametrize("algorithm", list(FIVE_RING_ROUND))
-def test_traced_compngc_round_meets_the_perfbench_closed_form(algorithm):
+# The 5-ring at alpha = 1 is skew-ring5's and wide-compngc's round (under
+# compngc 15 / 15 / 40 / 20); the 5-agent Metropolis chain has uneven degrees.
+TRACED_ROUNDS = [pytest.param(algorithm, "ring", 1.0, id=algorithm)
+                 for algorithm in ("compngc", "ngc", "dpsgd")] + [
+    pytest.param(algorithm, kind, alpha, id=f"{algorithm}-{kind}-a{alpha}")
+    for algorithm in ("compngc", "ngc", "dpsgd") for kind in ("ring", "chain")
+    for alpha in (0.0, 0.5, 1.0) if (kind, alpha) != ("ring", 1.0)]
+
+
+@pytest.mark.parametrize("algorithm, kind, alpha", TRACED_ROUNDS)
+def test_traced_compngc_round_meets_the_perfbench_closed_form(algorithm, kind, alpha):
+    # perfbench's simulator.exchange_s reads the exchange spans: per block
+    # of degree k, k + 1 gossip slots and, when alpha != 0, k data-variant
+    # slots.
     tracer_mod = load_perfbench("tracer")
     tracer = tracer_mod.Tracer()
-    config = small_config(algorithm)
-    config = dataclasses.replace(config, agents=5, per_class=25)
+    config = dataclasses.replace(small_config(algorithm), agents=5, per_class=25,
+                                 topology=kind, alpha=alpha)
     with tracer_mod.patched(tracer.wrap):
-        simulator.run(config)
+        result = simulator.run(config)
     table = tracer_mod.SpanTable(tracer)
     rounds = table.ids(tracer_mod.ROUND)
     assert rounds.size == 4  # 2 epochs of 20-sample shards at batch 8
-    grad, ef_steps, decompresses, messages = FIVE_RING_ROUND[algorithm]
+    n = result.w.shape[0]
+    edges = np.count_nonzero(result.w[~np.eye(n, dtype=bool)])
+    sent = algorithm != "dpsgd" and alpha != 0.0
+    grad, ef_steps, decompresses, messages = traced_round(algorithm, sent, n, edges)
+    blocks = simulator._neighbor_tables(result.w, result.spec.param_count).blocks
     for name, count in [("models.loss_and_gradient", grad), ("compression.ef_step", ef_steps),
-                        ("compression.decompress", decompresses)]:
+                        ("compression.decompress", decompresses),
+                        ("simulator.exchange_params", sum(len(b.nbrs) for b in blocks)),
+                        ("simulator.exchange_cross_gradients",
+                         sum(len(b.back) for b in blocks) if sent else 0)]:
         assert table.within(rounds, name).tolist() == [count] * rounds.size, name
     assert [m for _, m in tracer.round_messages] == [messages] * rounds.size
 

@@ -606,7 +606,7 @@ def write_three_class_csv(path):
     return path
 
 
-def test_set_up_error_in_a_later_seed_removes_what_the_sweep_wrote(tmp_path, capsys):
+def test_set_up_error_in_a_later_seed_writes_nothing(tmp_path, capsys):
     data = write_three_class_csv(tmp_path / "data.csv")
     argv = ["--dataset", str(data), "--agents", "3", "--partition", "skew",
             "--batch-size", "14", "--epochs", "1"]
@@ -617,7 +617,7 @@ def test_set_up_error_in_a_later_seed_removes_what_the_sweep_wrote(tmp_path, cap
     assert not (tmp_path / "runs").exists()
 
 
-def test_a_failed_sweep_into_an_existing_out_dir_removes_only_what_it_created(tmp_path):
+def test_a_failed_sweep_into_an_existing_out_dir_leaves_the_out_dir_as_it_was(tmp_path):
     data = write_three_class_csv(tmp_path / "data.csv")
     out = tmp_path / "out"
     (out / "seed_2").mkdir(parents=True)

@@ -108,6 +108,17 @@ def test_partition_does_not_depend_on_training_length():
         assert (s1.shard == s2.shard).all()
 
 
+@pytest.mark.parametrize("field, value", [("data_seed", 0), ("val_per_class", 1)])
+def test_the_smallest_valid_data_seed_and_validation_set_run(field, value):
+    # The lower edges RunConfig.validate accepts: data seed 0, and one
+    # validation sample per class.
+    config = tiny_config(epochs=1, **{field: value})
+    config.validate()
+    result = run(config)
+    assert [row.epoch for row in result.rows] == [0, 1]
+    assert result.val_data.n == config.classes * config.val_per_class
+
+
 def test_two_identical_agents_stay_bitwise_identical():
     # Exchangeability: same shard, same batch stream, symmetric weights.
     data = generate_synthetic(3, 4, 30, 0.3, 11)
@@ -187,6 +198,7 @@ PARITY_GRAPHS = {
     "chain5": ("chain", 5, "relu", 2),
     "torus8": ("torus", 8, "relu", 1),
     "full4": ("full", 4, "tanh", None),
+    "ring20": ("ring", 20, "tanh", 4),
 }
 PARITY_CASES = [(g, "dpsgd", 1.0) for g in PARITY_GRAPHS] + [
     (g, alg, alpha) for g in PARITY_GRAPHS for alg in ("ngc", "compngc")
