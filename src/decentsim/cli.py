@@ -9,7 +9,7 @@ starts a comment. Each seed's config.txt echo must read back as the same
 config, so validate rejects a dataset with a line break, edge whitespace,
 whitespace before `#` or non-UTF-8 text. Exit codes: 0 success, 2 usage or
 configuration problem, 3 runtime abort (`exit_code` is the map). A sweep
-runs every seed before it writes, so exit 2 leaves the out-dir as it was.
+checks its paths, then runs every seed before it writes: exit 2 writes nothing.
 """
 from __future__ import annotations
 
@@ -164,17 +164,36 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
     return rows
 
 
+def _check_out_dir(out_dir: str, seeds: list[int]):
+    """Raise UsageError unless every directory and file run_sweep writes can be written."""
+    if not out_dir:
+        raise UsageError("out-dir is empty; name a directory")
+    dirs = [out_dir, *(os.path.join(out_dir, f"seed_{seed}") for seed in seeds)]
+    files = [os.path.join(d, name) for d in dirs[1:] for name in ("config.txt", "metrics.csv")]
+    for path in [*dirs, *files, os.path.join(out_dir, "summary.json")]:
+        near = path
+        while not os.path.lexists(near):
+            near = os.path.dirname(near) or "."
+        is_dir = near != path or path in dirs  # a missing path needs a directory to go in
+        if os.path.isdir(near) != is_dir:
+            raise UsageError(f"cannot write {path}: {near} is {'not ' * is_dir}a directory")
+        if not os.access(near, os.W_OK):
+            raise UsageError(f"cannot write {path}: {near} is not writable")
+
+
 def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
               verbose: bool = False) -> dict:
     """Run one config across seeds, then write per-seed CSVs plus a summary JSON.
 
-    Every seed's config is validated before the first run, and every seed
-    runs before the first write, so any error but an abort leaves out_dir
-    as it was. An interrupted sweep writes nothing either.
+    Every seed's config and every path to write is checked before the first
+    run, and every seed runs before the first write, so any error but an
+    abort leaves out_dir as it was. An interrupted sweep writes nothing
+    either.
     """
     configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
     for cfg in configs:
         cfg.validate()
+    _check_out_dir(out_dir, seeds)
     completed, failed, final_accs, bytes_per_agent, rows = [], [], [], [], {}
     for cfg in configs:
         try:

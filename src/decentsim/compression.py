@@ -104,8 +104,7 @@ def decode(blob: bytes) -> CompressedTensor:
     if len(blob) < _HEADER_BYTES:
         raise ParseError("compressed blob shorter than its header")
     dim, scale = struct.unpack_from("<Qf", blob)
-    expected = wire_size_bytes(dim) if dim >= 1 else _HEADER_BYTES
-    if dim < 1 or len(blob) != expected:
+    if dim < 1 or len(blob) != wire_size_bytes(dim):
         raise ParseError(f"blob length {len(blob)} inconsistent with dimension {dim}")
     bits = np.unpackbits(
         np.frombuffer(blob, dtype=np.uint8, offset=_HEADER_BYTES),

@@ -105,10 +105,7 @@ def unflatten(spec: ModelSpec, params: np.ndarray):
     """Split a flat vector into per-layer (weights, bias) views."""
     if params.shape != (spec.param_count,):
         raise ShapeError(f"expected {spec.param_count} params, got {params.shape}")
-    layers = []
-    for w, shape, b in spec.layout:
-        layers.append((params[w].reshape(shape), params[b]))
-    return layers
+    return [(params[w].reshape(shape), params[b]) for w, shape, b in spec.layout]
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):

@@ -24,12 +24,6 @@ def partition_iid(data: Dataset, num_agents: int, seed: int) -> list[np.ndarray]
     return [np.sort(part) for part in np.array_split(perm, num_agents)]
 
 
-def _split_round_robin(idx: np.ndarray, parts: int, rng: np.random.Generator):
-    """Shuffle then deal into `parts` piles so sizes differ by at most one."""
-    shuffled = rng.permutation(idx)
-    return [shuffled[t::parts] for t in range(parts)]
-
-
 def partition_label_skew(data: Dataset, w: np.ndarray, seed: int) -> list[np.ndarray]:
     """Complete label-wise skew over W's agents; W-adjacent agents never share a class."""
     n_agents, n_classes = w.shape[0], data.num_classes
@@ -48,8 +42,9 @@ def partition_label_skew(data: Dataset, w: np.ndarray, seed: int) -> list[np.nda
         for c in range(n_classes):
             if by_class[c].size < copies:
                 raise PartitionError(f"class {c} has fewer samples than {copies} holders")
-            for t, part in enumerate(_split_round_robin(by_class[c], copies, rng)):
-                shards[c + t * n_classes].append(part)
+            shuffled = rng.permutation(by_class[c])  # dealt in turn: sizes differ by one at most
+            for t in range(copies):
+                shards[c + t * n_classes].append(shuffled[t::copies])
     else:
         raise PartitionError(
             f"{n_agents} agents with {n_classes} classes: need N <= C or N a multiple of C"

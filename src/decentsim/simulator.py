@@ -14,25 +14,27 @@ blocks of consecutive agents of one degree, max(1, 2**16 // d) rows
 each. A slot whose rows run consecutively upward is read as a view, any
 other is gathered.
 
-A round has four passes. The kernel pass, per agent in agent order, draws
-a batch and writes the self gradient into row i of an (N, d) table and,
-for ngc and compngc, the gradient at each peer's params into that edge's
-row of an (E, d) table. Under compngc the codec pass sends each self row,
-then each edge row, through its error-feedback stream and writes back the
-decompressed value, keeping each edge's message. The block pass, for
-uniform weights, takes each block's bias norms (`deviation_l1`) from the
-rows it is about to mix, then mixes into the self-gradient rows and steps
-momentum (`ngc_update`), reading data-variant rows through
-`exchange_cross_gradients`; dpsgd instead steps momentum and params to
-x_tilde. The gossip pass writes each block's pull (`gossip_rows` over the
-rows `exchange_params` delivers) into its spent gradient rows; only then
-is x updated in place, since each pull reads its neighbors' pre-round (for
-dpsgd, x_tilde) rows. The block rules read every slot through a reader
-`read(index, out)`, three of which the round builds once. They keep the
-per-agent rules' order element for element (see `algorithms`), so a round
-is bitwise the per-agent one. After each round, `run` checks x for
-non-finite values in one reduction. The finite check and each emitted
-consensus error work in the gradient rows, which are free between rounds.
+A round is a kernel pass, a codec pass, one block pass, then the apply.
+The kernel pass, per agent in agent order, draws a batch and writes the
+self gradient into row i of an (N, d) table and, for ngc and compngc,
+the gradient at each peer's params into that edge's row of an (E, d)
+table. Under compngc the codec pass sends each self row, then each edge
+row, through its error-feedback stream and writes back the decompressed
+value, keeping each edge's message; dpsgd instead steps momentum and
+params to x_tilde. The block pass, per block, takes the bias norms
+(`deviation_l1`, uniform weights only) from the rows about to be mixed,
+mixes into the self-gradient rows and steps momentum (`ngc_update`, ngc
+and compngc; data-variant rows come through `exchange_cross_gradients`),
+then writes the gossip pull (`gossip_rows` over the rows
+`exchange_params` delivers) into the spent gradient rows. No block reads
+another's gradient rows, and x changes only in the apply, since each
+pull reads its neighbors' pre-round (for dpsgd, x_tilde) rows. The block
+rules read every slot through a reader `read(index, out)`, three of
+which the round builds once. They keep the per-agent rules' order
+element for element (see `algorithms`), so a round is bitwise the
+per-agent one. After each round, `run` checks x for non-finite values in
+one reduction. The finite check and each emitted consensus error work in
+the gradient rows, which are free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -273,12 +275,13 @@ def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
     for start, m, first in spans:
         rows = range(start, start + m)
         k = len(peers[start])
+        sent = tuple(slice(first + s * m, first + (s + 1) * m) for s in range(k))
         blocks.append(SlotBlock(
             rows=slice(start, start + m),
-            sent=tuple(slice(first + s * m, first + (s + 1) * m) for s in range(k)),
+            sent=sent,
             self_w=weight([w[i, i] for i in rows]),
             peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
-            back=tuple(slot(back[[links[i][s][1] for i in rows]]) for s in range(k)),
+            back=tuple(slot(back[e]) for e in sent),
             nbrs=tuple(slot([nbrs[i][t] for i in rows]) for t in range(k + 1)),
             nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
         ))
@@ -374,30 +377,26 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     if err_self is not None:  # each row through its error-feedback stream
         for g, err in zip(grads, err_self):
             decompress(ef_step(g, err, out=err)[0], g)
-        messages = []
-        for g, err in zip(cross, err_out):
-            messages.append(ef_step(g, err, out=err)[0])
-            decompress(messages[-1], g)
+        messages = [ef_step(g, err, out=err)[0] for g, err in zip(cross, err_out)]
+        for g, message in zip(cross, messages):
+            decompress(message, g)
 
     norms = np.zeros((2, len(x))) if cross is not None and slots.uniform else None
     if cross is None:
         dpsgd_prepare(x, v, grads, hp)
-    else:
-        read_cross = partial(slot_rows, cross)
-        read_back = partial(exchange_cross_gradients, cross, messages)
-        for blk in slots.blocks:
-            own = grads[blk.rows]
-            if norms is not None and blk.sent:  # before ngc_update mixes into own
-                dev, diff = stack.scratch[:, :blk.size]
-                norms[0, blk.rows] = deviation_l1(read_cross, blk.sent, own, dev, diff)
-                if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
-                    norms[1, blk.rows] = deviation_l1(read_cross, blk.back, own, dev, diff)
-            ngc_update(blk, own, read_cross, read_back, v[blk.rows], hp, stack.scratch)
-
+    read_cross = partial(slot_rows, cross)
+    read_back = partial(exchange_cross_gradients, cross, messages)
     read_x = partial(exchange_params, x)
-    for blk in slots.blocks:  # each pull into the block's spent gradient rows
-        gossip_rows(blk, x[blk.rows], read_x, grads[blk.rows], stack.scratch[0, :blk.size],
-                    hp.gamma)
+    for blk in slots.blocks:  # no block reads another's gradient rows; x waits for apply
+        own = grads[blk.rows]
+        if norms is not None and blk.sent:  # before ngc_update mixes into own
+            dev, diff = stack.scratch[:, :blk.size]
+            norms[0, blk.rows] = deviation_l1(read_cross, blk.sent, own, dev, diff)
+            if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
+                norms[1, blk.rows] = deviation_l1(read_cross, blk.back, own, dev, diff)
+        if cross is not None:
+            ngc_update(blk, own, read_cross, read_back, v[blk.rows], hp, stack.scratch)
+        gossip_rows(blk, x[blk.rows], read_x, own, stack.scratch[0, :blk.size], hp.gamma)
 
     cross_msg_bytes = 0
     if cross is None:
@@ -477,7 +476,6 @@ def run(config: RunConfig) -> RunResult:
     states, w, val = initial_states(config)
     hp = config.hyper_params()
     spec = states[0].spec
-    train = states[0].data
 
     rounds_per_epoch = min(s.shard.size // config.batch_size for s in states)
     if rounds_per_epoch < 1:
@@ -499,25 +497,19 @@ def run(config: RunConfig) -> RunResult:
             param_bytes=ledger.param_bytes, crossgrad_bytes=ledger.crossgrad_bytes,
         ))
 
-    init_loss = float(np.mean([batch_loss(spec, s.params, train, s.shard) for s in states]))
+    init_loss = float(np.mean([batch_loss(spec, s.params, s.data, s.shard) for s in states]))
     emit(0, 0, init_loss, 0.0, 0.0)
 
     round_idx = 0
     for epoch in range(config.epochs):
         hp_eff = replace(hp, eta=apply_lr_schedule(hp, epoch, config.epochs))
-        loss_accum = 0.0
-        eps_accum = 0.0
-        omega_accum = 0.0
+        sums = np.zeros(3)  # train loss, eps_l1, omega_l1
         for _ in range(rounds_per_epoch):
             round_idx += 1
             losses, bias = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
-            loss_accum += float(np.mean(losses))
-            if bias is not None:
-                eps_accum += bias[0]
-                omega_accum += bias[1]
-        emit(round_idx, epoch + 1, loss_accum / rounds_per_epoch,
-             eps_accum / rounds_per_epoch, omega_accum / rounds_per_epoch)
+            sums += (np.mean(losses), *(bias or (0.0, 0.0)))
+        emit(round_idx, epoch + 1, *map(float, sums / rounds_per_epoch))
 
     return RunResult(config, rows, ledger, states, spec, val, w)

@@ -144,8 +144,7 @@ def spectral_gap(w: np.ndarray) -> SpectralGap:
     if w.shape[0] == 1:
         return SpectralGap(0.0, 0.0)
     lams = np.linalg.eigvalsh(w)
-    sqrt_rho = float(max(abs(lams[0]), abs(lams[-2])))
-    sqrt_rho = min(sqrt_rho, 1.0)
+    sqrt_rho = min(float(max(abs(lams[0]), abs(lams[-2]))), 1.0)
     return SpectralGap(sqrt_rho, sqrt_rho * sqrt_rho)
 
 
@@ -153,6 +152,4 @@ def neighbors(w: np.ndarray, i: int) -> list[int]:
     """Indices with positive weight to agent i, ascending, always including i."""
     if i < 0 or i >= w.shape[0]:
         raise IndexError(f"agent {i} out of range for {w.shape[0]} agents")
-    peers = set(np.flatnonzero(w[i] > 0.0).tolist())
-    peers.add(i)
-    return sorted(peers)
+    return sorted({i, *np.flatnonzero(w[i] > 0.0).tolist()})

@@ -667,6 +667,44 @@ def test_a_sweep_writes_aborted_and_completed_seeds_alike(tmp_path, monkeypatch)
     assert summary["final_acc_mean"] == pytest.approx(np.mean(accs))
 
 
+def _tree(root):
+    """Every path under root with its file bytes (None for a directory)."""
+    return {p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def _unwritable_out_dir_exits_two_before_any_run(out_dir, root, message, monkeypatch,
+                                                 capsys):
+    _run_failing_at(monkeypatch, 1, AssertionError("a seed ran"))
+    before = _tree(root)
+    assert run_main(["--seeds", "1,2", "--epochs", "1", "--out-dir", out_dir]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _tree(root) == before
+
+
+def test_an_out_dir_that_is_a_file_exits_two_before_any_run(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    _unwritable_out_dir_exits_two_before_any_run(
+        str(out), tmp_path, f"cannot write {out}: {out} is not a directory", monkeypatch,
+        capsys)
+
+
+def test_an_empty_out_dir_exits_two_before_any_run(tmp_path, monkeypatch, capsys):
+    # Joined onto '', the seed directories would land in the working directory.
+    monkeypatch.chdir(tmp_path)
+    _unwritable_out_dir_exits_two_before_any_run(
+        "", tmp_path, "out-dir is empty; name a directory", monkeypatch, capsys)
+
+
+def test_a_summary_json_directory_exits_two_before_any_run(tmp_path, monkeypatch, capsys):
+    summary = tmp_path / "out" / "summary.json"
+    summary.mkdir(parents=True)
+    _unwritable_out_dir_exits_two_before_any_run(
+        str(tmp_path / "out"), tmp_path, f"cannot write {summary}: {summary} is a directory",
+        monkeypatch, capsys)
+
+
 def test_main_compress_check_exit_zero(capsys):
     assert run_main(["--compress-check"]) == 0
     out = capsys.readouterr().out
