@@ -258,7 +258,7 @@ def class_centers(num_classes: int, dim: int) -> np.ndarray:
 
 def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float,
                        seed: int) -> Dataset:
-    """Isotropic Gaussian mixture with one cluster per class, class-major order."""
+    """Gaussian mixture, one isotropic cluster per class, class-major, each drawn in place."""
     if num_classes < 2:
         raise ConfigurationError("need at least two classes")
     if per_class < 1:
@@ -275,7 +275,9 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
         with np.errstate(over="raise"):  # an overflow is the one way to a non-finite feature
             for c in range(num_classes):
                 rows = slice(c * per_class, (c + 1) * per_class)
-                feats[rows] = centers[c] + spread * rng.standard_normal((per_class, dim))
+                block = rng.standard_normal(out=feats[rows])
+                block *= spread
+                block += centers[c]
                 labels[rows] = c
     except FloatingPointError:
         raise ConfigurationError(f"spread {spread} overflows the synthetic features") from None

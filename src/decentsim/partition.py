@@ -3,8 +3,8 @@
 The skew rule is deterministic in the class labels: with N <= C agent i
 holds every class c with c mod N == i, and with N == m*C each class c is
 split across agents {c + t*C}. Either way no two graph-adjacent agents
-share a class, which is checked after assignment by walking the edges of
-the run's mixing matrix W.
+share a class: after assignment, an agents x classes holding matrix read
+from the shards' labels gives held[i] & held[j] empty on each edge of W.
 """
 from __future__ import annotations
 
@@ -32,12 +32,12 @@ def partition_label_skew(data: Dataset, w: np.ndarray, seed: int) -> list[np.nda
         if idx.size == 0:
             raise PartitionError(f"class {c} has no samples")
 
-    rng = np.random.default_rng(seed)
     shards: list[list[np.ndarray]] = [[] for _ in range(n_agents)]
     if n_agents <= n_classes:
         for c in range(n_classes):
-            shards[c % n_agents].append(rng.permutation(by_class[c]))
+            shards[c % n_agents].append(by_class[c])
     elif n_agents % n_classes == 0:
+        rng = np.random.default_rng(seed)
         copies = n_agents // n_classes
         for c in range(n_classes):
             if by_class[c].size < copies:
@@ -51,9 +51,11 @@ def partition_label_skew(data: Dataset, w: np.ndarray, seed: int) -> list[np.nda
         )
     out = [np.sort(np.concatenate(parts)) for parts in shards]
 
-    classes = [set(np.unique(data.labels[s]).tolist()) for s in out]
+    held = np.zeros((n_agents, n_classes), dtype=bool)
+    for i, s in enumerate(out):
+        held[i, data.labels[s]] = True
     for i, j in zip(*np.nonzero(np.triu(w, 1) > 0.0)):
-        shared = classes[i] & classes[j]
-        if shared:
-            raise PartitionError(f"edge ({i}, {j}) shares classes {sorted(shared)}")
+        shared = np.flatnonzero(held[i] & held[j])
+        if shared.size:
+            raise PartitionError(f"edge ({i}, {j}) shares classes {shared.tolist()}")
     return out

@@ -1,6 +1,8 @@
 """Model core: gradients against finite differences, data generation, IO."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -446,6 +448,46 @@ def test_synthetic_is_learnable_by_a_central_baseline():
         params -= 0.5 * grad
     _, acc = evaluate(spec, params, data)
     assert acc >= 0.95
+
+
+def _plain_generate_synthetic(num_classes, dim, per_class, spread, seed):
+    """generate_synthetic's features and labels as first written: one expression per block."""
+    centers = class_centers(num_classes, dim)
+    rng = np.random.default_rng(seed)
+    feats = np.empty((num_classes * per_class, dim))
+    for c in range(num_classes):
+        rows = slice(c * per_class, (c + 1) * per_class)
+        feats[rows] = centers[c] + spread * rng.standard_normal((per_class, dim))
+    return feats, np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+
+
+@given(
+    num_classes=st.integers(2, 8),
+    dim=st.integers(2, 12),
+    per_class=st.integers(1, 40),
+    spread=st.floats(1e-300, 1e300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_synthetic_is_bitwise_the_one_expression_form(num_classes, dim, per_class, spread, seed):
+    data = generate_synthetic(num_classes, dim, per_class, spread, seed)
+    feats, labels = _plain_generate_synthetic(num_classes, dim, per_class, spread, seed)
+    assert data.features.dtype == feats.dtype and data.features.tobytes() == feats.tobytes()
+    assert data.labels.dtype == labels.dtype and data.labels.tobytes() == labels.tobytes()
+
+
+def test_synthetic_draws_each_class_block_without_temporaries():
+    # The first call in a process imports numpy.random; only a later call
+    # shows the steady set-up cost. One class block here is 800 KiB.
+    generate_synthetic(10, 16, 64, 0.15, 3)
+    tracemalloc.start()
+    try:
+        data = generate_synthetic(10, 16, 6400, 0.15, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 6400 * 16 * data.features.itemsize
+    assert peak <= data.features.nbytes + data.labels.nbytes + block
 
 
 def test_synthetic_rejects_bad_arguments():
