@@ -34,7 +34,7 @@ so both forms give the same bits:
 The per-agent forms (`ngc_prepare`, `compngc_prepare`, `ngc_mix`,
 `bias_terms`, `momentum_update`, `gossip_step`) take dicts keyed by agent
 id and check their inputs; the parity tests' reference round runs them.
-The blocks check nothing: set-up checks W once.
+The blocks check nothing; they read W only through `neighbor_slots`.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ import numpy as np
 from .compression import CompressedTensor, decompress, ef_step
 from .errors import ConfigurationError, ProtocolError
 from .models import Dataset, ModelSpec, cross_gradient, loss_and_gradient
+from .topology import neighbors
 
 WEIGHT_SUM_TOL = 1e-9
 SCHEDULES = ("step", "constant")
@@ -318,7 +319,7 @@ def slot_rows(a: np.ndarray, index, out: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NeighborSlots:
-    """W's neighborhoods as slot tables, built once per run.
+    """W's neighborhoods as slot tables, built once per run by `neighbor_slots`.
 
     links[i] pairs agent i's peers, ascending, with the rows of a round's
     edge table that carry its messages to them, and back[e] is the row of
@@ -327,7 +328,6 @@ class NeighborSlots:
     terms need it).
     """
 
-    w: np.ndarray
     links: list
     back: np.ndarray
     blocks: tuple
@@ -336,6 +336,64 @@ class NeighborSlots:
     @property
     def edges(self) -> int:
         return self.back.size
+
+
+def neighbor_slots(w: np.ndarray, dim: int) -> NeighborSlots:
+    """W's slot tables, with blocks of max(1, BLOCK_ELEMS // dim) rows of one degree.
+
+    A block's messages fill consecutive edge rows slot by slot, so each
+    slot's model-variant rows are one contiguous run. A gossip or
+    data-variant slot whose rows run consecutively upward is a slice,
+    which `slot_rows` reads as a view; any other is an index array.
+    """
+    n = w.shape[0]
+    nbrs = [neighbors(w, i) for i in range(n)]
+    peers = [[j for j in nb if j != i] for i, nb in enumerate(nbrs)]
+    per_block = max(1, BLOCK_ELEMS // dim)
+    spans = []  # (first row, row count, first edge row)
+    start = edge = 0
+    while start < n:
+        m = 1
+        while (start + m < n and m < per_block
+               and len(peers[start + m]) == len(peers[start])):
+            m += 1
+        spans.append((start, m, edge))
+        start, edge = start + m, edge + m * len(peers[start])
+
+    links = [[(j, first + s * m + i - start) for s, j in enumerate(peers[i])]
+             for start, m, first in spans for i in range(start, start + m)]
+    edge_of = {(i, j): e for i in range(n) for j, e in links[i]}
+    back = np.empty(edge, dtype=np.intp)
+    for (i, j), e in edge_of.items():
+        back[e] = edge_of[j, i]
+
+    def slot(index):
+        index = [int(r) for r in index]
+        if index == list(range(index[0], index[0] + len(index))):
+            return slice(index[0], index[0] + len(index))
+        return np.array(index)
+
+    def weight(values):
+        """A float if every row agrees (numpy's fast path), else a (rows, 1) column."""
+        values = [float(v) for v in values]
+        return values[0] if len(set(values)) == 1 else np.array(values).reshape(-1, 1)
+
+    blocks = []
+    for start, m, first in spans:
+        rows = range(start, start + m)
+        k = len(peers[start])
+        sent = tuple(slice(first + s * m, first + (s + 1) * m) for s in range(k))
+        blocks.append(SlotBlock(
+            rows=slice(start, start + m),
+            sent=sent,
+            self_w=weight([w[i, i] for i in rows]),
+            peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
+            back=tuple(slot(back[e]) for e in sent),
+            nbrs=tuple(slot([nbrs[i][t] for i in rows]) for t in range(k + 1)),
+            nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
+        ))
+    uniform = all(len({w[i, j] for j in nb}) == 1 for i, nb in enumerate(nbrs))
+    return NeighborSlots(links, back, tuple(blocks), uniform)
 
 
 # ------------------------------------------------------------- row blocks

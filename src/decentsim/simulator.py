@@ -8,7 +8,7 @@ compngc it also holds the error-feedback residuals, zero at the start:
 err_self as (N, d) and err_out as (E, d), one row per directed edge in
 the edge table's order, each AgentState's err_self and err_out[j] being
 views of them. Every ef_step writes its residual back into its row. W's
-neighborhoods become slot tables once per run (`_neighbor_tables`):
+neighborhoods become slot tables once per run (`algorithms.neighbor_slots`):
 agent i's peers in ascending order, the edge rows of its messages, and
 blocks of consecutive agents of one degree, max(1, 2**16 // d) rows
 each. A slot whose rows run consecutively upward is read as a view, any
@@ -49,17 +49,15 @@ from functools import partial
 import numpy as np
 
 from .algorithms import (
-    BLOCK_ELEMS,
     SCHEDULES,
     AgentState,
     HyperParams,
-    NeighborSlots,
-    SlotBlock,
     apply_lr_schedule,
     deviation_l1,
     dpsgd_finalize,
     dpsgd_prepare,
     gossip_rows,
+    neighbor_slots,
     ngc_apply,
     ngc_update,
     slot_rows,
@@ -80,7 +78,7 @@ from .models import (
     loss_and_gradient,
 )
 from .partition import partition_iid, partition_label_skew
-from .topology import TOPOLOGIES, TopologySpec, build_mixing_matrix, neighbors, spectral_gap
+from .topology import TOPOLOGIES, TopologySpec, build_mixing_matrix, spectral_gap
 
 ALGORITHMS = ("dpsgd", "ngc", "compngc")
 PARTITIONS = ("iid", "skew")
@@ -129,6 +127,8 @@ class RunConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigurationError(f"unknown {key} {getattr(self, key)!r} "
                                          f"(choose from {', '.join(allowed)})")
+        if self.algorithm == "dpsgd" and self.alpha != HyperParams.alpha:  # its echo omits alpha
+            raise ConfigurationError("dpsgd takes no alpha: it mixes no cross-gradients")
         if self.model == "mlp" and self.hidden_dim < 1:
             raise ConfigurationError("mlp needs a positive hidden_dim")
         value = self.dataset  # free text, so its echo line must read back unchanged
@@ -231,64 +231,6 @@ class RunResult:
         return spectral_gap(self.w).sqrt_rho
 
 
-def _neighbor_tables(w: np.ndarray, dim: int) -> NeighborSlots:
-    """W's slot tables, with blocks of max(1, BLOCK_ELEMS // dim) rows of one degree.
-
-    A block's messages fill consecutive edge rows slot by slot, so each
-    slot's model-variant rows are one contiguous run. A gossip or
-    data-variant slot whose rows run consecutively upward is a slice,
-    which `slot_rows` reads as a view; any other is an index array.
-    """
-    n = w.shape[0]
-    nbrs = [neighbors(w, i) for i in range(n)]
-    peers = [[j for j in nb if j != i] for i, nb in enumerate(nbrs)]
-    per_block = max(1, BLOCK_ELEMS // dim)
-    spans = []  # (first row, row count, first edge row)
-    start = edge = 0
-    while start < n:
-        m = 1
-        while (start + m < n and m < per_block
-               and len(peers[start + m]) == len(peers[start])):
-            m += 1
-        spans.append((start, m, edge))
-        start, edge = start + m, edge + m * len(peers[start])
-
-    links = [[(j, first + s * m + i - start) for s, j in enumerate(peers[i])]
-             for start, m, first in spans for i in range(start, start + m)]
-    edge_of = {(i, j): e for i in range(n) for j, e in links[i]}
-    back = np.empty(edge, dtype=np.intp)
-    for (i, j), e in edge_of.items():
-        back[e] = edge_of[j, i]
-
-    def slot(index):
-        index = [int(r) for r in index]
-        if index == list(range(index[0], index[0] + len(index))):
-            return slice(index[0], index[0] + len(index))
-        return np.array(index)
-
-    def weight(values):
-        """A float if every row agrees (numpy's fast path), else a (rows, 1) column."""
-        values = [float(v) for v in values]
-        return values[0] if len(set(values)) == 1 else np.array(values).reshape(-1, 1)
-
-    blocks = []
-    for start, m, first in spans:
-        rows = range(start, start + m)
-        k = len(peers[start])
-        sent = tuple(slice(first + s * m, first + (s + 1) * m) for s in range(k))
-        blocks.append(SlotBlock(
-            rows=slice(start, start + m),
-            sent=sent,
-            self_w=weight([w[i, i] for i in rows]),
-            peer_w=tuple(weight([w[i, peers[i][s]] for i in rows]) for s in range(k)),
-            back=tuple(slot(back[e]) for e in sent),
-            nbrs=tuple(slot([nbrs[i][t] for i in rows]) for t in range(k + 1)),
-            nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
-        ))
-    uniform = all(len({w[i, j] for j in nb}) == 1 for i, nb in enumerate(nbrs))
-    return NeighborSlots(w, links, back, tuple(blocks), uniform)
-
-
 class StackedState:
     """A run's agent state as rows, and the tables a round of its algorithm needs.
 
@@ -312,7 +254,7 @@ class StackedState:
         for state, x_i, v_i in zip(states, self.x, self.v):
             state.params, state.momentum = x_i, v_i
         dim = self.x.shape[1]
-        self.slots = slots = _neighbor_tables(w, dim)
+        self.slots = slots = neighbor_slots(w, dim)
         self.grads = np.empty_like(self.x)
         # The first N*d bytes of the gradient rows, as one flag per element.
         self.finite = self.grads.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
@@ -435,8 +377,9 @@ def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
 def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dataset]:
     """Mixing matrix, data and freshly initialized agents, before any round.
 
-    Builds W, checks and solves it (spectral_gap) and spawns the seed
-    streams, each exactly once per run. Returns (states, w,
+    Builds W and spawns the seed streams, each exactly once per run, and
+    neither checks nor solves W: every W that build_mixing_matrix makes
+    is connected and doubly stochastic. Returns (states, w,
     validation_data); useful for diagnostics that probe the pre-training
     configuration directly. The agents share one read-only params array
     and one read-only zero momentum until the run's StackedState stacks
@@ -444,9 +387,6 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
     """
     config.validate()
     w = build_mixing_matrix(TopologySpec(config.topology, config.agents, config.torus_rows))
-    if not spectral_gap(w).connected:
-        raise ConfigurationError("topology is disconnected")
-
     streams = seed_streams(config.seed, config.agents)
     train, val = _load_data(config, streams.val_seed)
     if config.partition == "iid":

@@ -61,8 +61,8 @@ def reference_round(states, w, hp, algorithm, batch_size):
     return losses, bundles
 
 
-def round_with_bundles(stack, hp, batch_size, ledger=None):
-    """run_round, plus each agent's GradientBundle as the round mixes it.
+def round_with_bundles(stack, w, hp, batch_size, ledger=None):
+    """run_round, plus each agent's GradientBundle as the round mixes it; w is the stack's W.
 
     The round mixes into the self-gradient rows and then fills them with
     the gossip pulls, so the bundles are built from copies of stack.grads
@@ -94,7 +94,7 @@ def round_with_bundles(stack, hp, batch_size, ledger=None):
         model_variant = {j: cross[e] for j, e in links}
         data_variant = ({j: cross[slots.back[e]] for j, e in links}
                         if hp.alpha != 0.0 else {})
-        weights = {j: float(slots.w[i, j]) for j in sorted([i, *model_variant])}
+        weights = {j: float(w[i, j]) for j in sorted([i, *model_variant])}
         bundles.append(GradientBundle(i, grads[i], model_variant, data_variant, weights))
     return losses, bias, bundles
 
@@ -127,7 +127,7 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
     weights are uniform, the bias norms; elsewhere the round returns none.
     """
     for _ in range(rounds):
-        losses, bias, got_bundles = round_with_bundles(stack, hp, batch_size)
+        losses, bias, got_bundles = round_with_bundles(stack, w, hp, batch_size)
         want_losses, bundles = reference_round(ref, w, hp, algorithm, batch_size)
         assert bits(losses) == bits(want_losses)
         for a, b in zip(stack.states, ref):

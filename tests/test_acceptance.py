@@ -388,7 +388,7 @@ def round_zero_bias(config: RunConfig) -> tuple[float, float]:
     states, w, _ = initial_states(config)
     hp = config.hyper_params()
     stack = StackedState(states, w, "ngc")
-    bundles = round_with_bundles(stack, hp, config.batch_size)[2]
+    bundles = round_with_bundles(stack, w, hp, config.batch_size)[2]
     eps_max = 0.0
     omega_l1 = 0.0
     for bundle in bundles:

@@ -17,6 +17,7 @@ from decentsim import (
     ProtocolError,
     StackedState,
     TopologySpec,
+    algorithms,
     apply_lr_schedule,
     bias_terms,
     build_mixing_matrix,
@@ -32,6 +33,7 @@ from decentsim.algorithms import (
     cluster_deviation,
     compngc_prepare,
     gossip_rows,
+    neighbor_slots,
     ngc_prepare,
     ngc_update,
     slot_rows,
@@ -283,9 +285,9 @@ def edge_rows(rng, shape):
 def slot_tables(kind, n, dim, block_rows):
     """W and its slot tables, cut into blocks of block_rows agents if given."""
     w = build_mixing_matrix(TopologySpec(kind, n))
-    elems = simulator.BLOCK_ELEMS if block_rows is None else block_rows * dim
-    with mock.patch.object(simulator, "BLOCK_ELEMS", elems):
-        return w, simulator._neighbor_tables(w, dim)
+    elems = algorithms.BLOCK_ELEMS if block_rows is None else block_rows * dim
+    with mock.patch.object(algorithms, "BLOCK_ELEMS", elems):
+        return w, neighbor_slots(w, dim)
 
 
 @given(graph=st.sampled_from(GRAPHS), seed=st.integers(0, 2**32 - 1),

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from decentsim import ModelSpec, RunConfig, cli, simulator, wire_size_bytes
+from decentsim.algorithms import neighbor_slots
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -135,11 +136,13 @@ def traced_round(algorithm: str, sent: bool, n: int, e: int):
 
 # The 5-ring at alpha = 1 is skew-ring5's and wide-compngc's round (under
 # compngc 15 / 15 / 40 / 20); the 5-agent Metropolis chain has uneven degrees.
+# dpsgd takes no alpha, so it runs at alpha = 1 only.
 TRACED_ROUNDS = [pytest.param(algorithm, "ring", 1.0, id=algorithm)
                  for algorithm in ("compngc", "ngc", "dpsgd")] + [
     pytest.param(algorithm, kind, alpha, id=f"{algorithm}-{kind}-a{alpha}")
     for algorithm in ("compngc", "ngc", "dpsgd") for kind in ("ring", "chain")
-    for alpha in (0.0, 0.5, 1.0) if (kind, alpha) != ("ring", 1.0)]
+    for alpha in (0.0, 0.5, 1.0)
+    if (kind, alpha) != ("ring", 1.0) and (algorithm != "dpsgd" or alpha == 1.0)]
 
 
 @pytest.mark.parametrize("algorithm, kind, alpha", TRACED_ROUNDS)
@@ -160,7 +163,7 @@ def test_traced_compngc_round_meets_the_perfbench_closed_form(algorithm, kind, a
     edges = np.count_nonzero(result.w[~np.eye(n, dtype=bool)])
     sent = algorithm != "dpsgd" and alpha != 0.0
     grad, ef_steps, decompresses, messages = traced_round(algorithm, sent, n, edges)
-    blocks = simulator._neighbor_tables(result.w, result.spec.param_count).blocks
+    blocks = neighbor_slots(result.w, result.spec.param_count).blocks
     for name, count in [("models.loss_and_gradient", grad), ("compression.ef_step", ef_steps),
                         ("compression.decompress", decompresses),
                         ("simulator.exchange_params", sum(len(b.nbrs) for b in blocks)),

@@ -6,11 +6,12 @@ import dataclasses
 import io
 import json
 import math
+import re
 import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decentsim import (
@@ -269,10 +270,12 @@ def hostile_configs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(config=hostile_configs())
+@example(config=RunConfig(algorithm="dpsgd", alpha=0.5))
 def test_every_config_validate_accepts_reads_back_from_its_echo(config, tmp_path_factory):
     # Either validate rejects the config, or write_config_file then
     # read_config_file gives it back. reprs are compared, which tells -0.0
-    # from 0.0 and reads nan as equal to itself.
+    # from 0.0 and reads nan as equal to itself. A dpsgd echo omits alpha,
+    # so validate must reject any alpha but the default there.
     try:
         config.validate()
     except ConfigurationError:
@@ -280,8 +283,6 @@ def test_every_config_validate_accepts_reads_back_from_its_echo(config, tmp_path
     path = tmp_path_factory.getbasetemp() / "echo-config.txt"
     write_config_file(config, str(path))
     again = RunConfig(**read_config_file(str(path)))
-    if config.algorithm == "dpsgd":  # the echo omits alpha by design
-        config = dataclasses.replace(config, alpha=RunConfig.alpha)
     assert repr(again) == repr(config)
 
 
@@ -320,11 +321,20 @@ def test_metrics_csv_round_trips_and_keeps_nine_significant_digits(tmp_path):
 
 
 def test_metrics_csv_rejects_malformed_files(tmp_path):
-    from decentsim import ParseError
+    # One file per ParseError branch.
     bad = tmp_path / "bad.csv"
-    bad.write_text("round,epoch\n1,2\n")
-    with pytest.raises(ParseError):
-        read_metrics_csv(str(bad))
+    emit_metrics_csv([], str(bad))
+    schema, header = bad.read_text().splitlines()
+    row = "12,1,x,1.1,0.5,0.0003,0.125,2.5,34960,34960"
+    for text, message in [
+        ("round,epoch\n1,2", "line 1: unexpected header 'round,epoch'"),
+        (f"{schema}\n{header}\n1,2", "line 3: expected 10 fields, got 2"),
+        (f"{schema}\n{header}\n{row}", "line 3: could not convert string to float: 'x'"),
+        (schema, "no header line found"),
+    ]:
+        bad.write_text(text + "\n")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_metrics_csv(str(bad))
 
 
 def test_metrics_csv_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path):
@@ -433,7 +443,8 @@ def test_main_maps_every_library_error_to_exit_two(error, monkeypatch, capsys):
 
 
 def test_main_long_chain_exit_zero(tmp_path):
-    # 200 agents: the spectral gap of a chain this long is about 8e-5.
+    # 200 agents: a chain this long has a spectral gap of about 8e-5, which
+    # set-up never solves.
     assert run_main(["--agents", "200", "--topology", "chain", "--epochs", "1",
                      "--batch-size", "8", "--out-dir", str(tmp_path / "runs")]) == 0
 
@@ -443,6 +454,20 @@ def test_main_non_finite_dataset_exit_two_naming_the_line(tmp_path, capsys):
     data.write_text("0,1.0,2.0\n1,nan,0.5\n")
     assert run_main(["--dataset", str(data), "--out-dir", str(tmp_path / "runs")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,1.0\n", "validation split leaves no training data"),
+    ("1\n0,1.0\n", "line 1: need a label and at least one feature"),
+], ids=["one-row", "no-feature"])
+def test_main_unusable_dataset_exits_two_and_writes_nothing(text, message, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "runs"
+    assert run_main(["--dataset", str(data), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("error:") == 1
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -457,6 +482,7 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, message", [
+    ("agents", "line 1: expected key=value"),
     ("agents=4\nagents=6", "line 2: key 'agents' repeats line 1"),
     ("algorithm=sgd", "unknown algorithm 'sgd'"),
     ("topology=star", "unknown topology 'star'"),
@@ -464,6 +490,8 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("schedule=cosine", "unknown schedule 'cosine' (choose from step, constant)"),
     ("data_seed=-3", "seeds must be nonnegative"),
     ("workers=2", "workers must be 1: the round engine is serial"),
+    ("hidden_dim=0", "mlp needs a positive hidden_dim"),
+    ("batch_size=0", "batch_size must be positive"),
     # Only set-up (data, partition, W, shard sizes) finds these.
     ("spread=-1", "spread must be positive"),
     ("spread=1e308", "spread 1e+308 overflows the synthetic features"),
@@ -472,19 +500,22 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("agents=1", "ring needs at least two agents"),
     ("classes=1", "need at least two classes"),
     ("per_class=0", "per_class must be positive"),
+    ("dim=0", "dim must be positive"),
+    ("agents=20\nclasses=10\nper_class=1", "class 0 has fewer samples than 2 holders"),
     ("batch_size=500", "batch_size exceeds the smallest shard"),
     ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
-    # read_config_file must catch the repeated key, and RunConfig.validate,
-    # the one value check for flags and config files, the next six, before
-    # run_sweep creates any directory; the rest fail in set-up, before a
-    # seed directory is written.
+    # read_config_file must catch the bare key and the repeated one, and
+    # RunConfig.validate, the one value check for flags and config files,
+    # the next eight, before run_sweep creates any directory; the rest
+    # fail in set-up, before a seed directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")
     out = tmp_path / "badout"
     assert run_main(["--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("error:") == 1
     assert not out.exists()
 
 
@@ -709,6 +740,14 @@ def test_main_compress_check_exit_zero(capsys):
     assert run_main(["--compress-check"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_main_failed_compress_check_exits_three(monkeypatch, capsys):
+    # A wire size off by one byte fails the self-check, which aborts.
+    monkeypatch.setattr("decentsim.cli.wire_size_bytes", lambda dim: (dim + 7) // 8 + 13)
+    assert run_main(["--compress-check"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: compressor self-check failed") and "FAIL" in err
 
 
 def test_compress_self_check_reports_all_green():

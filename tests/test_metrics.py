@@ -92,7 +92,7 @@ def test_bias_norms_and_consensus_error_leave_their_inputs_unchanged(algorithm, 
     stack = StackedState(states, w, algorithm)
     for _ in range(2):
         run_round(stack, hp, batch_size=7)
-    bundles = round_with_bundles(stack, hp, batch_size=7)[2]
+    bundles = round_with_bundles(stack, w, hp, batch_size=7)[2]
 
     def arrays():
         out = [s.params for s in states]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decentsim import simulator, topology
+from decentsim import algorithms, simulator, topology
 from decentsim import (
     CommLedger,
     ConfigurationError,
@@ -30,7 +30,7 @@ from decentsim import (
     spectral_gap,
 )
 
-from decentsim.algorithms import BLOCK_ELEMS
+from decentsim.algorithms import BLOCK_ELEMS, neighbor_slots
 from decentsim.compression import compress
 from decentsim.models import ACTIVATIONS
 
@@ -218,7 +218,7 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3, hidden_dim=5, activation=activation)
     if block_rows is not None:
-        monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * spec.param_count)
+        monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     w = build_mixing_matrix(TopologySpec(kind, n))
     hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
     shards = np.array_split(np.arange(data.n), n)
@@ -286,7 +286,7 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
     elems = BLOCK_ELEMS if block_rows is None else block_rows * spec.param_count
-    with mock.patch.object(simulator, "BLOCK_ELEMS", elems):
+    with mock.patch.object(algorithms, "BLOCK_ELEMS", elems):
         stack = StackedState(engine, w, algorithm)
     sizes = {blk.size for blk in stack.slots.blocks}
     if hidden == WIDE_HIDDEN:
@@ -342,9 +342,9 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
     kind, n, torus_rows = SLOT_GRAPHS[graph]
     dim = 9
     if block_rows is not None:
-        monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * dim)
+        monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * dim)
     w = build_mixing_matrix(TopologySpec(kind, n, torus_rows))
-    slots = simulator._neighbor_tables(w, dim)
+    slots = neighbor_slots(w, dim)
     if block_rows is not None:
         assert max(blk.size for blk in slots.blocks) == block_rows
     edge = {(i, j): e for i in range(n) for j, e in slots.links[i]}
@@ -382,12 +382,12 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3)
     if block_rows is not None:
-        monkeypatch.setattr(simulator, "BLOCK_ELEMS", block_rows * spec.param_count)
+        monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=4)
     stack = StackedState(states, w, "ngc")
     hp = HyperParams(0.5, 0.9, 0.05, 0.5, "constant")
     for _ in range(2):
-        _, bias, bundles = round_with_bundles(stack, hp, 10)
+        _, bias, bundles = round_with_bundles(stack, w, hp, 10)
     if stack.slots.uniform:
         assert bits(bias) == bits(bias_norms(bundles))
     else:
@@ -406,7 +406,7 @@ def test_round_returns_the_bias_norms_only_where_they_are_defined():
         stack = StackedState(states, w, algorithm)
         for _ in range(2):
             _, bias, bundles = round_with_bundles(
-                stack, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
+                stack, w, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
         return bundles, bias
 
     assert two_rounds("ring", "dpsgd", 1.0)[1] is None
@@ -612,6 +612,14 @@ def test_run_on_a_csv_dataset(tmp_path):
     assert result.rows == again.rows
 
 
+def test_a_one_dimensional_mixture_trains_to_full_accuracy():
+    # dim = 1 places the two class centers at -1 and +1 on the line.
+    result = run(tiny_config(dim=1, classes=2, partition="iid", epochs=3, eta=0.05,
+                             schedule="constant"))
+    assert result.val_data.dim == 1
+    assert result.rows[0].val_acc < 1.0 and result.final_row.val_acc == 1.0
+
+
 def test_mlp_beats_chance_quickly_on_an_easy_iid_problem():
     cfg = tiny_config(partition="iid", epochs=15, spread=0.15, eta=0.05,
                       schedule="constant")
@@ -621,12 +629,14 @@ def test_mlp_beats_chance_quickly_on_an_easy_iid_problem():
 
 # ------------------------------------------------------------- set-up pass
 
+# Each set-up step, by its home module, and the calls one run makes to it:
+# W is built and cut into slot tables once, and never checked or solved.
 SETUP_STEPS = {
-    "build_mixing_matrix": topology,
-    "validate_doubly_stochastic": topology,
-    "spectral_gap": topology,
-    "_neighbor_tables": simulator,
-    "seed_streams": simulator,
+    "build_mixing_matrix": (topology, 1),
+    "neighbor_slots": (algorithms, 1),
+    "seed_streams": (simulator, 1),
+    "validate_doubly_stochastic": (topology, 0),
+    "spectral_gap": (topology, 0),
 }
 
 
@@ -635,7 +645,7 @@ def count_setup_steps(monkeypatch) -> dict:
     counts = dict.fromkeys(SETUP_STEPS, 0)
     modules = [m for name, m in sys.modules.items()
                if name == "decentsim" or name.startswith("decentsim.")]
-    for name, home in SETUP_STEPS.items():
+    for name, (home, _) in SETUP_STEPS.items():
         original = getattr(home, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -649,7 +659,7 @@ def count_setup_steps(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("source", ["synthetic-compngc", "csv-ngc"])
-def test_one_run_builds_checks_and_solves_w_and_seeds_once(source, tmp_path, monkeypatch):
+def test_one_run_builds_w_slots_and_seeds_once_and_solves_no_w(source, tmp_path, monkeypatch):
     if source == "synthetic-compngc":
         cfg = tiny_config(algorithm="compngc", epochs=1)
     else:
@@ -657,7 +667,7 @@ def test_one_run_builds_checks_and_solves_w_and_seeds_once(source, tmp_path, mon
                           batch_size=4)
     counts = count_setup_steps(monkeypatch)
     run(cfg)
-    assert counts == dict.fromkeys(SETUP_STEPS, 1)
+    assert counts == {name: calls for name, (_, calls) in SETUP_STEPS.items()}
 
 
 def test_result_serves_sqrt_rho_from_its_mixing_matrix():

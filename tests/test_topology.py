@@ -14,6 +14,7 @@ from decentsim import (
     spectral_gap,
     validate_doubly_stochastic,
 )
+from decentsim.topology import TOPOLOGIES
 
 
 def oracle_sqrt_rho(w: np.ndarray, iters: int = 200_000, tol: float = 1e-13) -> float:
@@ -137,6 +138,37 @@ def test_unknown_kind_and_tiny_graphs_are_rejected():
         TopologySpec("chain", 1)
     with pytest.raises(ConfigurationError):
         TopologySpec("full", 0)
+
+
+def accepted_specs(kind, max_agents=64):
+    """Every TopologySpec of this kind that set-up accepts, up to max_agents.
+
+    A torus comes at every torus_rows that factors its agents, and unpinned.
+    """
+    for n in range(1, max_agents + 1):
+        for rows in [None, *range(2, n + 1)] if kind == "torus" else [None]:
+            try:
+                yield TopologySpec(kind, n, rows)
+            except ConfigurationError:
+                pass
+
+
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_every_accepted_graph_is_doubly_stochastic_and_connected(kind):
+    # Set-up builds W and never checks it: these are build_mixing_matrix's
+    # postconditions, checked here for every graph of up to 64 agents.
+    # Connectivity is checked twice, by the spectral gap and by a walk.
+    specs = list(accepted_specs(kind))
+    assert specs
+    for spec in specs:
+        w = build_mixing_matrix(spec)
+        assert validate_doubly_stochastic(w).passed, spec
+        assert spectral_gap(w).connected, spec
+        reached, frontier = {0}, {0}
+        while frontier:
+            frontier = {j for i in frontier for j in neighbors(w, i)} - reached
+            reached |= frontier
+        assert reached == set(range(spec.num_agents)), spec
 
 
 def test_validator_flags_a_row_stochastic_only_matrix():
