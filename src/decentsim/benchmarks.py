@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 
+from .errors import ConfigurationError
 from .simulator import RunConfig
 
 # Communication-constrained regime: two rounds per epoch (full shard in two
@@ -38,18 +39,21 @@ def iid_benchmark_config(seed: int, **overrides) -> RunConfig:
     return skew_benchmark_config(seed, partition="iid", **overrides)
 
 
-def seed_list(text: str) -> list[int]:
-    """The one --seeds parser: comma-separated integers, no empty items, no repeats.
+def distinct_seeds(seeds: list[int]) -> list[int]:
+    """Return seeds, or raise ConfigurationError if none or a repeat (which counts twice)."""
+    if not seeds:
+        raise ConfigurationError("a sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError("seeds must not repeat")
+    return seeds
 
-    A repeated seed would rerun into the same seed directory and count
-    twice in every cross-seed statistic. An argparse type for the scripts;
-    the CLI calls it from parse_config.
-    """
+
+def seed_list(text: str) -> list[int]:
+    """The one --seeds parser and the scripts' argparse type: integers, comma-separated."""
     try:
-        seeds = [int(tok) for tok in text.split(",")]
+        return distinct_seeds([int(tok) for tok in text.split(",")])
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"want comma-separated integers, got {text!r}") from None
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentTypeError(f"seeds must not repeat, got {text!r}")
-    return seeds

@@ -1,15 +1,17 @@
 """Command line front end: config resolution, sweeps, metric CSV files.
 
-RunConfig is the one schema: each config flag takes its field's type and
-RunConfig.validate is the one value check, so an unknown value fails alike
-from a flag or a config file and names the allowed ones. Flags override
-config files, which override defaults. Config files are UTF-8 `key=value`
-lines keyed by RunConfig fields; a `#` at a line start or after whitespace
-starts a comment. Each seed's config.txt echo must read back as the same
-config, so validate rejects a dataset with a line break, edge whitespace,
-whitespace before `#` or non-UTF-8 text. Exit codes: 0 success, 2 usage or
-configuration problem, 3 runtime abort (`exit_code` is the map). A sweep
-checks its paths, then runs every seed before it writes: exit 2 writes nothing.
+RunConfig is the one schema: each config flag takes its field's type, and
+RunConfig.validate is the one value check, so a bad value fails alike from a
+flag or a config file, as validate's ConfigurationError. A UsageError only
+means that the command line, a config file, the seed list or the out-dir could
+not be read. Flags override config files, which override defaults. Config files
+are UTF-8 `key=value` lines keyed by RunConfig fields; a `#` at a line start
+or after whitespace starts a comment. Each seed's config.txt echoes every field
+that is not None and must read back as the same config, so validate rejects a
+dataset with a line break, edge whitespace, whitespace before `#` or non-UTF-8
+text. Exit codes: 0 success, 2 usage or configuration problem, 3 runtime abort
+(`exit_code` is the map). A sweep checks its seeds and paths, then runs every
+seed before it writes: exit 2 writes nothing.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ import typing
 
 import numpy as np
 
-from .benchmarks import seed_list
+from .benchmarks import distinct_seeds, seed_list
 from .compression import compress, decode, decompress, ef_step, encode, wire_size_bytes
-from .errors import ConfigurationError, DecentsimError, ParseError, RunAbortError, UsageError
+from .errors import DecentsimError, ParseError, RunAbortError, UsageError
 from .metrics import MetricsRow
 from .models import evaluate, numbered_lines
 from .simulator import CHOICES, COMMENT, RunConfig, run
@@ -65,13 +67,11 @@ def read_config_file(path: str) -> dict:
 
 
 def write_config_file(config: RunConfig, path: str):
-    """Echo config as read_config_file reads it; a dpsgd echo omits alpha, which dpsgd rejects."""
+    """Echo config as read_config_file reads it: one line per field that is not None."""
     with open(path, "w", encoding="utf-8") as fh:
         for f in dataclasses.fields(RunConfig):
-            value = getattr(config, f.name)
-            if value is None or (f.name == "alpha" and config.algorithm == "dpsgd"):
-                continue
-            fh.write(f"{f.name}={value}\n")
+            if getattr(config, f.name) is not None:
+                fh.write(f"{f.name}={getattr(config, f.name)}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,10 +108,6 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
     overrides.update({key: val for key, val in vars(args).items()
                       if key in _FIELD_TYPES and val is not None})
 
-    algorithm = overrides.get("algorithm", RunConfig.algorithm)
-    if algorithm == "dpsgd" and "alpha" in overrides:
-        raise UsageError("dpsgd does not take --alpha; it has no cross-gradient mixing")
-
     seeds = [overrides.get("seed", RunConfig.seed)]
     if args.seeds is not None:
         try:
@@ -119,11 +115,8 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"--seeds: {exc}") from None
 
-    try:
-        config = RunConfig(**overrides)
-        config.validate()
-    except (TypeError, ConfigurationError) as exc:
-        raise UsageError(str(exc)) from None
+    config = RunConfig(**overrides)
+    config.validate()
     return config, seeds, args
 
 
@@ -185,12 +178,12 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
               verbose: bool = False) -> dict:
     """Run one config across seeds, then write per-seed CSVs plus a summary JSON.
 
-    Every seed's config and every path to write is checked before the first
-    run, and every seed runs before the first write, so any error but an
-    abort leaves out_dir as it was. An interrupted sweep writes nothing
-    either.
+    The seed list (at least one seed, none repeated), every seed's config
+    and every path to write are checked before the first run, and every
+    seed runs before the first write, so any error but an abort leaves
+    out_dir as it was. An interrupted sweep writes nothing either.
     """
-    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    configs = [dataclasses.replace(config, seed=seed) for seed in distinct_seeds(seeds)]
     for cfg in configs:
         cfg.validate()
     _check_out_dir(out_dir, seeds)

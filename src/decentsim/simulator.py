@@ -127,7 +127,7 @@ class RunConfig:
             if getattr(self, key) not in allowed:
                 raise ConfigurationError(f"unknown {key} {getattr(self, key)!r} "
                                          f"(choose from {', '.join(allowed)})")
-        if self.algorithm == "dpsgd" and self.alpha != HyperParams.alpha:  # its echo omits alpha
+        if self.algorithm == "dpsgd" and self.alpha != HyperParams.alpha:
             raise ConfigurationError("dpsgd takes no alpha: it mixes no cross-gradients")
         if self.model == "mlp" and self.hidden_dim < 1:
             raise ConfigurationError("mlp needs a positive hidden_dim")

@@ -91,6 +91,8 @@ def test_step_schedule_decays_at_half_and_three_quarters():
 def test_constant_schedule_never_decays():
     hp = HyperParams(eta=0.04, schedule="constant")
     assert all(apply_lr_schedule(hp, e, 10) == 0.04 for e in range(10))
+    with pytest.raises(ConfigurationError, match="^total_epochs must be positive$"):
+        apply_lr_schedule(hp, 0, 0)
 
 
 # ------------------------------------------------------------------ ngc_mix
@@ -148,6 +150,18 @@ def test_mix_rejects_weights_that_do_not_sum_to_one():
                          {j: w + 1e-6 for j, w in bundle.weights.items()})
     with pytest.raises(ConfigurationError, match="sum"):
         ngc_mix(bad, 0.5)
+    selfless = {j: w for j, w in bundle.weights.items() if j != bundle.agent_id}
+    bad = GradientBundle(bundle.agent_id, bundle.self_grad, bundle.model_variant,
+                         bundle.data_variant, selfless)
+    with pytest.raises(ConfigurationError, match="^weight map must include the agent itself$"):
+        ngc_mix(bad, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [-0.25, 1.5, float("nan")])
+def test_mix_rejects_an_alpha_outside_the_unit_interval(alpha):
+    bundle = random_bundle(np.random.default_rng(2), 2)
+    with pytest.raises(ConfigurationError, match=rf"^alpha {alpha} outside \[0, 1\]$"):
+        ngc_mix(bundle, alpha)
 
 
 def test_mix_rejects_incomplete_gradient_maps():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from decentsim import (
     ConfigurationError,
+    DecentsimError,
     MetricsRow,
     ParseError,
     PartitionError,
@@ -85,26 +86,30 @@ def test_config_file_reports_the_bad_line(tmp_path):
         parse_config(["--config", str(cfg_file)])
 
 
-def test_dpsgd_with_alpha_is_a_usage_error():
-    with pytest.raises(UsageError, match="alpha"):
+def test_dpsgd_with_alpha_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="dpsgd takes no alpha"):
         parse_config(["--algorithm", "dpsgd", "--alpha", "0.5"])
 
 
 def test_dpsgd_with_alpha_from_file_is_also_rejected(tmp_path):
+    # RunConfig.validate is the rule's one home: an alpha other than 1.0
+    # fails, and alpha=1.0, which every dpsgd echo holds, reads back.
     cfg_file = tmp_path / "c.cfg"
-    cfg_file.write_text("algorithm=dpsgd\nalpha=1.0\n")
-    with pytest.raises(UsageError):
+    cfg_file.write_text("algorithm=dpsgd\nalpha=0.5\n")
+    with pytest.raises(ConfigurationError, match="dpsgd takes no alpha"):
         parse_config(["--config", str(cfg_file)])
+    cfg_file.write_text("algorithm=dpsgd\nalpha=1.0\n")
+    assert parse_config(["--config", str(cfg_file)])[0] == RunConfig(algorithm="dpsgd")
 
 
-def test_out_of_range_values_are_usage_errors():
-    with pytest.raises(UsageError, match="alpha"):
+def test_out_of_range_values_are_configuration_errors():
+    with pytest.raises(ConfigurationError, match="alpha"):
         parse_config(["--alpha", "1.5"])
-    with pytest.raises(UsageError, match="beta"):
+    with pytest.raises(ConfigurationError, match="beta"):
         parse_config(["--beta", "1.0"])
-    with pytest.raises(UsageError, match="gamma"):
+    with pytest.raises(ConfigurationError, match="gamma"):
         parse_config(["--gamma", "0.0"])
-    with pytest.raises(UsageError, match="eta"):
+    with pytest.raises(ConfigurationError, match="eta"):
         parse_config(["--eta", "-0.01"])
 
 
@@ -274,8 +279,8 @@ def hostile_configs(draw):
 def test_every_config_validate_accepts_reads_back_from_its_echo(config, tmp_path_factory):
     # Either validate rejects the config, or write_config_file then
     # read_config_file gives it back. reprs are compared, which tells -0.0
-    # from 0.0 and reads nan as equal to itself. A dpsgd echo omits alpha,
-    # so validate must reject any alpha but the default there.
+    # from 0.0 and reads nan as equal to itself. A dpsgd echo holds
+    # alpha=1.0 like any other, and validate rejects every other alpha there.
     try:
         config.validate()
     except ConfigurationError:
@@ -287,13 +292,65 @@ def test_every_config_validate_accepts_reads_back_from_its_echo(config, tmp_path
 
 
 def test_dpsgd_config_echo_is_reusable(tmp_path):
-    # The echo must not write the alpha that parse_config rejects for dpsgd.
+    # The echo writes every field, alpha=1.0 too, and the CLI reads it back.
     config, _, _ = parse_config(["--algorithm", "dpsgd", "--epochs", "1"])
     path = tmp_path / "config.txt"
     write_config_file(config, str(path))
-    assert "alpha=" not in path.read_text()
+    assert "alpha=1.0\n" in path.read_text()
     again, _, _ = parse_config(["--config", str(path)])
     assert again == config
+
+
+def _one_line(value) -> bool:
+    """Whether a config line carries value unchanged: inner spaces only, none before `#`."""
+    return not isinstance(value, str) or (
+        value.isprintable() and value == value.strip() and " #" not in value)
+
+
+_LINE_TEXT = st.text(st.characters(exclude_categories=("C", "Z")) | st.just(" "),
+                     max_size=10).filter(_one_line)
+
+
+@st.composite
+def flagged_fields(draw):
+    """Up to four of the fields the CLI has flags for, each drawn valid or hostile."""
+    names = draw(st.lists(st.sampled_from(CONFIG_FLAGS), max_size=4, unique=True))
+    return {name: draw(st.sampled_from(_KNOWN[name]) | _LINE_TEXT | _HOSTILE_TEXT
+                       if _FIELD_TYPES[name] is str else _FIELD_VALUES[name])
+            for name in names}
+
+
+def _outcome(resolve) -> str | tuple:
+    """The repr of the config that resolve returns, or its error's type and message."""
+    try:
+        return repr(resolve())
+    except DecentsimError as exc:
+        return type(exc), str(exc)
+
+
+def _validated(config: RunConfig) -> RunConfig:
+    config.validate()
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=flagged_fields())
+@example(fields={"algorithm": "dpsgd", "alpha": 1.0})
+@example(fields={"beta": 1.0})
+def test_the_front_door_and_the_library_agree_on_every_flagged_value(fields, tmp_path_factory):
+    # The CLI adds no value rule and translates no error. The values as
+    # flags, and as config file lines where a line carries them, either
+    # fail with validate's error type and message or resolve to the config
+    # that the library accepts.
+    texts = {name: repr(v) if isinstance(v, float) else str(v) for name, v in fields.items()}
+    library = _outcome(lambda: _validated(RunConfig(**fields)))
+    argv = [f"--{name.replace('_', '-')}={text}" for name, text in texts.items()]
+    assert _outcome(lambda: parse_config(argv)[0]) == library
+    if all(map(_one_line, fields.values())):
+        path = tmp_path_factory.getbasetemp() / "agree.cfg"
+        path.write_text("".join(f"{name}={text}\n" for name, text in texts.items()),
+                        encoding="utf-8")
+        assert _outcome(lambda: parse_config(["--config", str(path)])[0]) == library
 
 
 # ------------------------------------------------------------------- CSV
@@ -421,9 +478,9 @@ def _small_cfg(tmp_path):
     return p
 
 
-def test_main_usage_error_exit_two(capsys):
+def test_main_configuration_error_exit_two(capsys):
     assert run_main(["--alpha", "7"]) == 2
-    assert "alpha" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: alpha 7.0 outside [0, 1]\n"
 
 
 def test_main_missing_dataset_exit_two(tmp_path, capsys):
@@ -621,6 +678,22 @@ def test_repeated_seed_exits_two_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([1, 1], "seeds must not repeat"),
+    ([], "a sweep needs at least one seed"),
+], ids=["repeated", "empty"])
+def test_run_sweep_rejects_a_repeated_or_empty_seed_list_before_any_run(seeds, message,
+                                                                       tmp_path, monkeypatch):
+    # The library keeps the CLI's seed rule. Before, [1, 1] ran seed 1 twice
+    # into one seed_1/ and counted it twice in final_acc_std, and [] wrote a
+    # summary of no runs.
+    _run_failing_at(monkeypatch, 1, AssertionError("a seed ran"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        run_sweep(sweep_config(epochs=1), seeds, str(out))
+    assert not out.exists()
+
+
 def test_set_up_error_in_a_sweep_exits_two_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_main(["--seeds", "1,2", "--batch-size", "500", "--epochs", "1",
@@ -734,6 +807,16 @@ def test_a_summary_json_directory_exits_two_before_any_run(tmp_path, monkeypatch
     _unwritable_out_dir_exits_two_before_any_run(
         str(tmp_path / "out"), tmp_path, f"cannot write {summary}: {summary} is a directory",
         monkeypatch, capsys)
+
+
+def test_an_unwritable_out_dir_exits_two_before_any_run(tmp_path, monkeypatch, capsys):
+    # Root may write anywhere, and os.access says so; the patch stands in
+    # for a directory the user may not write.
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr("decentsim.cli.os.access", lambda path, mode: path != str(out))
+    _unwritable_out_dir_exits_two_before_any_run(
+        str(out), tmp_path, f"cannot write {out}: {out} is not writable", monkeypatch, capsys)
 
 
 def test_main_compress_check_exit_zero(capsys):

@@ -121,6 +121,12 @@ def test_variance_bound_refuses_tiny_sample_counts():
         variance_bound_check(states, w, batch_size=8, sample_count=50, seed=0)
 
 
+def test_variance_bound_refuses_a_w_of_another_size():
+    states, w = skewed_states()
+    with pytest.raises(ConfigurationError, match="^mixing matrix size does not match states$"):
+        variance_bound_check(states[:-1], w, batch_size=8, sample_count=100, seed=0)
+
+
 def test_variance_bound_single_agent_has_zero_lhs():
     data = generate_synthetic(2, 3, 40, 0.3, 1)
     spec = ModelSpec(3, 2)

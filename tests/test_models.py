@@ -280,6 +280,44 @@ def test_batch_must_hold_integer_indices(batch):
         cross_gradient(spec, params, data, batch)
 
 
+@pytest.mark.parametrize("batch", [np.array([], dtype=np.int64), np.array([[0, 1]])],
+                         ids=["empty", "2-D"])
+def test_batch_must_be_a_non_empty_1d_array(batch):
+    spec = ModelSpec(2, 3, hidden_dim=4)
+    data = generate_synthetic(3, 2, 2, 0.3, 0)
+    params = init_params(spec, np.random.default_rng(0))
+    with pytest.raises(ShapeError, match="^batch must be a non-empty 1-D index array$"):
+        loss_and_gradient(spec, params, data, batch)
+
+
+@pytest.mark.parametrize("features, labels, classes, error, message", [
+    (np.zeros(3), np.zeros(3, dtype=int), 2, ShapeError, r"features must be 2-D, got 1-D"),
+    (np.zeros((3, 2)), np.zeros(2, dtype=int), 2, ShapeError,
+     r"labels length must match feature rows"),
+    (np.zeros((3, 2)), np.zeros(3, dtype=int), 1, ConfigurationError,
+     r"need at least two classes"),
+    (np.zeros((2, 2)), np.array([0, 2]), 2, ConfigurationError,
+     r"labels must lie in \[0, num_classes\)"),
+    (np.zeros((2, 2)), np.array([-1, 0]), 2, ConfigurationError,
+     r"labels must lie in \[0, num_classes\)"),
+], ids=["1-D-features", "short-labels", "one-class", "label-too-high", "negative-label"])
+def test_dataset_rejects_inconsistent_arrays(features, labels, classes, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        Dataset(features, labels, classes)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(input_dim=0, num_classes=3), "bad model dimensions"),
+    (dict(input_dim=2, num_classes=1), "bad model dimensions"),
+    (dict(input_dim=2, num_classes=3, hidden_dim=-1), "bad model dimensions"),
+    (dict(input_dim=2, num_classes=3, hidden_dim=4, activation="gelu"),
+     "unknown activation 'gelu'"),
+], ids=["no-input", "one-class", "negative-hidden", "unknown-activation"])
+def test_model_spec_rejects_bad_dimensions_and_activations(kwargs, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        ModelSpec(**kwargs)
+
+
 def test_integer_features_and_params_are_computed_in_float64():
     # The in-place forward pass cannot hold floats in an integer array.
     spec = ModelSpec(2, 3, hidden_dim=4)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from decentsim import (
+    ConfigurationError,
     Dataset,
     PartitionError,
     TopologySpec,
@@ -59,6 +60,8 @@ def test_iid_rejects_more_agents_than_samples():
     data = generate_synthetic(2, 2, 2, 0.3, 0)
     with pytest.raises(PartitionError):
         partition_iid(data, 5, seed=0)
+    with pytest.raises(ConfigurationError, match="^num_agents must be positive$"):
+        partition_iid(data, 0, seed=0)
 
 
 def test_iid_label_proportions_stay_close_to_global():

@@ -200,10 +200,17 @@ PARITY_GRAPHS = {
     "full4": ("full", 4, "tanh", None),
     "ring20": ("ring", 20, "tanh", 4),
 }
+# Two cases at 256 agents, where slots wrap (torus) and blocks hold 5 or 7
+# of many rows; kept out of PARITY_GRAPHS, whose cross product they would
+# multiply.
+SCALE_GRAPHS = {
+    "torus256": ("torus", 256, "relu", 5),
+    "chain256": ("chain", 256, "relu", 7),
+}
 PARITY_CASES = [(g, "dpsgd", 1.0) for g in PARITY_GRAPHS] + [
     (g, alg, alpha) for g in PARITY_GRAPHS for alg in ("ngc", "compngc")
     for alpha in (0.0, 0.5, 1.0)
-]
+] + [("torus256", "compngc", 0.5), ("chain256", "ngc", 0.5)]
 
 
 @pytest.mark.parametrize("graph, algorithm, alpha", PARITY_CASES,
@@ -214,7 +221,7 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     # neighbours through slot tables. Agent by agent from the per-agent
     # rules on copies, every params, momentum and error-feedback bit must
     # come out the same, and so must the batch losses and bias norms.
-    kind, n, activation, block_rows = PARITY_GRAPHS[graph]
+    kind, n, activation, block_rows = {**PARITY_GRAPHS, **SCALE_GRAPHS}[graph]
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3, hidden_dim=5, activation=activation)
     if block_rows is not None:
@@ -227,7 +234,8 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     stack = StackedState(engine, w, algorithm)
     if block_rows is not None:
         assert max(blk.size for blk in stack.slots.blocks) == block_rows
-    assert_rounds_match(stack, ref, w, hp, algorithm, 10)
+    assert_rounds_match(stack, ref, w, hp, algorithm, 10,
+                        rounds=2 if graph in SCALE_GRAPHS else 3)
 
 
 def metropolis_weights(n: int, edges) -> np.ndarray:
@@ -536,6 +544,44 @@ def test_pure_gossip_preserves_mean_and_contracts_by_rho(alg):
         err = new_err
     mean_after = np.mean([s.params for s in states], axis=0)
     assert np.abs(mean_after - mean_before).max() <= 1e-10
+
+
+def eigenmode(kind: str, n: int) -> tuple[np.ndarray, float]:
+    """A closed-form eigenpair (u, lambda) of W, W u = lambda u (Xiao & Boyd, 2004)."""
+    if kind == "ring":
+        return np.cos(2 * np.pi * np.arange(n) / n), (1 + 2 * np.cos(2 * np.pi / n)) / 3
+    if kind == "chain":  # Metropolis weights: each end agent keeps 2/3
+        return np.cos(np.pi * (np.arange(n) + 0.5) / n), (1 + 2 * np.cos(np.pi / n)) / 3
+    if kind == "torus":  # agent r * cols + c; both sides >= 3, so every degree is 4
+        rows, cols = TopologySpec(kind, n).torus_dims()
+        u = np.outer(eigenmode("ring", rows)[0], eigenmode("ring", cols)[0]).ravel()
+        return u, (1 + 2 * np.cos(2 * np.pi / rows) + 2 * np.cos(2 * np.pi / cols)) / 5
+    return np.eye(n)[0] - np.eye(n)[1], 0.0  # full: W = ones / n
+
+
+@pytest.mark.parametrize("kind, n", [("ring", 160), ("ring", 1024), ("chain", 400),
+                                     ("chain", 1024), ("torus", 256), ("full", 64)],
+                         ids=["ring160", "ring1024", "chain400", "chain1024", "torus16x16",
+                              "full64"])
+def test_pure_gossip_scales_each_eigenmode_of_w_by_its_closed_form(kind, n):
+    # At eta = 0 a dpsgd round is x' = ((1 - gamma) I + gamma W) x, so rows
+    # set to u times a column profile shrink by mu = 1 - gamma + gamma
+    # lambda each round. This checks the builders and the slot tables
+    # together at hundreds of agents and at gaps down to 1 - mu = 1.6e-6
+    # (chain1024); a chain400 W with one edge cut misses by over 1e-3.
+    u, lam = eigenmode(kind, n)
+    data = generate_synthetic(2, 2, n, 0.3, 1)
+    spec = ModelSpec(2, 2)
+    states = make_states(n, spec, data, np.array_split(np.arange(data.n), n))
+    stack = StackedState(states, build_mixing_matrix(TopologySpec(kind, n)), "dpsgd")
+    x0 = np.outer(u, np.linspace(-1.0, 2.0, spec.param_count))
+    stack.x[:] = x0
+    gamma, rounds = 0.5, 4
+    hp = HyperParams(alpha=1.0, beta=0.9, eta=0.0, gamma=gamma, schedule="constant")
+    for _ in range(rounds):
+        run_round(stack, hp, batch_size=2)
+    want = (1 - gamma + gamma * lam) ** rounds * x0
+    assert np.abs(stack.x - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_pure_gossip_on_a_full_graph_reaches_consensus_in_one_round():

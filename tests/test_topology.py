@@ -230,6 +230,9 @@ def test_large_graph_spectral_gap_matches_closed_form(kind, n):
 def test_spectral_gap_rejects_non_stochastic_input():
     with pytest.raises(ConfigurationError):
         spectral_gap(np.array([[0.6, 0.4], [0.5, 0.5]]))
+    for w in (np.full((2, 3), 1 / 3), np.ones(3)):
+        with pytest.raises(ConfigurationError, match="^mixing matrix must be square$"):
+            spectral_gap(w)
 
 
 # -------------------------------------------------------------- neighbors
