@@ -28,8 +28,9 @@ so both forms give the same bits:
   in ascending peer order (`ngc_mix`);
 * the gossip sum adds w_ij * x_j in ascending neighbor order, self
   included (`gossip_step`, which starts from zeros: see `gossip_rows`);
-* a bias deviation starts from the first peer's difference and divides
-  by |N(i)| (`cluster_deviation`).
+* a bias deviation starts from the first peer's weighted difference
+  w_ij * (t_j - g_i) and adds the rest in ascending peer order
+  (`cluster_deviation`).
 
 The per-agent forms (`ngc_prepare`, `compngc_prepare`, `ngc_mix`,
 `bias_terms`, `momentum_update`, `gossip_step`) take dicts keyed by agent
@@ -134,16 +135,14 @@ def ngc_mix(bundle: GradientBundle, alpha: float) -> np.ndarray:
 
 
 def bias_terms(bundle: GradientBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Mean deviations of both clusters from the self gradient.
+    """Weighted deviations of both clusters from the self gradient.
 
-    Defined for uniform neighborhood weights only, where the mixed
-    gradient decomposes exactly as g_self + (1-alpha)*eps + alpha*omega.
-    An empty data-variant map (alpha = 0, nothing exchanged) gives omega = 0.
+    eps = sum_j w_ij (model_variant[j] - g_self) and omega likewise over
+    the data-variant terms, so on weights that sum to 1 the mixed gradient
+    decomposes as g_self + (1-alpha)*eps + alpha*omega. An empty
+    data-variant map (alpha = 0, nothing exchanged) gives omega = 0.
     Both arrays are fresh; an exact zero in them may carry either sign.
     """
-    vals = list(bundle.weights.values())
-    if max(vals) != min(vals):
-        raise ConfigurationError("bias terms need uniform neighborhood weights")
     peers = set(bundle.weights) - {bundle.agent_id}
     partial_data = bundle.data_variant and set(bundle.data_variant) != peers
     if set(bundle.model_variant) != peers or partial_data:
@@ -153,21 +152,23 @@ def bias_terms(bundle: GradientBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cluster_deviation(bundle: GradientBundle, terms: dict[int, np.ndarray]) -> np.ndarray:
-    """sum_j (terms[j] - self_grad) / |N(i)|, peers in ascending order; unchecked.
+    """sum_j w_ij (terms[j] - self_grad), peers in ascending order; unchecked.
 
-    The sum starts from the first peer's difference rather than from zeros,
-    so an exact zero may carry either sign; the values compare equal.
-    An empty map gives zeros.
+    The sum starts from the first peer's weighted difference rather than
+    from zeros, so an exact zero may carry either sign; the values compare
+    equal. An empty map gives zeros.
     """
-    g = bundle.self_grad
+    g, weights = bundle.self_grad, bundle.weights
     peers = sorted(terms)
     if not peers:
         return np.zeros_like(g)
     dev = terms[peers[0]] - g
+    dev *= weights[peers[0]]
     diff = np.empty_like(dev)
     for j in peers[1:]:
-        dev += np.subtract(terms[j], g, out=diff)
-    dev /= len(bundle.weights)
+        np.subtract(terms[j], g, out=diff)
+        diff *= weights[j]
+        dev += diff
     return dev
 
 
@@ -323,15 +324,12 @@ class NeighborSlots:
 
     links[i] pairs agent i's peers, ascending, with the rows of a round's
     edge table that carry its messages to them, and back[e] is the row of
-    edge e's reverse. The blocks cover the agents in order. uniform says
-    whether every neighborhood weighs its members equally (the bias
-    terms need it).
+    edge e's reverse. The blocks cover the agents in order.
     """
 
     links: list
     back: np.ndarray
     blocks: tuple
-    uniform: bool
 
     @property
     def edges(self) -> int:
@@ -392,8 +390,7 @@ def neighbor_slots(w: np.ndarray, dim: int) -> NeighborSlots:
             nbrs=tuple(slot([nbrs[i][t] for i in rows]) for t in range(k + 1)),
             nbr_w=tuple(weight([w[i, nbrs[i][t]] for i in rows]) for t in range(k + 1)),
         ))
-    uniform = all(len({w[i, j] for j in nb}) == 1 for i, nb in enumerate(nbrs))
-    return NeighborSlots(links, back, tuple(blocks), uniform)
+    return NeighborSlots(links, back, tuple(blocks))
 
 
 # ------------------------------------------------------------- row blocks
@@ -432,16 +429,20 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: 
     momentum -= mixed
 
 
-def deviation_l1(read, slots, own, dev, diff) -> np.ndarray:
-    """Per row, |sum_s (read(slots[s]) - own) / (k + 1)|_1, as cluster_deviation sums it.
+def deviation_l1(read, slots, weights, own, dev, diff) -> np.ndarray:
+    """Per row, |sum_s w_s (read(slots[s]) - own)|_1, as cluster_deviation sums it.
 
     read(index, out) returns the rows of one of the k slots, written into
-    out or as a view; dev and diff are (rows, d) buffers.
+    out or as a view; weights holds each slot's weight; dev and diff are
+    (rows, d) buffers.
     """
-    np.subtract(read(slots[0], dev), own, out=dev)
-    for index in slots[1:]:
-        dev += np.subtract(read(index, diff), own, out=diff)
-    dev /= len(slots) + 1
+    (first, w), *rest = zip(slots, weights)
+    np.subtract(read(first, dev), own, out=dev)
+    dev *= w
+    for index, w in rest:
+        np.subtract(read(index, diff), own, out=diff)
+        diff *= w
+        dev += diff
     return np.add.reduce(np.abs(dev, out=dev), axis=1)
 
 

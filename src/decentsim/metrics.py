@@ -34,22 +34,17 @@ class MetricsRow:
     crossgrad_bytes: int
 
 
-def _stacked(agents) -> np.ndarray:
-    """The agents' parameters as one (N, d) array; an array is taken as is."""
-    if isinstance(agents, np.ndarray):
-        return agents
-    return np.stack([s.params for s in agents])
+def consensus_model(x: np.ndarray) -> np.ndarray:
+    """Uniform average of the agents' parameter rows x, (N, d)."""
+    return x.mean(axis=0)
 
 
-def consensus_model(agents) -> np.ndarray:
-    """Uniform average of all agents' parameters (AgentStates or stacked rows)."""
-    return _stacked(agents).mean(axis=0)
+def consensus_error(x: np.ndarray, out=None, center=None) -> float:
+    """Mean squared distance of the rows x from center (default: their mean).
 
-
-def consensus_error(agents, out=None, center=None) -> float:
-    """Mean squared distance from center (default: the parameter mean); out takes the deviations."""
-    stacked = _stacked(agents)
-    dev = np.subtract(stacked, stacked.mean(axis=0) if center is None else center, out=out)
+    out, if given, takes the deviations.
+    """
+    dev = np.subtract(x, x.mean(axis=0) if center is None else center, out=out)
     np.square(dev, out=dev)
     return float(dev.sum(axis=1).mean())
 

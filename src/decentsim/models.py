@@ -285,9 +285,12 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
 
 
 def numbered_lines(path: str, what: str, open_error: type, decode_error: type) -> list:
-    """A UTF-8 file's non-blank lines as (number, stripped line); open_error or decode_error."""
+    """A UTF-8 file's non-blank lines as (number, stripped line); open_error or decode_error.
+
+    A leading byte-order mark is dropped.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return [(n, line.strip()) for n, line in enumerate(fh, start=1)
                     if not line.isspace()]
     except UnicodeDecodeError as exc:

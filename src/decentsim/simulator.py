@@ -21,20 +21,20 @@ the gradient at each peer's params into that edge's row of an (E, d)
 table. Under compngc the codec pass sends each self row, then each edge
 row, through its error-feedback stream and writes back the decompressed
 value, keeping each edge's message; dpsgd instead steps momentum and
-params to x_tilde. The block pass, per block, takes the bias norms
-(`deviation_l1`, uniform weights only) from the rows about to be mixed,
-mixes into the self-gradient rows and steps momentum (`ngc_update`, ngc
-and compngc; data-variant rows come through `exchange_cross_gradients`),
-then writes the gossip pull (`gossip_rows` over the rows
-`exchange_params` delivers) into the spent gradient rows. No block reads
-another's gradient rows, and x changes only in the apply, since each
-pull reads its neighbors' pre-round (for dpsgd, x_tilde) rows. The block
-rules read every slot through a reader `read(index, out)`, three of
-which the round builds once. They keep the per-agent rules' order
-element for element (see `algorithms`), so a round is bitwise the
-per-agent one. After each round, `run` checks x for non-finite values in
-one reduction. The finite check and each emitted consensus error work in
-the gradient rows, which are free between rounds.
+params to x_tilde. The block pass, per block, takes the W-weighted bias
+norms (`deviation_l1`) from the rows about to be mixed, mixes into the
+self-gradient rows and steps momentum (`ngc_update`, ngc and compngc;
+data-variant rows come through `exchange_cross_gradients`), then writes
+the gossip pull (`gossip_rows` over the rows `exchange_params` delivers)
+into the spent gradient rows. No block reads another's gradient rows,
+and x changes only in the apply, since each pull reads its neighbors'
+pre-round (for dpsgd, x_tilde) rows. The block rules read every slot
+through a reader `read(index, out)`, three of which the round builds
+once. They keep the per-agent rules' order element for element (see
+`algorithms`), so a round is bitwise the per-agent one. After each
+round, `run` checks x for non-finite values in one reduction. The finite
+check and each emitted consensus error work in the gradient rows, which
+are free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -298,9 +298,8 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     """One synchronous round on the run's rows, in place; returns (losses, bias).
 
     bias is (eps_l1, omega_l1), the mean over agents of the l1 norms of
-    the model- and data-variant clusters' deviations from the self
-    gradient (omega is 0 when alpha = 0). It is None for dpsgd and unless
-    every neighbourhood of W weighs its members equally.
+    the model- and data-variant clusters' W-weighted deviations from the
+    self gradient (omega is 0 when alpha = 0); both are 0 for dpsgd.
     """
     states, slots, x, v, grads = stack.states, stack.slots, stack.x, stack.v, stack.grads
     cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
@@ -323,7 +322,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
         for g, message in zip(cross, messages):
             decompress(message, g)
 
-    norms = np.zeros((2, len(x))) if cross is not None and slots.uniform else None
+    norms = np.zeros((2, len(x)))
     if cross is None:
         dpsgd_prepare(x, v, grads, hp)
     read_cross = partial(slot_rows, cross)
@@ -331,11 +330,12 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     read_x = partial(exchange_params, x)
     for blk in slots.blocks:  # no block reads another's gradient rows; x waits for apply
         own = grads[blk.rows]
-        if norms is not None and blk.sent:  # before ngc_update mixes into own
+        if cross is not None and blk.sent:  # before ngc_update mixes into own
             dev, diff = stack.scratch[:, :blk.size]
-            norms[0, blk.rows] = deviation_l1(read_cross, blk.sent, own, dev, diff)
+            norms[0, blk.rows] = deviation_l1(read_cross, blk.sent, blk.peer_w, own, dev, diff)
             if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
-                norms[1, blk.rows] = deviation_l1(read_cross, blk.back, own, dev, diff)
+                norms[1, blk.rows] = deviation_l1(read_cross, blk.back, blk.peer_w, own, dev,
+                                                  diff)
         if cross is not None:
             ngc_update(blk, own, read_cross, read_back, v[blk.rows], hp, stack.scratch)
         gossip_rows(blk, x[blk.rows], read_x, own, stack.scratch[0, :blk.size], hp.gamma)
@@ -349,8 +349,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
             cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
         ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
-    bias = None if norms is None else (float(np.mean(norms[0])), float(np.mean(norms[1])))
-    return losses, bias
+    return losses, (float(np.mean(norms[0])), float(np.mean(norms[1])))
 
 
 def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
@@ -408,11 +407,7 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one full training run; deterministic in config alone.
-
-    eps_l1 and omega_l1 are written as 0 wherever run_round returns no
-    bias norms: for dpsgd, and on W whose weights are not uniform.
-    """
+    """Execute one full training run; deterministic in config alone."""
     states, w, val = initial_states(config)
     hp = config.hyper_params()
     spec = states[0].spec
@@ -449,7 +444,7 @@ def run(config: RunConfig) -> RunResult:
             losses, bias = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
-            sums += (np.mean(losses), *(bias or (0.0, 0.0)))
+            sums += (np.mean(losses), *bias)
         emit(round_idx, epoch + 1, *map(float, sums / rounds_per_epoch))
 
     return RunResult(config, rows, ledger, states, spec, val, w)

@@ -123,8 +123,8 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
     """Run the engine's stack and the reference agents side by side, comparing bits.
 
     Every round the batch losses, params, momenta and error-feedback rows
-    must agree, and so must each agent's gradient bundle and, where W's
-    weights are uniform, the bias norms; elsewhere the round returns none.
+    must agree, and so must each agent's gradient bundle and the bias
+    norms, which are (0.0, 0.0) for dpsgd.
     """
     for _ in range(rounds):
         losses, bias, got_bundles = round_with_bundles(stack, w, hp, batch_size)
@@ -147,7 +147,4 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
                     a, b = getattr(got, name), getattr(want, name)
                     assert list(a) == list(b), name
                     assert all(bits(a[j]) == bits(b[j]) for j in a), name
-        if bundles is not None and stack.slots.uniform:
-            assert bits(bias) == bits(bias_norms(bundles))
-        else:
-            assert bias is None
+        assert bits(bias) == bits((0.0, 0.0) if bundles is None else bias_norms(bundles))

@@ -227,12 +227,12 @@ def test_criterion_05_single_node_and_pure_gossip_reductions():
     gossip_hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0,
                             schedule="constant")
     mean_before = np.mean([s.params for s in states], axis=0)
-    err = consensus_error(states)
-    worst_contract = 0.0
     stack = StackedState(states, w, "dpsgd")
+    err = consensus_error(stack.x)
+    worst_contract = 0.0
     for _ in range(8):
         run_round(stack, gossip_hp, batch_size=5)
-        new_err = consensus_error(states)
+        new_err = consensus_error(stack.x)
         worst_contract = max(worst_contract, new_err / err)
         err = new_err
     mean_drift = float(np.abs(
@@ -289,7 +289,7 @@ VARIANTS = (
 
 
 def consensus_accuracy(result) -> float:
-    center = consensus_model(result.states)
+    center = consensus_model(np.stack([s.params for s in result.states]))
     return evaluate(result.spec, center, result.val_data)[1]
 
 

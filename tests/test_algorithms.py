@@ -43,10 +43,12 @@ from decentsim.compression import decompress, ef_step
 from conftest import make_states
 
 
-def random_bundle(rng, num_peers: int, dim: int = 6, agent_id: int = 0):
+def random_bundle(rng, num_peers: int, dim: int = 6, agent_id: int = 0, uniform: bool = True):
+    """Random gradients; weights 1/|N(i)| each, or random positives summing to 1."""
     peers = [agent_id + 1 + k for k in range(num_peers)]
     m = num_peers + 1
-    weights = {agent_id: 1.0 / m, **{j: 1.0 / m for j in peers}}
+    raw = np.ones(m) if uniform else rng.uniform(0.05, 1.0, m)
+    weights = dict(zip([agent_id, *peers], map(float, raw / raw.sum())))
     return GradientBundle(
         agent_id=agent_id,
         self_grad=rng.standard_normal(dim),
@@ -184,11 +186,23 @@ def test_bias_terms_zero_when_all_gradients_agree():
     assert (eps == 0).all() and (omega == 0).all()
 
 
-def test_bias_terms_require_uniform_weights():
-    g = np.zeros(2)
-    bundle = GradientBundle(0, g, {1: g}, {1: g}, {0: 0.7, 1: 0.3})
-    with pytest.raises(ConfigurationError, match="uniform"):
-        bias_terms(bundle)
+def test_bias_terms_weigh_each_deviation_by_its_weight():
+    g = np.array([1.0, -2.0])
+    t, u = np.array([3.0, 0.5]), np.array([-1.0, 4.0])
+    eps, omega = bias_terms(GradientBundle(0, g, {1: t}, {1: u}, {0: 0.7, 1: 0.3}))
+    assert (eps == 0.3 * (t - g)).all()
+    assert (omega == 0.3 * (u - g)).all()
+
+
+@given(num_peers=st.integers(1, 5), dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_mix_decomposes_into_the_weighted_bias_terms_on_any_weights(num_peers, dim, seed):
+    # Weights that are not uniform but sum to 1: mixed == g + (1-a)*eps + a*omega.
+    bundle = random_bundle(np.random.default_rng(seed), num_peers, dim, uniform=False)
+    eps, omega = bias_terms(bundle)
+    for alpha in (0.0, 0.25, 0.5, 1.0):
+        recon = bundle.self_grad + (1 - alpha) * eps + alpha * omega
+        assert np.abs(ngc_mix(bundle, alpha) - recon).max() <= 1e-12
 
 
 def test_bias_terms_read_an_empty_data_variant_map_as_zero_omega():
@@ -210,7 +224,7 @@ def test_cluster_deviation_matches_the_plain_loop(num_peers, seed, zero_share):
     # The plain loop starts from zeros; starting from the first difference
     # may flip the sign of an exact zero but no value and no l1 norm.
     rng = np.random.default_rng(seed)
-    bundle = random_bundle(rng, num_peers, dim=9)
+    bundle = random_bundle(rng, num_peers, dim=9, uniform=False)
     terms = bundle.model_variant
     for v in (bundle.self_grad, *terms.values()):
         v[rng.random(v.size) < zero_share] = 0.0
@@ -219,8 +233,7 @@ def test_cluster_deviation_matches_the_plain_loop(num_peers, seed, zero_share):
     before = [v.tobytes() for v in (bundle.self_grad, *terms.values())]
     plain = np.zeros_like(bundle.self_grad)
     for j in sorted(terms):
-        plain += terms[j] - bundle.self_grad
-    plain /= len(bundle.weights)
+        plain += bundle.weights[j] * (terms[j] - bundle.self_grad)
     dev = cluster_deviation(bundle, terms)
     assert (dev == plain).all()
     assert np.abs(dev).sum().tobytes() == np.abs(plain).sum().tobytes()
@@ -228,7 +241,7 @@ def test_cluster_deviation_matches_the_plain_loop(num_peers, seed, zero_share):
     assert not any(np.shares_memory(dev, v) for v in (bundle.self_grad, *terms.values()))
 
 
-def test_bias_terms_divide_by_neighborhood_size_including_self():
+def test_bias_terms_on_uniform_weights_are_the_mean_deviation():
     g0 = np.zeros(2)
     shift = np.array([3.0, -3.0])
     bundle = GradientBundle(0, g0, {1: shift, 2: shift}, {1: -shift, 2: -shift},

@@ -79,6 +79,14 @@ def test_config_file_comments_start_at_a_line_start_or_after_whitespace(tmp_path
         "agents": 4, "topology": "full", "dataset": "runs/data#2.csv"}
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # Editors on some systems save UTF-8 with a BOM; the first key still reads.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("agents=8\ntopology=full\n", encoding="utf-8-sig")
+    assert cfg_file.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_config_file(str(cfg_file)) == {"agents": 8, "topology": "full"}
+
+
 def test_config_file_reports_the_bad_line(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("agents=4\nepochs=ten\n")

@@ -552,6 +552,15 @@ def test_load_csv_roundtrip(tmp_path):
     assert (data.labels == [0, 1, 0]).all()
 
 
+def test_load_csv_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("0,1.5,-2.0\n1,0.25,3.5\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    data = load_csv(str(path))
+    assert (data.labels == [0, 1]).all()
+    assert (data.features == [[1.5, -2.0], [0.25, 3.5]]).all()
+
+
 def test_load_csv_errors_name_the_line(tmp_path):
     bad_width = tmp_path / "w.csv"
     bad_width.write_text("0,1.0,2.0\n1,3.0\n")

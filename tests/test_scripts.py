@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from decentsim import (
@@ -69,5 +70,6 @@ def test_script_prints_each_variants_recorded_accuracy(script, args, make_config
     assert [name for _, name, _ in printed] == list(variants)
     for seed, name, acc in printed:
         result = run(make_config(int(seed), **variants[name]))
-        _, recomputed = evaluate(result.spec, consensus_model(result.states), result.val_data)
+        center = consensus_model(np.stack([s.params for s in result.states]))
+        _, recomputed = evaluate(result.spec, center, result.val_data)
         assert acc == f"{result.final_row.val_acc:.4f}" == f"{recomputed:.4f}", name

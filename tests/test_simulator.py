@@ -89,7 +89,8 @@ def test_emitted_rows_match_the_metrics_functions_bits(algorithm):
     # loss from the forward pass alone; both are the reference bits.
     config = tiny_config(algorithm=algorithm)
     result = run(config)
-    assert bits(result.final_row.consensus_error) == bits(consensus_error(result.states))
+    assert bits(result.final_row.consensus_error) == bits(consensus_error(
+        np.stack([s.params for s in result.states])))
     states, _, _ = simulator.initial_states(config)
     init = np.mean([loss_and_gradient(s.spec, s.params, s.data, s.shard)[0] for s in states])
     assert bits(result.rows[0].train_loss) == bits(init)
@@ -386,7 +387,7 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
             assert bits(got) == bits([decompress(messages[e]) for e in rows])
 
     # The round's bias norms read their omega rows the same way, over the
-    # same blocks; they are defined only where W's weights are uniform.
+    # same blocks, each slot weighed by W, uniform or not.
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3)
     if block_rows is not None:
@@ -396,15 +397,13 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
     hp = HyperParams(0.5, 0.9, 0.05, 0.5, "constant")
     for _ in range(2):
         _, bias, bundles = round_with_bundles(stack, w, hp, 10)
-    if stack.slots.uniform:
-        assert bits(bias) == bits(bias_norms(bundles))
-    else:
-        assert bias is None
+    assert bits(bias) == bits(bias_norms(bundles))
 
 
-def test_round_returns_the_bias_norms_only_where_they_are_defined():
-    # (eps_l1, omega_l1) on uniform W, bit for bit the per-bundle reference,
-    # with omega 0.0 at alpha = 0; None for dpsgd and on a Metropolis chain.
+def test_round_returns_the_bias_norms_on_every_w():
+    # (eps_l1, omega_l1) on uniform W and on a Metropolis chain, bit for bit
+    # the per-bundle reference, with omega 0.0 at alpha = 0; (0.0, 0.0) for
+    # dpsgd.
     data = generate_synthetic(3, 4, 50, 0.3, 3)
     spec = ModelSpec(4, 3, hidden_dim=5)
 
@@ -417,13 +416,27 @@ def test_round_returns_the_bias_norms_only_where_they_are_defined():
                 stack, w, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
         return bundles, bias
 
-    assert two_rounds("ring", "dpsgd", 1.0)[1] is None
-    for algorithm in ("ngc", "compngc"):
-        assert two_rounds("chain", algorithm, 0.5)[1] is None
-        for alpha in (0.0, 0.5, 1.0):
-            bundles, bias = two_rounds("ring", algorithm, alpha)
-            assert bits(bias) == bits(bias_norms(bundles))
-            assert bias[0] > 0.0 and (bias[1] == 0.0) == (alpha == 0.0)
+    for kind in ("ring", "chain"):
+        assert bits(two_rounds(kind, "dpsgd", 1.0)[1]) == bits((0.0, 0.0))
+        for algorithm in ("ngc", "compngc"):
+            for alpha in (0.0, 0.5, 1.0):
+                bundles, bias = two_rounds(kind, algorithm, alpha)
+                assert bits(bias) == bits(bias_norms(bundles))
+                assert bias[0] > 0.0 and (bias[1] == 0.0) == (alpha == 0.0)
+
+
+@pytest.mark.parametrize("algorithm", ["ngc", "compngc"])
+def test_round_zero_model_variant_bias_is_exactly_zero_on_a_chain_and_a_torus(algorithm):
+    # Every agent starts from the same params, so each t_j - g_i is 0 and so
+    # is w_ij * 0, whatever W's weights: criterion 10 beyond the ring.
+    for topology_kind, agents in (("chain", 6), ("torus", 9)):
+        config = tiny_config(algorithm=algorithm, alpha=0.5, topology=topology_kind,
+                             agents=agents, partition="iid", batch_size=4)
+        states, w, _ = simulator.initial_states(config)
+        stack = StackedState(states, w, algorithm)
+        _, bias, bundles = round_with_bundles(stack, w, config.hyper_params(), 4)
+        assert bias[0] == 0.0 and bias[1] > 0.0, topology_kind
+        assert bits(bias) == bits(bias_norms(bundles))
 
 
 def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
@@ -535,11 +548,11 @@ def test_pure_gossip_preserves_mean_and_contracts_by_rho(alg):
         s.params = rng.standard_normal(spec.param_count)
     hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0, schedule="constant")
     mean_before = np.mean([s.params for s in states], axis=0)
-    err = consensus_error(states)
     stack = StackedState(states, w, alg)
+    err = consensus_error(stack.x)
     for _ in range(8):
         run_round(stack, hp, batch_size=5)
-        new_err = consensus_error(states)
+        new_err = consensus_error(stack.x)
         assert new_err <= (rho + 1e-6) * err
         err = new_err
     mean_after = np.mean([s.params for s in states], axis=0)
@@ -594,8 +607,9 @@ def test_pure_gossip_on_a_full_graph_reaches_consensus_in_one_round():
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
     hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0, schedule="constant")
-    run_round(StackedState(states, w, "dpsgd"), hp, batch_size=5)
-    assert consensus_error(states) <= 1e-24
+    stack = StackedState(states, w, "dpsgd")
+    run_round(stack, hp, batch_size=5)
+    assert consensus_error(stack.x) <= 1e-24
 
 
 # ------------------------------------------------------------------- aborts
