@@ -15,14 +15,17 @@ neighborhood. They differ in what the mixed gradient uses:
 
 The round engine keeps every agent's parameters, momentum and (under
 compngc) error-feedback residuals as rows of the run's StackedState and
-applies the rules to them in place: the bias norms (`deviation_l1`),
-mixing (`ngc_update`) and the gossip pull (`gossip_rows`), both into the
-self-gradient rows, over blocks of consecutive rows of one degree
-(`SlotBlock`), slot by slot, slot s of a row being its s-th peer in
-ascending order, its rows read through a reader `read(index, out)`; the
-elementwise steps (`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) over
-whole arrays. They keep the per-agent rules' order element for element,
-so both forms give the same bits:
+applies the rules to them in place, over blocks of consecutive rows of
+one degree (`SlotBlock`), slot by slot, slot s of a row being its s-th
+peer in ascending order: mixing, the momentum step and the bias norms in
+one slot loop (`ngc_update`), each slot read once for both the mix and
+the deviation, and the gossip pull (`gossip_rows`) into the spent
+self-gradient rows. A slot's rows come through a reader
+`read(index, out)`: `slot_rows` reads rows of a table, `message_rows`
+decompresses compressed messages where they are read. The elementwise
+steps (`dpsgd_prepare`, `ngc_apply`, `dpsgd_finalize`) run over whole
+arrays. They keep the per-agent rules' order element for element, so
+both forms give the same bits:
 
 * a mixed-gradient cluster starts from w_ii * g_i and adds w_ij * term_j
   in ascending peer order (`ngc_mix`);
@@ -280,8 +283,8 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
 # ------------------------------------------------------------ slot tables
 
 # A block holds max(1, BLOCK_ELEMS // d) rows, so each (rows, d) operand
-# stays near 512 KiB; at d ~ 1e5 that is one agent per block.
-BLOCK_ELEMS = 2**16
+# stays near 256 KiB; at d ~ 1e5 that is one agent per block.
+BLOCK_ELEMS = 2**15
 
 
 @dataclass(frozen=True)
@@ -318,13 +321,23 @@ def slot_rows(a: np.ndarray, index, out: np.ndarray) -> np.ndarray:
     return np.take(a, index, axis=0, out=out, mode="clip")
 
 
+def message_rows(messages, index, out: np.ndarray) -> np.ndarray:
+    """The rows of one slot of compressed messages (by edge row), decompressed into out."""
+    if isinstance(index, slice):
+        index = range(index.start, index.stop)
+    for row, e in zip(out, index):
+        decompress(messages[e], out=row)
+    return out
+
+
 @dataclass(frozen=True)
 class NeighborSlots:
     """W's neighborhoods as slot tables, built once per run by `neighbor_slots`.
 
-    links[i] pairs agent i's peers, ascending, with the rows of a round's
-    edge table that carry its messages to them, and back[e] is the row of
-    edge e's reverse. The blocks cover the agents in order.
+    links[i] pairs agent i's peers, ascending, with the edge rows of its
+    messages to them (rows of ngc's edge table, indices into a compngc
+    round's messages), and back[e] is the row of edge e's reverse. The
+    blocks cover the agents in order.
     """
 
     links: list
@@ -397,53 +410,47 @@ def neighbor_slots(w: np.ndarray, dim: int) -> NeighborSlots:
 
 
 def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: np.ndarray,
-               hp: HyperParams, scratch: np.ndarray) -> None:
-    """Mix one block's gradient clusters and take its momentum step in place.
+               hp: HyperParams, scratch: np.ndarray, norms: np.ndarray) -> None:
+    """Mix one block's gradient clusters, step its momentum and take its bias norms.
 
-    own holds the block's self-gradient rows, which end holding eta *
-    mixed. read_sent and read_back read a slot's model- and data-variant
-    rows from `blk.sent` and `blk.back`; scratch holds two (rows, d)
-    buffers of the largest block.
+    own holds the block's self-gradient rows, only read. read_sent and
+    read_back read each slot of `blk.sent` and `blk.back` once, for both
+    the mix and the deviation w_s (t - own). norms (2, rows) takes the l1
+    norms of eps and, when alpha != 0, omega. scratch holds four (rows, d)
+    buffers of the largest block; 0 < alpha < 1 takes a fifth, fresh one.
     """
     m = blk.size
-    other, tmp = scratch[0, :m], scratch[1, :m]
+    tmp, diff, dev, acc = scratch[:4, :m]
 
-    def cluster(read, slots, out):
-        np.multiply(own, blk.self_w, out=out)
-        for index, w in zip(slots, blk.peer_w):
-            out += np.multiply(read(index, tmp), w, out=tmp)
+    def cluster(read, slots, out, norm):
+        if out is not None:
+            np.multiply(own, blk.self_w, out=out)
+        for s, (index, w) in enumerate(zip(slots, blk.peer_w)):
+            rows = read(index, tmp)
+            term = np.subtract(rows, own, out=diff if s else dev)
+            term *= w
+            if s:
+                np.add(dev, term, out=dev)
+            if out is not None:
+                out += np.multiply(rows, w, out=tmp)
+        if slots:
+            np.add.reduce(np.abs(dev, out=dev), axis=1, out=norm)
         return out
 
     if hp.alpha == 0.0:
-        mixed = cluster(read_sent, blk.sent, own)
+        mixed = cluster(read_sent, blk.sent, acc, norms[0])
     elif hp.alpha == 1.0:
-        mixed = cluster(read_back, blk.back, own)
+        mixed = cluster(read_back, blk.back, acc, norms[1])
+        cluster(read_sent, blk.sent, None, norms[0])
     else:
-        data = cluster(read_back, blk.back, other)  # reads own, so first
+        data = cluster(read_back, blk.back, np.empty_like(acc), norms[1])
         data *= hp.alpha
-        mixed = cluster(read_sent, blk.sent, own)
+        mixed = cluster(read_sent, blk.sent, acc, norms[0])
         mixed *= 1.0 - hp.alpha
         mixed += data
     momentum *= hp.beta
     mixed *= hp.eta
     momentum -= mixed
-
-
-def deviation_l1(read, slots, weights, own, dev, diff) -> np.ndarray:
-    """Per row, |sum_s w_s (read(slots[s]) - own)|_1, as cluster_deviation sums it.
-
-    read(index, out) returns the rows of one of the k slots, written into
-    out or as a view; weights holds each slot's weight; dev and diff are
-    (rows, d) buffers.
-    """
-    (first, w), *rest = zip(slots, weights)
-    np.subtract(read(first, dev), own, out=dev)
-    dev *= w
-    for index, w in rest:
-        np.subtract(read(index, diff), own, out=diff)
-        diff *= w
-        dev += diff
-    return np.add.reduce(np.abs(dev, out=dev), axis=1)
 
 
 def gossip_rows(blk: SlotBlock, own: np.ndarray, read, out: np.ndarray,

@@ -6,35 +6,36 @@ nothing else. It holds the parameters x and momenta v as (N, d) arrays,
 each AgentState's params and momentum being views of its rows. Under
 compngc it also holds the error-feedback residuals, zero at the start:
 err_self as (N, d) and err_out as (E, d), one row per directed edge in
-the edge table's order, each AgentState's err_self and err_out[j] being
-views of them. Every ef_step writes its residual back into its row. W's
+edge-row order, each AgentState's err_self and err_out[j] being views of
+them. Every ef_step writes its residual back into its row. W's
 neighborhoods become slot tables once per run (`algorithms.neighbor_slots`):
 agent i's peers in ascending order, the edge rows of its messages, and
-blocks of consecutive agents of one degree, max(1, 2**16 // d) rows
-each. A slot whose rows run consecutively upward is read as a view, any
-other is gathered.
+blocks of consecutive agents of one degree, max(1, BLOCK_ELEMS // d) rows
+each. A slot of table rows that run consecutively upward is read as a
+view, any other is gathered.
 
-A round is a kernel pass, a codec pass, one block pass, then the apply.
-The kernel pass, per agent in agent order, draws a batch and writes the
-self gradient into row i of an (N, d) table and, for ngc and compngc,
-the gradient at each peer's params into that edge's row of an (E, d)
-table. Under compngc the codec pass sends each self row, then each edge
-row, through its error-feedback stream and writes back the decompressed
-value, keeping each edge's message; dpsgd instead steps momentum and
-params to x_tilde. The block pass, per block, takes the W-weighted bias
-norms (`deviation_l1`) from the rows about to be mixed, mixes into the
-self-gradient rows and steps momentum (`ngc_update`, ngc and compngc;
-data-variant rows come through `exchange_cross_gradients`), then writes
-the gossip pull (`gossip_rows` over the rows `exchange_params` delivers)
-into the spent gradient rows. No block reads another's gradient rows,
-and x changes only in the apply, since each pull reads its neighbors'
-pre-round (for dpsgd, x_tilde) rows. The block rules read every slot
-through a reader `read(index, out)`, three of which the round builds
-once. They keep the per-agent rules' order element for element (see
-`algorithms`), so a round is bitwise the per-agent one. After each
-round, `run` checks x for non-finite values in one reduction. The finite
-check and each emitted consensus error work in the gradient rows, which
-are free between rounds.
+A round is a kernel pass, one block pass, then the apply. The kernel
+pass, per agent in agent order, draws a batch and writes the self
+gradient into row i of an (N, d) table, and for ngc the gradient at each
+peer's params into that edge's row of an (E, d) table of messages. Under
+compngc the self row goes through its error-feedback stream and takes
+back the decompressed value, and each cross-gradient goes from one spare
+row straight through its edge's stream: the round keeps only the E
+compressed messages, each expanded into block scratch where it is read.
+dpsgd steps momentum and params to x_tilde after the pass. The block
+pass, per block, mixes and steps momentum (`ngc_update`, ngc and
+compngc), taking the W-weighted bias norms from the same slot reads (a
+sender's through `slot_rows` or `message_rows`, a receiver's through
+`exchange_cross_gradients`), then writes the gossip pull (`gossip_rows`
+over the rows `exchange_params` delivers) into the spent gradient rows.
+No block reads another's gradient rows, and x changes only in the apply,
+since each pull reads its neighbors' pre-round (for dpsgd, x_tilde) rows.
+The block rules read every slot through a reader `read(index, out)`,
+three of which the round builds once. They keep the per-agent rules'
+order element for element (see `algorithms`), so a round is bitwise the
+per-agent one. After each round, `run` checks x for non-finite values in
+one reduction. The finite check and each emitted consensus error work in
+the gradient rows, which are free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -53,10 +54,10 @@ from .algorithms import (
     AgentState,
     HyperParams,
     apply_lr_schedule,
-    deviation_l1,
     dpsgd_finalize,
     dpsgd_prepare,
     gossip_rows,
+    message_rows,
     neighbor_slots,
     ngc_apply,
     ngc_update,
@@ -237,12 +238,13 @@ class StackedState:
     Built once per run from the agents, W and the algorithm: params x and
     momenta v, both (N, d), whose rows become the agents' params and
     momentum views; W's slot tables; the (N, d) self-gradient rows, which
-    a round mixes in and then fills with the gossip pulls, and, for ngc
-    and compngc, the (E, d) edge table; for compngc the zeroed
-    error-feedback rows, err_self (N, d) and err_out (E, d) by edge, bound
-    as each agent's err_self and err_out[j]; and two buffers of the
-    largest block (one for dpsgd). Between rounds the gradient rows hold
-    the finite check's flags and the consensus error's deviations.
+    a round mixes from and then fills with the gossip pulls; for ngc the
+    (E, d) edge table of raw messages; for compngc, whose messages stay
+    compressed, the zeroed error-feedback rows, err_self (N, d) and
+    err_out (E, d) by edge, bound as each agent's err_self and err_out[j];
+    and four buffers of the largest block (one for dpsgd). Between rounds
+    the gradient rows hold the finite check's flags and the consensus
+    error's deviations.
     """
 
     def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str):
@@ -258,8 +260,9 @@ class StackedState:
         self.grads = np.empty_like(self.x)
         # The first N*d bytes of the gradient rows, as one flag per element.
         self.finite = self.grads.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
+        self.algorithm = algorithm
         self.cross = self.err_self = self.err_out = None
-        if algorithm != "dpsgd":
+        if algorithm == "ngc":
             self.cross = np.empty((slots.edges, dim))
         if algorithm == "compngc":
             self.err_self = np.zeros(self.x.shape)
@@ -268,7 +271,7 @@ class StackedState:
                 state.err_self = row
                 state.err_out = {j: self.err_out[e] for j, e in links}
         rows = max(blk.size for blk in slots.blocks)
-        self.scratch = np.empty((1 if self.cross is None else 2, rows, dim))
+        self.scratch = np.empty((1 if algorithm == "dpsgd" else 4, rows, dim))
 
 
 def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
@@ -276,7 +279,7 @@ def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
     return slot_rows(x, index, out)
 
 
-def exchange_cross_gradients(cross: np.ndarray, messages, index,
+def exchange_cross_gradients(cross: np.ndarray | None, messages, index,
                              out: np.ndarray) -> np.ndarray:
     """Deliver one data-variant slot: row r is the message on edge index[r].
 
@@ -284,13 +287,7 @@ def exchange_cross_gradients(cross: np.ndarray, messages, index,
     reads x; compressed ones (messages, by edge) are decompressed by
     their receiver into out.
     """
-    if messages is None:
-        return slot_rows(cross, index, out)
-    if isinstance(index, slice):
-        index = range(index.start, index.stop)
-    for row, e in zip(out, index):
-        decompress(messages[e], out=row)
-    return out
+    return slot_rows(cross, index, out) if messages is None else message_rows(messages, index, out)
 
 
 def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
@@ -305,43 +302,39 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
     spec = states[0].spec
     dim = x.shape[1]
+    # Under compngc the round keeps only the messages, by edge row; each
+    # cross-gradient goes from one spare row straight through its stream.
+    messages = None if err_out is None else [None] * slots.edges
+    row = stack.scratch[0, 0]
 
     losses = []
     for i, (state, links) in enumerate(zip(states, slots.links)):
         batch = state.draw_batch(batch_size)
         losses.append(loss_and_gradient(spec, x[i], state.data, batch, grads[i])[0])
-        if cross is not None:
+        if messages is not None:
+            decompress(ef_step(grads[i], err_self[i], out=err_self[i])[0], grads[i])
+            for j, e in links:
+                cross_gradient(spec, x[j], state.data, batch, row)
+                messages[e] = ef_step(row, err_out[e], out=err_out[e])[0]
+        elif cross is not None:
             for j, e in links:
                 cross_gradient(spec, x[j], state.data, batch, cross[e])
 
-    messages = None
-    if err_self is not None:  # each row through its error-feedback stream
-        for g, err in zip(grads, err_self):
-            decompress(ef_step(g, err, out=err)[0], g)
-        messages = [ef_step(g, err, out=err)[0] for g, err in zip(cross, err_out)]
-        for g, message in zip(cross, messages):
-            decompress(message, g)
-
     norms = np.zeros((2, len(x)))
-    if cross is None:
+    if stack.algorithm == "dpsgd":
         dpsgd_prepare(x, v, grads, hp)
-    read_cross = partial(slot_rows, cross)
+    read_sent = partial(slot_rows, cross) if messages is None else partial(message_rows, messages)
     read_back = partial(exchange_cross_gradients, cross, messages)
     read_x = partial(exchange_params, x)
     for blk in slots.blocks:  # no block reads another's gradient rows; x waits for apply
         own = grads[blk.rows]
-        if cross is not None and blk.sent:  # before ngc_update mixes into own
-            dev, diff = stack.scratch[:, :blk.size]
-            norms[0, blk.rows] = deviation_l1(read_cross, blk.sent, blk.peer_w, own, dev, diff)
-            if hp.alpha != 0.0:  # data-variant rows as their senders mixed them
-                norms[1, blk.rows] = deviation_l1(read_cross, blk.back, blk.peer_w, own, dev,
-                                                  diff)
-        if cross is not None:
-            ngc_update(blk, own, read_cross, read_back, v[blk.rows], hp, stack.scratch)
+        if stack.algorithm != "dpsgd":
+            ngc_update(blk, own, read_sent, read_back, v[blk.rows], hp, stack.scratch,
+                       norms[:, blk.rows])
         gossip_rows(blk, x[blk.rows], read_x, own, stack.scratch[0, :blk.size], hp.gamma)
 
     cross_msg_bytes = 0
-    if cross is None:
+    if stack.algorithm == "dpsgd":
         dpsgd_finalize(x, grads)
     else:
         ngc_apply(x, v, grads)

@@ -64,21 +64,24 @@ def reference_round(states, w, hp, algorithm, batch_size):
 def round_with_bundles(stack, w, hp, batch_size, ledger=None):
     """run_round, plus each agent's GradientBundle as the round mixes it; w is the stack's W.
 
-    The round mixes into the self-gradient rows and then fills them with
-    the gossip pulls, so the bundles are built from copies of stack.grads
-    and stack.cross taken at its first ngc_update call. Row e of
-    stack.cross is the message on edge e as its sender mixes it
-    (decompressed under compngc); agent i's data-variant terms are the rows
-    of its edges' reverses, none when alpha = 0. Returns (losses, bias,
-    bundles), bundles None for dpsgd.
+    The round fills the self-gradient rows with the gossip pulls after
+    mixing them, so the bundles are built from a copy of stack.grads taken
+    at its first ngc_update call. At that call the model-variant reader
+    also reads every edge row at once: the rows of stack.cross under ngc,
+    the round's messages decompressed under compngc. Row e is then the
+    message on edge e as its sender mixes it; agent i's data-variant terms
+    are the rows of its edges' reverses, none when alpha = 0. Returns
+    (losses, bias, bundles), bundles None for dpsgd.
     """
     slots = stack.slots
     taken = []
 
-    def spy(*args):
+    def spy(blk, own, read_sent, *rest):
         if not taken:
-            taken.extend((stack.grads.copy(), stack.cross.copy()))
-        return mix(*args)
+            edges = np.empty((slots.edges, stack.x.shape[1]))
+            np.copyto(edges, read_sent(slice(0, slots.edges), edges))  # a view under ngc
+            taken.extend((stack.grads.copy(), edges))
+        return mix(blk, own, read_sent, *rest)
 
     mix = simulator.ngc_update
     simulator.ngc_update = spy

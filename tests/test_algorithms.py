@@ -33,12 +33,13 @@ from decentsim.algorithms import (
     cluster_deviation,
     compngc_prepare,
     gossip_rows,
+    message_rows,
     neighbor_slots,
     ngc_prepare,
     ngc_update,
     slot_rows,
 )
-from decentsim.compression import decompress, ef_step
+from decentsim.compression import compress, decompress, ef_step
 
 from conftest import make_states
 
@@ -337,9 +338,14 @@ def test_gossip_rows_give_gossip_steps_bits(graph, seed, block_rows, gamma):
 
 
 @given(graph=st.sampled_from(GRAPHS), seed=st.integers(0, 2**32 - 1),
-       block_rows=st.sampled_from([None, 1, 2]), alpha=st.sampled_from([0.0, 0.5, 1.0]))
+       block_rows=st.sampled_from([None, 1, 2]), alpha=st.sampled_from([0.0, 0.5, 1.0]),
+       compressed=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_rows, alpha):
+def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_rows, alpha,
+                                                            compressed):
+    # One read per slot feeds both the mix and the bias deviation. The
+    # messages are the rows of an edge table (ngc) or compressed ones,
+    # which the sender's reader and the receiver's exchange decompress.
     rng = np.random.default_rng(seed)
     n, dim = graph[1], 7
     w, slots = slot_tables(*graph, dim, block_rows)
@@ -348,21 +354,31 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     cross = edge_rows(rng, (slots.edges, dim))
     v = edge_rows(rng, (n, dim))
     own_before, v_before = own.copy(), v.copy()
-    scratch = np.empty((2, n, dim))
-    read_sent = partial(slot_rows, cross)
-    read_back = partial(simulator.exchange_cross_gradients, cross, None)
+    scratch = np.empty((4, n, dim))
+    norms = np.zeros((2, n))
+    if compressed:
+        messages = [compress(row) for row in cross]
+        read_sent = partial(message_rows, messages)
+        read_back = partial(simulator.exchange_cross_gradients, None, messages)
+        cross = np.array([decompress(m) for m in messages]).reshape(cross.shape)
+    else:
+        read_sent = partial(slot_rows, cross)
+        read_back = partial(simulator.exchange_cross_gradients, cross, None)
     for blk in slots.blocks:
-        ngc_update(blk, own[blk.rows], read_sent, read_back, v[blk.rows], hp, scratch)
+        ngc_update(blk, own[blk.rows], read_sent, read_back, v[blk.rows], hp, scratch,
+                   norms[:, blk.rows])
+    assert own.tobytes() == own_before.tobytes()
     for i in range(n):
         links = slots.links[i]
         bundle = GradientBundle(
             i, own_before[i], {j: cross[e] for j, e in links},
-            {j: cross[slots.back[e]] for j, e in links},
+            {j: cross[slots.back[e]] for j, e in links} if alpha != 0.0 else {},
             {j: float(w[i, j]) for j in neighbors(w, i)})
-        mixed = ngc_mix(bundle, alpha)
-        want = momentum_update(v_before[i], mixed, hp.beta, hp.eta)
+        want = momentum_update(v_before[i], ngc_mix(bundle, alpha), hp.beta, hp.eta)
         assert v[i].tobytes() == want.tobytes()
-        assert own[i].tobytes() == (hp.eta * mixed).tobytes()
+        eps, omega = bias_terms(bundle)
+        want_norms = [np.add.reduce(np.abs(eps)), np.add.reduce(np.abs(omega))]
+        assert norms[:, i].tobytes() == np.array(want_norms).tobytes()
 
 
 # ----------------------------------------------------- single-agent rounds

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from decentsim import (
     spectral_gap,
 )
 
-from decentsim.algorithms import BLOCK_ELEMS, neighbor_slots
+from decentsim.algorithms import BLOCK_ELEMS, message_rows, neighbor_slots
 from decentsim.compression import compress
 from decentsim.models import ACTIVATIONS
 
@@ -193,25 +194,31 @@ def test_run_round_updates_every_agent_in_place(alg):
     assert all(np.shares_memory(s.params, stack.x[i]) for i, s in enumerate(states))
 
 
-# graph, agents, activation, rows per block (None: the default rule)
+# Hidden widths that put d = 8 * hidden + 3 above BLOCK_ELEMS (2**15), so
+# the default rule gives one-row blocks: d = 65,603, and d = BLOCK_ELEMS + 3.
+WIDE_HIDDEN = 8200
+EDGE_HIDDEN = BLOCK_ELEMS // 8
+
+# graph: kind, agents, activation, rows per block (None: the default rule), hidden width
 PARITY_GRAPHS = {
-    "ring3": ("ring", 3, "tanh", None),
-    "chain5": ("chain", 5, "relu", 2),
-    "torus8": ("torus", 8, "relu", 1),
-    "full4": ("full", 4, "tanh", None),
-    "ring20": ("ring", 20, "tanh", 4),
+    "ring3": ("ring", 3, "tanh", None, 5),
+    "chain5": ("chain", 5, "relu", 2, 5),
+    "torus8": ("torus", 8, "relu", 1, 5),
+    "full4": ("full", 4, "tanh", None, 5),
+    "ring20": ("ring", 20, "tanh", 4, 5),
 }
 # Two cases at 256 agents, where slots wrap (torus) and blocks hold 5 or 7
-# of many rows; kept out of PARITY_GRAPHS, whose cross product they would
-# multiply.
+# of many rows, and a 64-agent ring at d just above BLOCK_ELEMS; kept out of
+# PARITY_GRAPHS, whose cross product they would multiply.
 SCALE_GRAPHS = {
-    "torus256": ("torus", 256, "relu", 5),
-    "chain256": ("chain", 256, "relu", 7),
+    "torus256": ("torus", 256, "relu", 5, 5),
+    "chain256": ("chain", 256, "relu", 7, 5),
+    "ring64wide": ("ring", 64, "relu", None, EDGE_HIDDEN),
 }
 PARITY_CASES = [(g, "dpsgd", 1.0) for g in PARITY_GRAPHS] + [
     (g, alg, alpha) for g in PARITY_GRAPHS for alg in ("ngc", "compngc")
     for alpha in (0.0, 0.5, 1.0)
-] + [("torus256", "compngc", 0.5), ("chain256", "ngc", 0.5)]
+] + [("torus256", "compngc", 0.5), ("chain256", "ngc", 0.5), ("ring64wide", "compngc", 0.5)]
 
 
 @pytest.mark.parametrize("graph, algorithm, alpha", PARITY_CASES,
@@ -222,9 +229,9 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     # neighbours through slot tables. Agent by agent from the per-agent
     # rules on copies, every params, momentum and error-feedback bit must
     # come out the same, and so must the batch losses and bias norms.
-    kind, n, activation, block_rows = {**PARITY_GRAPHS, **SCALE_GRAPHS}[graph]
+    kind, n, activation, block_rows, hidden = {**PARITY_GRAPHS, **SCALE_GRAPHS}[graph]
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
-    spec = ModelSpec(4, 3, hidden_dim=5, activation=activation)
+    spec = ModelSpec(4, 3, hidden_dim=hidden, activation=activation)
     if block_rows is not None:
         monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     w = build_mixing_matrix(TopologySpec(kind, n))
@@ -233,8 +240,11 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
     stack = StackedState(engine, w, algorithm)
+    sizes = {blk.size for blk in stack.slots.blocks}
     if block_rows is not None:
-        assert max(blk.size for blk in stack.slots.blocks) == block_rows
+        assert max(sizes) == block_rows
+    if hidden == EDGE_HIDDEN:
+        assert spec.param_count == BLOCK_ELEMS + 3 and sizes == {1}
     assert_rounds_match(stack, ref, w, hp, algorithm, 10,
                         rounds=2 if graph in SCALE_GRAPHS else 3)
 
@@ -270,11 +280,6 @@ def metropolis_graphs(draw, max_agents=12):
     return metropolis_weights(n, edges + draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
 
 
-# A hidden width that puts d = 8 * 8200 + 3 = 65,603 above BLOCK_ELEMS (2**16),
-# so the default rule gives one-row blocks.
-WIDE_HIDDEN = 8200
-
-
 @settings(max_examples=60, deadline=None)
 @given(w=metropolis_graphs(), algorithm=st.sampled_from(simulator.ALGORITHMS),
        alpha=st.sampled_from([0.0, 0.5, 1.0]), activation=st.sampled_from(ACTIVATIONS),
@@ -307,11 +312,11 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
 
 # Rows of d floats a StackedState allocates, for N agents, E directed edges
 # and m rows in its largest block: x, v and the gradient rows, which also
-# take the gossip pulls; the edge table; the error-feedback rows; and the
-# block buffers.
+# take the gossip pulls; the edge table (ngc only: compngc keeps its
+# messages compressed); the error-feedback rows; and the block buffers.
 TABLE_ROWS = {"dpsgd": lambda n, e, m: 3 * n + m,
-              "ngc": lambda n, e, m: 3 * n + e + 2 * m,
-              "compngc": lambda n, e, m: 4 * n + 2 * e + 2 * m}
+              "ngc": lambda n, e, m: 3 * n + e + 4 * m,
+              "compngc": lambda n, e, m: 4 * n + e + 4 * m}
 
 
 @pytest.mark.parametrize("algorithm", simulator.ALGORITHMS)
@@ -328,11 +333,35 @@ def test_stacked_state_allocates_its_closed_form_of_table_rows(algorithm, kind, 
     w = build_mixing_matrix(TopologySpec(kind, n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
     stack = StackedState(states, w, algorithm)
+    assert (stack.cross is None) == (algorithm != "ngc")
     arrays = [a for a in vars(stack).values() if isinstance(a, np.ndarray)]
     owned = [a for a in arrays if a.base is None]
     assert all(any(np.shares_memory(a, o) for o in owned) for a in arrays)
     rows = TABLE_ROWS[algorithm](n, np.count_nonzero(w) - n, m)
     assert sum(a.nbytes for a in owned) == rows * spec.param_count * 8
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_a_compngc_round_allocates_no_float_table_of_its_messages(alpha):
+    # Each message stays d sign flags and a scale until a block reads it,
+    # so at d > BLOCK_ELEMS a round's peak allocation stays below one (E, d)
+    # float64 block, which a table of decompressed messages alone would take.
+    n = 8
+    data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
+    spec = ModelSpec(4, 3, hidden_dim=EDGE_HIDDEN)
+    w = build_mixing_matrix(TopologySpec("ring", n))
+    states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
+    stack = StackedState(states, w, "compngc")
+    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    run_round(stack, hp, 10)
+    tracemalloc.start()
+    try:
+        run_round(stack, hp, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.param_count > BLOCK_ELEMS
+    assert peak < stack.slots.edges * spec.param_count * 8
 
 
 # ------------------------------------------------------------- slot reads
@@ -375,6 +404,11 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
 
     for blk in slots.blocks:
         agents = range(blk.rows.start, blk.rows.stop)
+        for s, index in enumerate(blk.sent):  # the sender's reads of its own messages
+            rows = [slots.links[i][s][1] for i in agents]
+            assert index == slice(rows[0], rows[0] + len(rows))
+            got = message_rows(messages, index, out[:blk.size])
+            assert bits(got) == bits([decompress(messages[e]) for e in rows])
         for t, index in enumerate(blk.nbrs):
             rows = [topology.neighbors(w, i)[t] for i in agents]
             got = simulator.exchange_params(x, index, out[:blk.size])
@@ -386,8 +420,8 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
             got = simulator.exchange_cross_gradients(cross, messages, index, out[:blk.size])
             assert bits(got) == bits([decompress(messages[e]) for e in rows])
 
-    # The round's bias norms read their omega rows the same way, over the
-    # same blocks, each slot weighed by W, uniform or not.
+    # The round's bias norms come from the same slot reads that its mix
+    # makes, over the same blocks, each slot weighed by W, uniform or not.
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3)
     if block_rows is not None:
