@@ -61,7 +61,6 @@ from .simulator import (
     initial_states,
     run,
     run_round,
-    seed_streams,
 )
 from .topology import (
     TopologySpec,

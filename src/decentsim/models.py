@@ -97,7 +97,8 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Gaussian weights scaled by 1/sqrt(fan_in), zero biases, flat float64."""
     params = np.zeros(spec.param_count)
     for w, _ in unflatten(spec, params):
-        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
+        rng.standard_normal(out=w)
+        w /= np.sqrt(w.shape[0])
     return params
 
 
@@ -105,7 +106,10 @@ def unflatten(spec: ModelSpec, params: np.ndarray):
     """Split a flat vector into per-layer (weights, bias) views."""
     if params.shape != (spec.param_count,):
         raise ShapeError(f"expected {spec.param_count} params, got {params.shape}")
-    return [(params[w].reshape(shape), params[b]) for w, shape, b in spec.layout]
+    layers = []  # a plain loop: before Python 3.12 a comprehension is one more call
+    for w, shape, b in spec.layout:
+        layers.append((params[w].reshape(shape), params[b]))
+    return layers
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
@@ -258,7 +262,7 @@ def class_centers(num_classes: int, dim: int) -> np.ndarray:
 
 def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float,
                        seed: int) -> Dataset:
-    """Gaussian mixture, one isotropic cluster per class, class-major, each drawn in place."""
+    """Gaussian mixture, one isotropic cluster per class, class-major, drawn in one call."""
     if num_classes < 2:
         raise ConfigurationError("need at least two classes")
     if per_class < 1:
@@ -268,20 +272,18 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
     if dim < 1:
         raise ConfigurationError("dim must be positive")
     centers = class_centers(num_classes, dim)
-    rng = np.random.default_rng(seed)
-    feats = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    feats = np.empty((num_classes, per_class, dim))
+    # The generator fills in C order, so each class block gets the draws
+    # a per-class loop would give it.
+    np.random.default_rng(seed).standard_normal(out=feats)
     try:
         with np.errstate(over="raise"):  # an overflow is the one way to a non-finite feature
-            for c in range(num_classes):
-                rows = slice(c * per_class, (c + 1) * per_class)
-                block = rng.standard_normal(out=feats[rows])
-                block *= spread
-                block += centers[c]
-                labels[rows] = c
+            feats *= spread
+            feats += centers[:, None, :]
     except FloatingPointError:
         raise ConfigurationError(f"spread {spread} overflows the synthetic features") from None
-    return Dataset(feats, labels, num_classes)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    return Dataset(feats.reshape(-1, dim), labels, num_classes)
 
 
 def numbered_lines(path: str, what: str, open_error: type, decode_error: type) -> list:

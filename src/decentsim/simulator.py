@@ -1,5 +1,7 @@
 """Synchronous round engine over stacked agent state, with byte-exact accounting.
 
+Set-up (`initial_states`) builds W, the data and the agents, deriving each
+seed stream where it is used from SeedSequence(seed, spawn_key=k).
 A run owns its agents' state as one StackedState, built once per run
 from the agents, W and the algorithm; `run_round` runs on it and on
 nothing else. It holds the parameters x and momenta v as (N, d) arrays,
@@ -184,36 +186,6 @@ class CommLedger:
 
 
 @dataclass(frozen=True)
-class SeedStreams:
-    """Independent RNG streams derived from one master seed.
-
-    Derivation: numpy SeedSequence(master, spawn_key=(k,)) with k = 0 for
-    partitioning, 1 for shared parameter init, (2, i) for agent i's batch
-    shuffles, 3 for validation splitting. Streams are stable across runs
-    and mutually independent.
-    """
-
-    partition_seed: int
-    init_rng: np.random.Generator
-    agent_rngs: list
-    val_seed: int
-
-
-def seed_streams(master_seed: int, num_agents: int) -> SeedStreams:
-    """Spawn the per-purpose RNG streams for one run."""
-
-    def sub(*key):
-        return np.random.SeedSequence(master_seed, spawn_key=key)
-
-    return SeedStreams(
-        partition_seed=int(sub(0).generate_state(1)[0]),
-        init_rng=np.random.default_rng(sub(1)),
-        agent_rngs=[np.random.default_rng(sub(2, i)) for i in range(num_agents)],
-        val_seed=int(sub(3).generate_state(1)[0]),
-    )
-
-
-@dataclass(frozen=True)
 class RunResult:
     config: RunConfig
     rows: list
@@ -345,7 +317,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     return losses, (float(np.mean(norms[0])), float(np.mean(norms[1])))
 
 
-def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
+def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
     if config.dataset == "synthetic":
         base = config.seed if config.data_seed is None else config.data_seed
         train = generate_synthetic(config.classes, config.dim, config.per_class,
@@ -354,8 +326,8 @@ def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
                                  config.spread, base + _VAL_SEED_OFFSET)
         return train, val
     full = load_csv(config.dataset)
-    rng = np.random.default_rng(val_seed)
-    perm = rng.permutation(full.n)
+    val_seed = np.random.SeedSequence(config.seed, spawn_key=(3,)).generate_state(1)[0]
+    perm = np.random.default_rng(int(val_seed)).permutation(full.n)
     n_val = max(1, int(full.n * config.val_fraction))
     if n_val >= full.n:
         raise ConfigurationError("validation split leaves no training data")
@@ -369,9 +341,12 @@ def _load_data(config: RunConfig, val_seed: int) -> tuple[Dataset, Dataset]:
 def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dataset]:
     """Mixing matrix, data and freshly initialized agents, before any round.
 
-    Builds W and spawns the seed streams, each exactly once per run, and
-    neither checks nor solves W: every W that build_mixing_matrix makes
-    is connected and doubly stochastic. Returns (states, w,
+    Builds W once and neither checks nor solves it: every W that
+    build_mixing_matrix makes is connected and doubly stochastic. Each
+    seed stream is derived once per run, where it is used, from
+    SeedSequence(config.seed, spawn_key=k): k = (0,) seeds the partition,
+    (1,) the shared parameter init, (2, i) agent i's batch shuffles and
+    (3,) a CSV dataset's validation split. Returns (states, w,
     validation_data); useful for diagnostics that probe the pre-training
     configuration directly. The agents share one read-only params array
     and one read-only zero momentum until the run's StackedState stacks
@@ -379,21 +354,22 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
     """
     config.validate()
     w = build_mixing_matrix(TopologySpec(config.topology, config.agents, config.torus_rows))
-    streams = seed_streams(config.seed, config.agents)
-    train, val = _load_data(config, streams.val_seed)
+    train, val = _load_data(config)
+    stream = partial(np.random.SeedSequence, config.seed)
+    partition_seed = int(stream(spawn_key=(0,)).generate_state(1)[0])
     if config.partition == "iid":
-        shards = partition_iid(train, config.agents, streams.partition_seed)
+        shards = partition_iid(train, config.agents, partition_seed)
     else:
-        shards = partition_label_skew(train, w, streams.partition_seed)
+        shards = partition_label_skew(train, w, partition_seed)
 
     hidden = config.hidden_dim if config.model == "mlp" else 0
     spec = ModelSpec(train.dim, train.num_classes, hidden, config.activation)
-    x0 = init_params(spec, streams.init_rng)
+    x0 = init_params(spec, np.random.default_rng(stream(spawn_key=(1,))))
     zero = np.zeros(spec.param_count)
     x0.flags.writeable = zero.flags.writeable = False
     states = [
         AgentState(agent_id=i, spec=spec, data=train, shard=shards[i], params=x0,
-                   momentum=zero, rng=streams.agent_rngs[i])
+                   momentum=zero, rng=np.random.default_rng(stream(spawn_key=(2, i))))
         for i in range(config.agents)
     ]
     return states, w, val

@@ -409,6 +409,18 @@ def test_init_params_is_bitwise_the_concatenate_form(input_dim, num_classes, hid
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def test_init_params_draws_each_weight_block_in_place():
+    spec = ModelSpec(320, 10, hidden_dim=305)  # d = 100,965; w1 is 780 KiB
+    init_params(spec, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        params = init_params(spec, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= params.nbytes + 320 * 305 * params.itemsize // 8
+
+
 def test_unflatten_rejects_wrong_length():
     spec = ModelSpec(3, 2)
     with pytest.raises(ShapeError):
@@ -514,9 +526,41 @@ def test_synthetic_is_bitwise_the_one_expression_form(num_classes, dim, per_clas
     assert data.labels.dtype == labels.dtype and data.labels.tobytes() == labels.tobytes()
 
 
+def _per_class_generate_synthetic(num_classes, dim, per_class, spread, seed):
+    """generate_synthetic as a per-class loop, each class block drawn and shifted in place."""
+    centers = class_centers(num_classes, dim)
+    rng = np.random.default_rng(seed)
+    feats = np.empty((num_classes * per_class, dim))
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for c in range(num_classes):
+        rows = slice(c * per_class, (c + 1) * per_class)
+        block = rng.standard_normal(out=feats[rows])
+        block *= spread
+        block += centers[c]
+        labels[rows] = c
+    return feats, labels
+
+
+@given(
+    shape=st.one_of(st.just((2, 1)), st.tuples(st.integers(2, 12), st.integers(2, 40))),
+    per_class=st.integers(1, 60),
+    spread=st.floats(1e-300, 1e300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_synthetic_is_bitwise_the_per_class_loop(shape, per_class, spread, seed):
+    # One draw over every class fills in C order, so each class block gets the loop's draws.
+    num_classes, dim = shape
+    data = generate_synthetic(num_classes, dim, per_class, spread, seed)
+    feats, labels = _per_class_generate_synthetic(num_classes, dim, per_class, spread, seed)
+    assert data.features.shape == feats.shape and data.features.tobytes() == feats.tobytes()
+    assert data.labels.dtype == labels.dtype and data.labels.tobytes() == labels.tobytes()
+
+
 def test_synthetic_draws_each_class_block_without_temporaries():
     # The first call in a process imports numpy.random; only a later call
-    # shows the steady set-up cost. One class block here is 800 KiB.
+    # shows the steady set-up cost. One class block here is 800 KiB, and
+    # the features are drawn, scaled and shifted where they lie.
     generate_synthetic(10, 16, 64, 0.15, 3)
     tracemalloc.start()
     try:
@@ -525,7 +569,7 @@ def test_synthetic_draws_each_class_block_without_temporaries():
     finally:
         tracemalloc.stop()
     block = 6400 * 16 * data.features.itemsize
-    assert peak <= data.features.nbytes + data.labels.nbytes + block
+    assert peak <= data.features.nbytes + data.labels.nbytes + block // 8
 
 
 def test_synthetic_rejects_bad_arguments():

@@ -14,6 +14,7 @@ from decentsim import algorithms, simulator, topology
 from decentsim import (
     CommLedger,
     ConfigurationError,
+    Dataset,
     HyperParams,
     ModelSpec,
     RunAbortError,
@@ -24,10 +25,12 @@ from decentsim import (
     consensus_error,
     decompress,
     generate_synthetic,
+    init_params,
+    load_csv,
     loss_and_gradient,
+    partition_iid,
     run,
     run_round,
-    seed_streams,
     spectral_gap,
 )
 
@@ -50,26 +53,56 @@ def tiny_config(**kw) -> RunConfig:
 # ------------------------------------------------------------- seed streams
 
 
-def test_seed_streams_are_reproducible_and_distinct():
-    a = seed_streams(42, 4)
-    b = seed_streams(42, 4)
-    assert a.partition_seed == b.partition_seed
-    assert a.val_seed == b.val_seed
-    draws_a = [rng.random(1000) for rng in a.agent_rngs]
-    draws_b = [rng.random(1000) for rng in b.agent_rngs]
+def seed_state(config) -> tuple:
+    """What each seed stream decides at set-up: shards, x0 and every agent's RNG state."""
+    states, _, val = simulator.initial_states(config)
+    return ([s.shard for s in states], states[0].params, [s.rng for s in states], val)
+
+
+def test_initial_states_are_reproducible_and_distinct():
+    config = tiny_config(partition="iid")
+    shards_a, x0_a, rngs_a, _ = seed_state(config)
+    shards_b, x0_b, rngs_b, _ = seed_state(config)
+    assert all((a == b).all() for a, b in zip(shards_a, shards_b))
+    assert x0_a.tobytes() == x0_b.tobytes()
+    draws_a = [rng.random(1000) for rng in rngs_a]
+    draws_b = [rng.random(1000) for rng in rngs_b]
     for da, db in zip(draws_a, draws_b):
         assert (da == db).all()
     for i in range(4):
         for j in range(i + 1, 4):
             assert not (draws_a[i] == draws_a[j]).all()
-    assert not (a.init_rng.random(100) == b.agent_rngs[0].random(100)).all()
 
 
-def test_seed_streams_differ_across_master_seeds():
-    a = seed_streams(1, 2)
-    b = seed_streams(2, 2)
-    assert a.partition_seed != b.partition_seed
-    assert not (a.init_rng.random(50) == b.init_rng.random(50)).all()
+def test_initial_states_differ_across_master_seeds():
+    shards_a, x0_a, rngs_a, _ = seed_state(tiny_config(partition="iid", seed=1))
+    shards_b, x0_b, rngs_b, _ = seed_state(tiny_config(partition="iid", seed=2))
+    assert not all((a == b).all() for a, b in zip(shards_a, shards_b))
+    assert not (x0_a == x0_b).all()
+    for a, b in zip(rngs_a, rngs_b):
+        assert not (a.random(50) == b.random(50)).all()
+
+
+def test_each_seed_stream_is_its_spawn_key_of_the_master_seed(tmp_path):
+    # k = (0,) partition, (1,) shared init, (2, i) agent i's batches, (3,) CSV validation split.
+    config = tiny_config(agents=3, dataset=write_csv_dataset(tmp_path), partition="iid", seed=7)
+    shards, x0, rngs, val = seed_state(config)
+
+    def stream(*key):
+        return np.random.SeedSequence(7, spawn_key=key)
+
+    full = load_csv(config.dataset)
+    perm = np.random.default_rng(int(stream(3).generate_state(1)[0])).permutation(full.n)
+    n_val = int(full.n * config.val_fraction)
+    assert val.features.tobytes() == full.features[np.sort(perm[:n_val])].tobytes()
+    train_idx = np.sort(perm[n_val:])
+    train = Dataset(full.features[train_idx], full.labels[train_idx], full.num_classes)
+    expected = partition_iid(train, 3, int(stream(0).generate_state(1)[0]))
+    assert all((a == b).all() for a, b in zip(shards, expected))
+    spec = ModelSpec(4, 3, hidden_dim=config.hidden_dim)
+    assert x0.tobytes() == init_params(spec, np.random.default_rng(stream(1))).tobytes()
+    for i, rng in enumerate(rngs):
+        assert rng.bit_generator.state == np.random.default_rng(stream(2, i)).bit_generator.state
 
 
 # ------------------------------------------------------------ determinism
@@ -728,7 +761,6 @@ def test_mlp_beats_chance_quickly_on_an_easy_iid_problem():
 SETUP_STEPS = {
     "build_mixing_matrix": (topology, 1),
     "neighbor_slots": (algorithms, 1),
-    "seed_streams": (simulator, 1),
     "validate_doubly_stochastic": (topology, 0),
     "spectral_gap": (topology, 0),
 }
@@ -760,8 +792,20 @@ def test_one_run_builds_w_slots_and_seeds_once_and_solves_no_w(source, tmp_path,
         cfg = tiny_config(agents=3, dataset=write_csv_dataset(tmp_path), epochs=1,
                           batch_size=4)
     counts = count_setup_steps(monkeypatch)
+    derived = []
+    seed_sequence = np.random.SeedSequence
+
+    def derive(*args, **kwargs):
+        seq = seed_sequence(*args, **kwargs)
+        derived.append((seq.entropy, seq.spawn_key))
+        return seq
+
+    monkeypatch.setattr(np.random, "SeedSequence", derive)
     run(cfg)
     assert counts == {name: calls for name, (_, calls) in SETUP_STEPS.items()}
+    keys = [(0,), (1,)] + [(2, i) for i in range(cfg.agents)]
+    keys += [(3,)] if source == "csv-ngc" else []
+    assert sorted(derived) == sorted((cfg.seed, key) for key in keys)
 
 
 def test_result_serves_sqrt_rho_from_its_mixing_matrix():
