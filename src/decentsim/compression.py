@@ -10,10 +10,12 @@ If mean |v| underflows to 0 (e.g. v = [5e-324, 0.0]) the message is all
 zeros and carries no signs; error feedback then keeps the whole vector as
 its residual, so decompress(ct) + residual == v still holds exactly.
 
-ef_step(grad, err, out=err) keeps a stream's residual in one buffer
-for the whole run: the round engine passes each stream's row of its
-error-feedback arrays as both err and out. The sum is elementwise, so
-out may alias err (or grad).
+ef_step(grad, err, out=err, work=row) keeps a stream's residual in one
+buffer for the whole run: the round engine passes each stream's row of
+its error-feedback arrays as both err and out. The sum is elementwise, so
+out may alias err (or grad). work, one idle row that overlaps none of
+them, takes compress's |p| and then decompress's expansion, so a call
+allocates only the message's d sign bytes. Without it both are fresh.
 
 decompress gives each coordinate scale * (2*signs - 1). It forms the two
 products -1.0*scale and 1.0*scale once and writes one per coordinate by
@@ -52,12 +54,12 @@ class CompressedTensor:
         return self.signs.size
 
 
-def compress(vec: np.ndarray) -> CompressedTensor:
-    """Scaled sign: sign(0) counts as positive, scale = mean |coordinate|."""
+def compress(vec: np.ndarray, work: np.ndarray | None = None) -> CompressedTensor:
+    """Scaled sign: sign(0) counts as positive, scale = mean |coordinate| (|vec| in work)."""
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise ShapeError("compress expects a non-empty 1-D vector")
-    return CompressedTensor(vec >= 0.0, float(np.abs(vec).mean()))
+    return CompressedTensor(vec >= 0.0, float(np.abs(vec, out=work).mean()))
 
 
 def decompress(ct: CompressedTensor, out: np.ndarray | None = None) -> np.ndarray:
@@ -72,17 +74,21 @@ def decompress(ct: CompressedTensor, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def ef_step(grad: np.ndarray, err: np.ndarray,
-            out: np.ndarray | None = None) -> tuple[CompressedTensor, np.ndarray]:
+def ef_step(grad: np.ndarray, err: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> tuple[CompressedTensor, np.ndarray]:
     """Compress grad + err and return the residual as the next error buffer.
 
     The residual is written into out if given, which may be err itself.
+    work, if given, takes compress's |p| and then decompress's expansion;
+    it must not overlap grad, err or out.
     """
-    if grad.shape != err.shape or (out is not None and out.shape != grad.shape):
-        raise ShapeError("gradient and error buffer shapes differ")
+    if any(b is not None and b.shape != grad.shape for b in (err, out, work)):
+        raise ShapeError("gradient and buffer shapes differ")
+    if work is not None and any(np.may_share_memory(work, b) for b in (grad, err, out)):
+        raise ShapeError("ef_step's work row overlaps one of its operands")
     p = np.add(grad, err, out=out)
-    ct = compress(p)
-    p -= decompress(ct)
+    ct = compress(p, work)
+    p -= decompress(ct, work)
     return ct, p
 
 

@@ -34,9 +34,9 @@ class MetricsRow:
     crossgrad_bytes: int
 
 
-def consensus_model(x: np.ndarray) -> np.ndarray:
-    """Uniform average of the agents' parameter rows x, (N, d)."""
-    return x.mean(axis=0)
+def consensus_model(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform average of the agents' parameter rows x, (N, d), into out if given."""
+    return x.mean(axis=0, out=out)
 
 
 def consensus_error(x: np.ndarray, out=None, center=None) -> float:

@@ -21,9 +21,10 @@ pass, per agent in agent order, draws a batch and writes the self
 gradient into row i of an (N, d) table, and for ngc the gradient at each
 peer's params into that edge's row of an (E, d) table of messages. Under
 compngc the self row goes through its error-feedback stream and takes
-back the decompressed value, and each cross-gradient goes from one spare
-row straight through its edge's stream: the round keeps only the E
-compressed messages, each expanded into block scratch where it is read.
+back the decompressed value, and each cross-gradient goes from a spare
+row, scratch[0, 0], straight through its edge's stream; every ef_step
+works in scratch[1, 0]. The round keeps only the E compressed messages,
+each expanded into block scratch where it is read.
 dpsgd steps momentum and params to x_tilde after the pass. The block
 pass, per block, mixes and steps momentum (`ngc_update`, ngc and
 compngc), taking the W-weighted bias norms from the same slot reads (a
@@ -37,7 +38,8 @@ three of which the round builds once. They keep the per-agent rules'
 order element for element (see `algorithms`), so a round is bitwise the
 per-agent one. After each round, `run` checks x for non-finite values in
 one reduction. The finite check and each emitted consensus error work in
-the gradient rows, which are free between rounds.
+the gradient rows, and each emission takes its centre in scratch[0, 0]:
+both are free between rounds.
 
 Byte accounting models 32-bit wire floats: a parameter or raw gradient
 message costs 4*d bytes per directed edge, a compressed cross-gradient
@@ -214,9 +216,11 @@ class StackedState:
     (E, d) edge table of raw messages; for compngc, whose messages stay
     compressed, the zeroed error-feedback rows, err_self (N, d) and
     err_out (E, d) by edge, bound as each agent's err_self and err_out[j];
-    and four buffers of the largest block (one for dpsgd). Between rounds
-    the gradient rows hold the finite check's flags and the consensus
-    error's deviations.
+    and four buffers of the largest block (one for dpsgd), whose rows
+    scratch[0, 0] and scratch[1, 0] the compngc kernel pass borrows for
+    its cross-gradient and its ef_step work. Between rounds the gradient
+    rows hold the finite check's flags and the consensus error's
+    deviations, and scratch[0, 0] the emission's centre.
     """
 
     def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str):
@@ -251,15 +255,14 @@ def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
     return slot_rows(x, index, out)
 
 
-def exchange_cross_gradients(cross: np.ndarray | None, messages, index,
-                             out: np.ndarray) -> np.ndarray:
+def exchange_cross_gradients(read, index, out: np.ndarray) -> np.ndarray:
     """Deliver one data-variant slot: row r is the message on edge index[r].
 
-    Raw messages are rows of the edge table, read as `exchange_params`
-    reads x; compressed ones (messages, by edge) are decompressed by
-    their receiver into out.
+    read is the round's one message reader, `read(index, out)`: raw rows
+    of the edge table, read as `exchange_params` reads x, or compressed
+    messages, decompressed by their receiver into out.
     """
-    return slot_rows(cross, index, out) if messages is None else message_rows(messages, index, out)
+    return read(index, out)
 
 
 def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
@@ -274,20 +277,20 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
     spec = states[0].spec
     dim = x.shape[1]
-    # Under compngc the round keeps only the messages, by edge row; each
-    # cross-gradient goes from one spare row straight through its stream.
+    # Under compngc the round keeps only the messages, by edge row; each cross-gradient
+    # goes from one spare row straight through its stream, every ef_step working in a second.
     messages = None if err_out is None else [None] * slots.edges
-    row = stack.scratch[0, 0]
+    row, work = stack.scratch[:2, 0] if messages is not None else (None, None)
 
     losses = []
     for i, (state, links) in enumerate(zip(states, slots.links)):
         batch = state.draw_batch(batch_size)
         losses.append(loss_and_gradient(spec, x[i], state.data, batch, grads[i])[0])
         if messages is not None:
-            decompress(ef_step(grads[i], err_self[i], out=err_self[i])[0], grads[i])
+            decompress(ef_step(grads[i], err_self[i], out=err_self[i], work=work)[0], grads[i])
             for j, e in links:
                 cross_gradient(spec, x[j], state.data, batch, row)
-                messages[e] = ef_step(row, err_out[e], out=err_out[e])[0]
+                messages[e] = ef_step(row, err_out[e], out=err_out[e], work=work)[0]
         elif cross is not None:
             for j, e in links:
                 cross_gradient(spec, x[j], state.data, batch, cross[e])
@@ -296,7 +299,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
     if stack.algorithm == "dpsgd":
         dpsgd_prepare(x, v, grads, hp)
     read_sent = partial(slot_rows, cross) if messages is None else partial(message_rows, messages)
-    read_back = partial(exchange_cross_gradients, cross, messages)
+    read_back = partial(exchange_cross_gradients, read_sent)
     read_x = partial(exchange_params, x)
     for blk in slots.blocks:  # no block reads another's gradient rows; x waits for apply
         own = grads[blk.rows]
@@ -391,7 +394,7 @@ def run(config: RunConfig) -> RunResult:
     rows: list[MetricsRow] = []
 
     def emit(round_idx, epoch_count, train_loss, eps_l1, omega_l1):
-        center = consensus_model(stack.x)
+        center = consensus_model(stack.x, out=stack.scratch[0, 0])
         val_loss, val_acc = evaluate(spec, center, val)
         rows.append(MetricsRow(
             round=round_idx, epoch=epoch_count, train_loss=train_loss,

@@ -345,7 +345,8 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
                                                             compressed):
     # One read per slot feeds both the mix and the bias deviation. The
     # messages are the rows of an edge table (ngc) or compressed ones,
-    # which the sender's reader and the receiver's exchange decompress.
+    # decompressed where read; the receiver's exchange hands its slots to
+    # the sender's reader.
     rng = np.random.default_rng(seed)
     n, dim = graph[1], 7
     w, slots = slot_tables(*graph, dim, block_rows)
@@ -359,11 +360,10 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     if compressed:
         messages = [compress(row) for row in cross]
         read_sent = partial(message_rows, messages)
-        read_back = partial(simulator.exchange_cross_gradients, None, messages)
         cross = np.array([decompress(m) for m in messages]).reshape(cross.shape)
     else:
         read_sent = partial(slot_rows, cross)
-        read_back = partial(simulator.exchange_cross_gradients, cross, None)
+    read_back = partial(simulator.exchange_cross_gradients, read_sent)
     for blk in slots.blocks:
         ngc_update(blk, own[blk.rows], read_sent, read_back, v[blk.rows], hp, scratch,
                    norms[:, blk.rows])

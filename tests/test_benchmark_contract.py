@@ -87,6 +87,32 @@ def test_run_calls_initial_states_once_through_the_module(monkeypatch):
     assert calls == [config]
 
 
+@pytest.mark.parametrize("algorithm", ["dpsgd", "ngc", "compngc"])
+def test_each_emission_calls_consensus_model_and_error_once_through_the_module(
+        algorithm, monkeypatch):
+    # perfbench's metrics.emit_calls counts these two spans, which its
+    # tracer catches where run looks them up. The centre goes into an
+    # out row and consensus_error reuses it.
+    calls = []
+    model, error = simulator.consensus_model, simulator.consensus_error
+
+    def counted_model(x, out=None):
+        calls.append(("model", out))
+        return model(x, out=out)
+
+    def counted_error(x, out=None, center=None):
+        calls.append(("error", center))
+        return error(x, out=out, center=center)
+
+    monkeypatch.setattr(simulator, "consensus_model", counted_model)
+    monkeypatch.setattr(simulator, "consensus_error", counted_error)
+    result = simulator.run(small_config(algorithm))
+    assert [name for name, _ in calls] == ["model", "error"] * len(result.rows)
+    for (_, out), (_, center) in zip(calls[::2], calls[1::2]):
+        assert out is not None and out.shape == (result.spec.param_count,)
+        assert center is out
+
+
 # ------------------------------------------------ what perfbench/run.py reads
 
 

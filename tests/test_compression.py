@@ -136,6 +136,52 @@ def test_ef_step_writes_the_fresh_residual_into_out(aliased):
     assert ct.signs.tobytes() == want_ct.signs.tobytes() and ct.scale == want_ct.scale
 
 
+# Every float64 class the codec can meet: signed zeros, subnormals, infinities and NaN.
+EDGE_FLOATS = st.one_of(st.floats(width=64),
+                        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf,
+                                         np.nan]))
+
+
+@given(grad=hnp.arrays(np.float64, st.integers(1, 64), elements=EDGE_FLOATS), data=st.data())
+@example(grad=np.array([5e-324, -0.0, 0.0]), data=None)
+@example(grad=np.array([np.inf, -np.inf, 1.0]), data=None)
+@example(grad=np.array([np.nan, -0.0, -5e-324]), data=None)
+@settings(max_examples=200, deadline=None)
+def test_ef_step_with_a_work_row_gives_the_bits_it_gives_without_one(grad, data):
+    # The engine runs every ef_step in one idle scratch row; the message
+    # and the residual must not depend on where the temporaries live.
+    err = (np.zeros_like(grad) if data is None
+           else data.draw(hnp.arrays(np.float64, grad.shape, elements=EDGE_FLOATS)))
+    work = np.full(grad.size, 7.0)
+    with np.errstate(all="ignore"):
+        want, ct = compress(grad), compress(grad, work)
+        want_ct, want_residual = ef_step(grad, err.copy())
+        out = err.copy()
+        ct_ef, residual = ef_step(grad, out, out=out, work=work)
+    assert ct.signs.tobytes() == want.signs.tobytes()
+    assert struct.pack("<d", ct.scale) == struct.pack("<d", want.scale)
+    assert residual is out
+    assert ct_ef.signs.tobytes() == want_ct.signs.tobytes()
+    assert struct.pack("<d", ct_ef.scale) == struct.pack("<d", want_ct.scale)
+    assert residual.tobytes() == want_residual.tobytes()
+
+
+@pytest.mark.parametrize("case", ["short", "long", "grad", "err", "out", "out-reversed",
+                                  "err-and-out", "grad-no-out"])
+def test_ef_step_rejects_a_bad_work_row_before_writing(case):
+    rng = np.random.default_rng(14)
+    buf = rng.standard_normal((3, 16))
+    flat = buf.reshape(-1)
+    grad, err, out = buf
+    work = {"short": np.zeros(15), "long": np.zeros(17), "grad": grad, "err": err, "out": out,
+            "out-reversed": out[::-1], "err-and-out": flat[24:40],
+            "grad-no-out": flat[:16]}[case]
+    before, work_before = buf.tobytes(), work.tobytes()
+    with pytest.raises(ShapeError):
+        ef_step(grad, err, out=None if case == "grad-no-out" else out, work=work)
+    assert buf.tobytes() == before and work.tobytes() == work_before
+
+
 def test_constant_gradient_mean_of_deltas_tracks_the_gradient():
     # Telescoping: sum of emitted deltas equals K*g + e_first - e_last.
     rng = np.random.default_rng(7)

@@ -49,6 +49,16 @@ def test_consensus_model_is_the_uniform_average():
     assert (consensus_model(np.array([[1.0, 3.0], [3.0, 5.0]])) == [2.0, 4.0]).all()
 
 
+def test_consensus_model_writes_the_mean_into_out():
+    # The engine takes each emission's centre in an idle scratch row.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((5, 1001))
+    x[:, :4] = [-0.0, 5e-324, -5e-324, 1e300]
+    row = np.full(1001, np.nan)
+    assert consensus_model(x, out=row) is row
+    assert row.tobytes() == x.mean(axis=0).tobytes()
+
+
 def test_bias_norms_average_over_agents():
     g = np.zeros(3)
     up = np.array([1.0, 1.0, 1.0])
