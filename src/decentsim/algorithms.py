@@ -417,7 +417,7 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: 
     read_back read each slot of `blk.sent` and `blk.back` once, for both
     the mix and the deviation w_s (t - own). norms (2, rows) takes the l1
     norms of eps and, when alpha != 0, omega. scratch holds four (rows, d)
-    buffers of the largest block; 0 < alpha < 1 takes a fifth, fresh one.
+    buffers of the largest block, and 0 < alpha < 1 a fifth.
     """
     m = blk.size
     tmp, diff, dev, acc = scratch[:4, :m]
@@ -443,7 +443,7 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: 
         mixed = cluster(read_back, blk.back, acc, norms[1])
         cluster(read_sent, blk.sent, None, norms[0])
     else:
-        data = cluster(read_back, blk.back, np.empty_like(acc), norms[1])
+        data = cluster(read_back, blk.back, scratch[4, :m], norms[1])
         data *= hp.alpha
         mixed = cluster(read_sent, blk.sent, acc, norms[0])
         mixed *= 1.0 - hp.alpha

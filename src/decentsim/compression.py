@@ -59,7 +59,7 @@ def compress(vec: np.ndarray, work: np.ndarray | None = None) -> CompressedTenso
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise ShapeError("compress expects a non-empty 1-D vector")
-    return CompressedTensor(vec >= 0.0, float(np.abs(vec, out=work).mean()))
+    return CompressedTensor(vec >= 0.0, float(np.add.reduce(np.abs(vec, out=work)) / vec.size))
 
 
 def decompress(ct: CompressedTensor, out: np.ndarray | None = None) -> np.ndarray:

@@ -14,11 +14,16 @@ discipline: the forward pass and the log-softmax work in place on arrays
 the call itself allocated, each gradient block is written through
 `unflatten` straight into one output vector, and reductions call the
 ufuncs (`np.add.reduce`, `np.maximum.reduce`) rather than the array
-methods that wrap them. Inputs are never written. Every operation and its
-operand order is the plain form's (`x @ w + b`, `logits - max`, a
-`concatenate` of per-layer blocks), so losses, gradients and accuracies
-are bitwise equal to it; tests/test_models.py keeps that form as the
-reference.
+methods that wrap them. Nor does it pay numpy's per-row overhead, which
+grows with the batch: each row's max comes from a transposed (C, rows)
+copy, and the label entries go through one flat index row * C + label.
+Inputs are never written. Every operation and its operand order is the
+plain form's (`x @ w + b`, `logits - max`, a `concatenate` of per-layer
+blocks), so losses, gradients and accuracies are bitwise equal to it;
+tests/test_models.py keeps that form as the reference. A max is exact in
+any order: a row whose max ties +0.0 and -0.0 may subtract the other
+zero, but it then holds two exp(+-0) = 1 terms, so log(norm) >= log 2,
+no log-probability is zero and no bit moves.
 """
 from __future__ import annotations
 
@@ -135,16 +140,25 @@ def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
 
 def _log_softmax_(logits: np.ndarray) -> np.ndarray:
     """Turn logits into log-probabilities in place; return the exp buffer."""
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    # Each row's max over a (classes, rows) copy: every pass runs over contiguous rows.
+    logits -= np.maximum.reduce(logits.T.copy(), axis=0)[:, None]
     expd = np.exp(logits)
     norm = np.add.reduce(expd, axis=1, keepdims=True)
     logits -= np.log(norm, out=norm)
     return expd
 
 
-def _mean_nll(logp: np.ndarray, rows: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy: minus the mean log-probability of each row's label."""
-    return -(np.add.reduce(logp[rows, labels]) / rows.size)
+def _label_index(spec: ModelSpec, data: Dataset, labels: np.ndarray) -> np.ndarray:
+    """Flat index row * C + label of each row's label (any integer dtype) in (rows, C) logits."""
+    if data.num_classes > spec.num_classes:  # a label past C would index the next row
+        raise ShapeError(f"{data.num_classes} classes of labels for {spec.num_classes} outputs")
+    at = np.arange(0, labels.size * spec.num_classes, spec.num_classes)
+    return np.add(at, labels, out=at, casting="unsafe")  # exact: labels lie in [0, C)
+
+
+def _mean_nll(logp: np.ndarray, at: np.ndarray):
+    """Mean cross-entropy: minus the mean log-probability at each row's label index."""
+    return -(np.add.reduce(logp.reshape(-1).take(at)) / at.size)
 
 
 # Unsigned dtypes by item size, for the batch range check's view.
@@ -172,15 +186,14 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
     """Mean cross-entropy over the batch and its exact analytic gradient (into out if given)."""
     batch = _check_batch(data, batch)
     x = data.features.take(batch, axis=0)
-    y = data.labels.take(batch)
+    at = _label_index(spec, data, data.labels.take(batch))
     n = x.shape[0]
-    rows = np.arange(n)
     logp, hid, w_out = _forward(spec, params, x)
     dlogits = _log_softmax_(logp)
-    loss = _mean_nll(logp, rows, y)
+    loss = _mean_nll(logp, at)
 
     np.exp(logp, out=dlogits)
-    dlogits[rows, y] -= 1.0
+    dlogits.reshape(-1)[at] -= 1.0
     dlogits /= n
     grad = np.empty(spec.param_count) if out is None else out
     *hidden, (dw_out, db_out) = unflatten(spec, grad)
@@ -204,7 +217,7 @@ def batch_loss(spec: ModelSpec, params: np.ndarray, data: Dataset, batch: np.nda
     batch = _check_batch(data, batch)
     logp, _, _ = _forward(spec, params, data.features.take(batch, axis=0))
     _log_softmax_(logp)
-    return float(_mean_nll(logp, np.arange(batch.size), data.labels.take(batch)))
+    return float(_mean_nll(logp, _label_index(spec, data, data.labels.take(batch))))
 
 
 def cross_gradient(spec: ModelSpec, foreign_params: np.ndarray, data: Dataset,
@@ -239,7 +252,7 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> tuple[float,
     # distinct logits and so move a "ties -> lowest class" pick.
     hits = np.count_nonzero(np.argmax(logits, axis=1) == data.labels)
     _log_softmax_(logits)
-    return float(_mean_nll(logits, np.arange(data.n), data.labels)), hits / data.n
+    return float(_mean_nll(logits, _label_index(spec, data, data.labels))), hits / data.n
 
 
 def class_centers(num_classes: int, dim: int) -> np.ndarray:

@@ -216,14 +216,15 @@ class StackedState:
     (E, d) edge table of raw messages; for compngc, whose messages stay
     compressed, the zeroed error-feedback rows, err_self (N, d) and
     err_out (E, d) by edge, bound as each agent's err_self and err_out[j];
-    and four buffers of the largest block (one for dpsgd), whose rows
-    scratch[0, 0] and scratch[1, 0] the compngc kernel pass borrows for
-    its cross-gradient and its ef_step work. Between rounds the gradient
-    rows hold the finite check's flags and the consensus error's
-    deviations, and scratch[0, 0] the emission's centre.
+    and four buffers of the largest block (one for dpsgd, five when
+    0 < alpha < 1), whose rows scratch[0, 0] and scratch[1, 0] the compngc
+    kernel pass borrows for its cross-gradient and its ef_step work.
+    Between rounds the gradient rows hold the finite check's flags and the
+    consensus error's deviations, and scratch[0, 0] the emission's centre.
     """
 
-    def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str):
+    def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str,
+                 alpha: float = HyperParams.alpha):
         if algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r}")
         self.states = states
@@ -247,7 +248,8 @@ class StackedState:
                 state.err_self = row
                 state.err_out = {j: self.err_out[e] for j, e in links}
         rows = max(blk.size for blk in slots.blocks)
-        self.scratch = np.empty((1 if algorithm == "dpsgd" else 4, rows, dim))
+        buffers = 1 if algorithm == "dpsgd" else 5 if 0.0 < alpha < 1.0 else 4
+        self.scratch = np.empty((buffers, rows, dim))
 
 
 def exchange_params(x: np.ndarray, index, out: np.ndarray) -> np.ndarray:
@@ -317,7 +319,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
             cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
         ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
-    return losses, (float(np.mean(norms[0])), float(np.mean(norms[1])))
+    return losses, tuple((np.add.reduce(norms, axis=1) / len(x)).tolist())
 
 
 def _load_data(config: RunConfig) -> tuple[Dataset, Dataset]:
@@ -388,7 +390,7 @@ def run(config: RunConfig) -> RunResult:
     if rounds_per_epoch < 1:
         raise ConfigurationError("batch_size exceeds the smallest shard")
 
-    stack = StackedState(states, w, config.algorithm)
+    stack = StackedState(states, w, config.algorithm, config.alpha)
     ledger = CommLedger()
 
     rows: list[MetricsRow] = []
@@ -416,7 +418,7 @@ def run(config: RunConfig) -> RunResult:
             losses, bias = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
-            sums += (np.mean(losses), *bias)
+            sums += (np.add.reduce(losses) / len(losses), *bias)
         emit(round_idx, epoch + 1, *map(float, sums / rounds_per_epoch))
 
     return RunResult(config, rows, ledger, states, spec, val, w)

@@ -355,7 +355,7 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     cross = edge_rows(rng, (slots.edges, dim))
     v = edge_rows(rng, (n, dim))
     own_before, v_before = own.copy(), v.copy()
-    scratch = np.empty((4, n, dim))
+    scratch = np.empty((5, n, dim))
     norms = np.zeros((2, n))
     if compressed:
         messages = [compress(row) for row in cross]

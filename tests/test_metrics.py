@@ -83,7 +83,7 @@ def test_bias_norms_and_consensus_error_leave_their_inputs_unchanged(algorithm, 
     # params array written through would corrupt the next round.
     states, w = skewed_states()
     hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
-    stack = StackedState(states, w, algorithm)
+    stack = StackedState(states, w, algorithm, alpha)
     for _ in range(2):
         run_round(stack, hp, batch_size=7)
     bundles = round_with_bundles(stack, w, hp, batch_size=7)[2]

@@ -24,7 +24,7 @@ from decentsim import (
     loss_and_gradient,
     unflatten,
 )
-from decentsim.models import batch_loss
+from decentsim.models import _log_softmax_, batch_loss
 
 
 def rel_err(a, b):
@@ -186,20 +186,30 @@ def _bits(*values):
     return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
 
 
+# Label dtypes the kernel must index by: a uint64 label does not add into
+# an int64 index under numpy's default casting.
+LABEL_DTYPES = [np.int64, np.int8, np.int32, np.uint8, np.uint64]
+
+
 @st.composite
 def kernel_cases(draw):
-    """A spec, a dataset, params up to saturated softmax, and a batch."""
+    """A spec, a dataset, params up to saturated softmax, and a batch.
+
+    Batches reach 600 rows, past the 200 of the paper's reference run,
+    where the softmax's per-row costs dominate.
+    """
     kind = draw(st.sampled_from(["logistic", "tanh", "relu"]))
     input_dim = draw(st.integers(1, 6))
-    num_classes = draw(st.integers(2, 5))
+    num_classes = draw(st.integers(2, 17))
     hidden = 0 if kind == "logistic" else draw(st.integers(1, 9))
     spec = ModelSpec(input_dim, num_classes, hidden_dim=hidden,
                      activation="tanh" if kind == "logistic" else kind)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 600))
     features = rng.standard_normal((n, input_dim)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
     features[rng.random(features.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
-    data = Dataset(features, rng.integers(0, num_classes, n), num_classes)
+    labels = rng.integers(0, num_classes, n).astype(draw(st.sampled_from(LABEL_DTYPES)))
+    data = Dataset(features, labels, num_classes)
     params = rng.standard_normal(spec.param_count) * draw(
         st.sampled_from([0.0, 1e-3, 1.0, 30.0, 1e3]))
     params[rng.random(spec.param_count) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
@@ -247,6 +257,51 @@ def test_kernel_writes_no_input_and_returns_fresh_memory(case):
     row = rows[1]
     assert loss_and_gradient(spec, params, data, batch, out=row)[1] is row
     assert row.tobytes() == grad.tobytes() and np.isnan(rows[0]).all()
+
+
+# Values at the log-softmax's edges: signed zeros, subnormals, a logit
+# whose exp underflows, and infinities. Rows drawn from the non-positive
+# ones mostly hold a max that ties +0.0 and -0.0.
+EDGE_LOGITS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -800.0, -1.0, 3.0, np.inf, -np.inf]
+NON_POSITIVE = [0.0, -0.0, -5e-324, -800.0, -1.0, -np.inf]
+
+
+@given(rows=st.integers(1, 600), classes=st.integers(2, 17), seed=st.integers(0, 2**32 - 1),
+       nan_share=st.sampled_from([0.0, 0.01]))
+@settings(max_examples=80, deadline=None)
+def test_log_softmax_is_bitwise_the_plain_form_at_its_edges(rows, classes, seed, nan_share):
+    # The kernel takes each row's max in another order than the plain form.
+    # A max is exact in any order; a row whose max ties +0.0 and -0.0 may
+    # subtract the other zero, but it then holds two exp(0) = 1 terms, so
+    # log(norm) >= log 2, no log-probability is zero and no bit moves.
+    rng = np.random.default_rng(seed)
+    logits = rng.choice(EDGE_LOGITS, size=(rows, classes))
+    tied = rng.random(rows) < 0.5
+    logits[tied] = rng.choice(NON_POSITIVE, size=(np.count_nonzero(tied), classes))
+    # NaNs with payloads. A row that holds one comes out all NaN in both
+    # forms, but the payloads may differ, so those rows compare as NaN only.
+    nan = rng.random(logits.shape) < nan_share
+    payload = rng.integers(1, 2**51, np.count_nonzero(nan), dtype=np.uint64)
+    logits[nan] = (payload | np.uint64(0x7FF8_0000_0000_0000)).view(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = logits.copy()
+        _log_softmax_(got)
+        want = _plain_log_softmax(logits)
+    nan_rows = nan.any(axis=1)
+    assert np.isnan(got[nan_rows]).all() and np.isnan(want[nan_rows]).all()
+    assert got[~nan_rows].tobytes() == want[~nan_rows].tobytes()
+
+
+def test_labels_of_more_classes_than_the_model_has_outputs_are_rejected():
+    # A label past the model's C outputs would index the next row's entry.
+    spec = ModelSpec(2, 3)
+    data = generate_synthetic(4, 2, 2, 0.3, 0)
+    params = init_params(spec, np.random.default_rng(0))
+    for call in (lambda: loss_and_gradient(spec, params, data, np.arange(data.n)),
+                 lambda: batch_loss(spec, params, data, np.arange(data.n)),
+                 lambda: evaluate(spec, params, data)):
+        with pytest.raises(ShapeError, match="4 classes of labels for 3 outputs"):
+            call()
 
 
 @pytest.mark.parametrize("bias, label, acc", [

@@ -273,7 +273,7 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     shards = np.array_split(np.arange(data.n), n)
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
-    stack = StackedState(engine, w, algorithm)
+    stack = StackedState(engine, w, algorithm, alpha)
     sizes = {blk.size for blk in stack.slots.blocks}
     if block_rows is not None:
         assert max(sizes) == block_rows
@@ -335,7 +335,7 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
     ref = make_states(n, spec, data, shards, seed=9)
     elems = BLOCK_ELEMS if block_rows is None else block_rows * spec.param_count
     with mock.patch.object(algorithms, "BLOCK_ELEMS", elems):
-        stack = StackedState(engine, w, algorithm)
+        stack = StackedState(engine, w, algorithm, alpha)
     sizes = {blk.size for blk in stack.slots.blocks}
     if hidden == WIDE_HIDDEN:
         assert spec.param_count > BLOCK_ELEMS and sizes == {1}
@@ -373,6 +373,11 @@ def test_stacked_state_allocates_its_closed_form_of_table_rows(algorithm, kind, 
     assert all(any(np.shares_memory(a, o) for o in owned) for a in arrays)
     rows = TABLE_ROWS[algorithm](n, np.count_nonzero(w) - n, m)
     assert sum(a.nbytes for a in owned) == rows * spec.param_count * 8
+    # Only 0 < alpha < 1 takes one more block buffer: the data-variant cluster's.
+    for alpha, extra in ((0.0, 0), (0.5, int(algorithm != "dpsgd")), (1.0, 0)):
+        other = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
+        scratch = StackedState(other, w, algorithm, alpha).scratch
+        assert scratch.nbytes == stack.scratch.nbytes + extra * m * spec.param_count * 8
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -385,7 +390,7 @@ def test_a_compngc_round_allocates_no_float_table_of_its_messages(alpha):
     spec = ModelSpec(4, 3, hidden_dim=EDGE_HIDDEN)
     w = build_mixing_matrix(TopologySpec("ring", n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
-    stack = StackedState(states, w, "compngc")
+    stack = StackedState(states, w, "compngc", alpha)
     hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
     run_round(stack, hp, 10)
     tracemalloc.start()
@@ -398,9 +403,7 @@ def test_a_compngc_round_allocates_no_float_table_of_its_messages(alpha):
     assert peak < stack.slots.edges * spec.param_count * 8
 
 
-# At 0 < alpha < 1 ngc_update still takes a fifth block buffer per call,
-# one d-row here, so that alpha is left out: it reads 1.22 rows either way.
-@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_a_compngc_round_allocates_nothing_d_sized_but_its_sign_bytes(alpha):
     # Each ef_step works in an idle scratch row, so past the E messages'
     # d sign bytes a round allocates only the kernel's batch activations
@@ -411,7 +414,7 @@ def test_a_compngc_round_allocates_nothing_d_sized_but_its_sign_bytes(alpha):
     spec = ModelSpec(64, 3, hidden_dim=hidden)
     w = build_mixing_matrix(TopologySpec("ring", n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
-    stack = StackedState(states, w, "compngc")
+    stack = StackedState(states, w, "compngc", alpha)
     hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
     run_round(stack, hp, batch)
     tracemalloc.start()
@@ -490,7 +493,7 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=4)
-    stack = StackedState(states, w, "ngc")
+    stack = StackedState(states, w, "ngc", 0.5)
     hp = HyperParams(0.5, 0.9, 0.05, 0.5, "constant")
     for _ in range(2):
         _, bias, bundles = round_with_bundles(stack, w, hp, 10)
@@ -507,7 +510,7 @@ def test_round_returns_the_bias_norms_on_every_w():
     def two_rounds(topology_kind, algorithm, alpha):
         w = build_mixing_matrix(TopologySpec(topology_kind, 5))
         states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=4)
-        stack = StackedState(states, w, algorithm)
+        stack = StackedState(states, w, algorithm, alpha)
         for _ in range(2):
             _, bias, bundles = round_with_bundles(
                 stack, w, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
@@ -530,7 +533,7 @@ def test_round_zero_model_variant_bias_is_exactly_zero_on_a_chain_and_a_torus(al
         config = tiny_config(algorithm=algorithm, alpha=0.5, topology=topology_kind,
                              agents=agents, partition="iid", batch_size=4)
         states, w, _ = simulator.initial_states(config)
-        stack = StackedState(states, w, algorithm)
+        stack = StackedState(states, w, algorithm, config.alpha)
         _, bias, bundles = round_with_bundles(stack, w, config.hyper_params(), 4)
         assert bias[0] == 0.0 and bias[1] > 0.0, topology_kind
         assert bits(bias) == bits(bias_norms(bundles))
