@@ -31,8 +31,6 @@ def main() -> int:
 def report(seeds: list[int], overrides: dict) -> int:
     plan = [(seed, name, skew_benchmark_config(seed, **extra, **overrides))
             for seed in seeds for name, extra in VARIANTS]
-    for _, _, cfg in plan:
-        cfg.validate()
 
     accs: dict[str, list[float]] = {name: [] for name, _ in VARIANTS}
     bytes_per_agent: dict[str, float] = {}

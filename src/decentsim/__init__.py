@@ -3,7 +3,6 @@
 from .algorithms import (
     AgentState,
     GradientBundle,
-    HyperParams,
     apply_lr_schedule,
     bias_terms,
     gossip_step,

@@ -43,6 +43,7 @@ The blocks check nothing; they read W only through `neighbor_slots`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,45 +52,23 @@ from .errors import ConfigurationError, ProtocolError
 from .models import Dataset, ModelSpec, cross_gradient, loss_and_gradient
 from .topology import neighbors
 
+if TYPE_CHECKING:  # simulator imports this module
+    from .simulator import RunConfig
+
 WEIGHT_SUM_TOL = 1e-9
 SCHEDULES = ("step", "constant")
 
 
-@dataclass(frozen=True)
-class HyperParams:
-    """Update-rule constants; eta is the base step before any schedule."""
-
-    alpha: float = 1.0
-    beta: float = 0.9
-    eta: float = 0.01
-    gamma: float = 0.5
-    schedule: str = "step"
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigurationError(f"alpha {self.alpha} outside [0, 1]")
-        if not 0.0 <= self.beta < 1.0:
-            raise ConfigurationError(f"beta {self.beta} outside [0, 1)")
-        if self.eta < 0.0 or not np.isfinite(self.eta):
-            raise ConfigurationError(f"eta {self.eta} must be nonnegative")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigurationError(f"gamma {self.gamma} outside (0, 1]")
-        if self.schedule not in SCHEDULES:
-            raise ConfigurationError(f"unknown schedule {self.schedule!r}")
-
-
-def apply_lr_schedule(hp: HyperParams, epoch: int, total_epochs: int) -> float:
-    """Step decay: 10x down at half the run, 100x down at three quarters."""
-    if total_epochs < 1:
-        raise ConfigurationError("total_epochs must be positive")
-    if hp.schedule == "constant":
-        return hp.eta
-    frac = epoch / total_epochs
+def apply_lr_schedule(config: RunConfig, epoch: int) -> float:
+    """The step at epoch: "step" cuts config.eta 10x at half of config.epochs, 100x at 3/4."""
+    if config.schedule == "constant":
+        return config.eta
+    frac = epoch / config.epochs
     if frac >= 0.75:
-        return hp.eta * 0.01
+        return config.eta * 0.01
     if frac >= 0.5:
-        return hp.eta * 0.1
-    return hp.eta
+        return config.eta * 0.1
+    return config.eta
 
 
 @dataclass(frozen=True)
@@ -244,31 +223,30 @@ class NgcWork:
     outgoing: dict
 
 
-def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
-                batch_size: int) -> NgcWork:
+def ngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], config: RunConfig) -> NgcWork:
     """Self gradient plus model-variant cross-gradients at neighbor params.
 
     The same vectors double as the outgoing data-variant messages when
     alpha is nonzero; with alpha == 0 nothing is sent.
     """
-    batch = state.draw_batch(batch_size)
+    batch = state.draw_batch(config.batch_size)
     loss, self_grad = loss_and_gradient(state.spec, state.params, state.data, batch)
     model_variant = {
         j: cross_gradient(state.spec, x_j, state.data, batch) for j, x_j in params_in.items()
     }
-    outgoing = dict(model_variant) if hp.alpha != 0.0 else {}
+    outgoing = dict(model_variant) if config.alpha != 0.0 else {}
     return NgcWork(loss, self_grad, model_variant, outgoing)
 
 
-def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: HyperParams,
-                    batch_size: int) -> NgcWork:
+def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray],
+                    config: RunConfig) -> NgcWork:
     """ngc_prepare's gradients, each routed through its compressor stream.
 
     The agent's error-feedback buffers start empty (zero) and take the new
     residuals. Every stream advances each round; as in ngc_prepare, nothing
     is sent when alpha == 0.
     """
-    raw = ngc_prepare(state, params_in, hp, batch_size)
+    raw = ngc_prepare(state, params_in, config)
     zero = np.zeros_like(raw.self_grad)
     err_self = zero if state.err_self is None else state.err_self
     delta_self, state.err_self = ef_step(raw.self_grad, err_self)
@@ -276,7 +254,7 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray], hp: Hyp
     for j, grad in raw.model_variant.items():
         deltas[j], state.err_out[j] = ef_step(grad, state.err_out.get(j, zero))
     model_variant = {j: decompress(delta) for j, delta in deltas.items()}
-    outgoing = deltas if hp.alpha != 0.0 else {}
+    outgoing = deltas if config.alpha != 0.0 else {}
     return NgcWork(raw.batch_loss, decompress(delta_self), model_variant, outgoing)
 
 
@@ -410,14 +388,15 @@ def neighbor_slots(w: np.ndarray, dim: int) -> NeighborSlots:
 
 
 def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: np.ndarray,
-               hp: HyperParams, scratch: np.ndarray, norms: np.ndarray) -> None:
+               config: RunConfig, eta: float, scratch: np.ndarray, norms: np.ndarray) -> None:
     """Mix one block's gradient clusters, step its momentum and take its bias norms.
 
     own holds the block's self-gradient rows, only read. read_sent and
     read_back read each slot of `blk.sent` and `blk.back` once, for both
     the mix and the deviation w_s (t - own). norms (2, rows) takes the l1
     norms of eps and, when alpha != 0, omega. scratch holds four (rows, d)
-    buffers of the largest block, and 0 < alpha < 1 a fifth.
+    buffers of the largest block, and 0 < alpha < 1 a fifth. config gives
+    alpha and beta; eta is the round's step, config.eta after the schedule.
     """
     m = blk.size
     tmp, diff, dev, acc = scratch[:4, :m]
@@ -437,19 +416,19 @@ def ngc_update(blk: SlotBlock, own: np.ndarray, read_sent, read_back, momentum: 
             np.add.reduce(np.abs(dev, out=dev), axis=1, out=norm)
         return out
 
-    if hp.alpha == 0.0:
+    if config.alpha == 0.0:
         mixed = cluster(read_sent, blk.sent, acc, norms[0])
-    elif hp.alpha == 1.0:
+    elif config.alpha == 1.0:
         mixed = cluster(read_back, blk.back, acc, norms[1])
         cluster(read_sent, blk.sent, None, norms[0])
     else:
         data = cluster(read_back, blk.back, scratch[4, :m], norms[1])
-        data *= hp.alpha
+        data *= config.alpha
         mixed = cluster(read_sent, blk.sent, acc, norms[0])
-        mixed *= 1.0 - hp.alpha
+        mixed *= 1.0 - config.alpha
         mixed += data
-    momentum *= hp.beta
-    mixed *= hp.eta
+    momentum *= config.beta
+    mixed *= eta
     momentum -= mixed
 
 
@@ -473,13 +452,14 @@ def gossip_rows(blk: SlotBlock, own: np.ndarray, read, out: np.ndarray,
 
 
 def dpsgd_prepare(params: np.ndarray, momentum: np.ndarray, grads: np.ndarray,
-                  hp: HyperParams) -> None:
+                  config: RunConfig, eta: float) -> None:
     """Momentum step, then params become x_tilde = x + v', what dpsgd gossips.
 
-    All three are (N, d) rows, updated in place; grads is consumed.
+    All three are (N, d) rows, updated in place; grads is consumed. config
+    gives beta; eta is the round's step, config.eta after the schedule.
     """
-    momentum *= hp.beta
-    grads *= hp.eta
+    momentum *= config.beta
+    grads *= eta
     momentum -= grads
     params += momentum
 

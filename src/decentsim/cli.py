@@ -1,15 +1,16 @@
 """Command line front end: config resolution, sweeps, metric CSV files.
 
 RunConfig is the one schema: each config flag takes its field's type, and
-RunConfig.validate is the one value check, so a bad value fails alike from a
-flag or a config file, as validate's ConfigurationError. A UsageError only
-means that the command line, a config file, the seed list or the out-dir could
-not be read. Flags override config files, which override defaults. Config files
-are UTF-8 `key=value` lines keyed by RunConfig fields; a `#` at a line start
-or after whitespace starts a comment. Each seed's config.txt echoes every field
-that is not None and must read back as the same config, so validate rejects a
-dataset with a line break, edge whitespace, whitespace before `#` or non-UTF-8
-text. Exit codes: 0 success, 2 usage or configuration problem, 3 runtime abort
+RunConfig.validate, which every RunConfig runs when it is built, is the one
+value check, so a bad value fails alike from a flag or a config file, as
+validate's ConfigurationError. A UsageError only means that the command line,
+a config file, the seed list or the out-dir could not be read. Flags override
+config files, which override defaults. Config files are UTF-8 `key=value`
+lines keyed by RunConfig fields; a `#` at a line start or after whitespace
+starts a comment. Each seed's config.txt echoes every field that is not None
+and must read back as the same config, so validate rejects a dataset with a
+line break, edge whitespace, whitespace before `#` or non-UTF-8 text. Exit
+codes: 0 success, 2 usage or configuration problem, 3 runtime abort
 (`exit_code` is the map). A sweep checks its seeds and paths, then runs every
 seed before it writes: exit 2 writes nothing.
 """
@@ -115,9 +116,7 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"--seeds: {exc}") from None
 
-    config = RunConfig(**overrides)
-    config.validate()
-    return config, seeds, args
+    return RunConfig(**overrides), seeds, args
 
 
 def emit_metrics_csv(rows: list[MetricsRow], path: str):
@@ -179,13 +178,11 @@ def run_sweep(config: RunConfig, seeds: list[int], out_dir: str,
     """Run one config across seeds, then write per-seed CSVs plus a summary JSON.
 
     The seed list (at least one seed, none repeated), every seed's config
-    and every path to write are checked before the first run, and every
-    seed runs before the first write, so any error but an abort leaves
-    out_dir as it was. An interrupted sweep writes nothing either.
+    (checked as it is built) and every path to write are checked before
+    the first run, and every seed runs before the first write, so any error
+    but an abort leaves out_dir as it was, as does an interrupted sweep.
     """
     configs = [dataclasses.replace(config, seed=seed) for seed in distinct_seeds(seeds)]
-    for cfg in configs:
-        cfg.validate()
     _check_out_dir(out_dir, seeds)
     completed, failed, final_accs, bytes_per_agent, rows = [], [], [], [], {}
     for cfg in configs:

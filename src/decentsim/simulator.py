@@ -48,7 +48,7 @@ costs its serialized size. Self-loops are local and cost nothing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -56,7 +56,6 @@ import numpy as np
 from .algorithms import (
     SCHEDULES,
     AgentState,
-    HyperParams,
     apply_lr_schedule,
     dpsgd_finalize,
     dpsgd_prepare,
@@ -98,18 +97,18 @@ _VAL_SEED_OFFSET = 10_000_019
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one training run depends on; flat so config files stay flat."""
+    """Everything a training run depends on, checked when built; flat as config files are."""
 
     algorithm: str = "ngc"
     agents: int = 5
     topology: str = "ring"
     torus_rows: int | None = None
     partition: str = "skew"
-    alpha: float = HyperParams.alpha
-    beta: float = HyperParams.beta
-    eta: float = HyperParams.eta
-    gamma: float = HyperParams.gamma
-    schedule: str = HyperParams.schedule
+    alpha: float = 1.0
+    beta: float = 0.9
+    eta: float = 0.01  # the base step, before the schedule (apply_lr_schedule)
+    gamma: float = 0.5
+    schedule: str = "step"
     epochs: int = 60
     batch_size: int = 32
     seed: int = 1
@@ -127,12 +126,15 @@ class RunConfig:
     # Only 1 is valid; the field stays so configs that set workers=1 still load.
     workers: int = 1
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         for key, allowed in CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigurationError(f"unknown {key} {getattr(self, key)!r} "
                                          f"(choose from {', '.join(allowed)})")
-        if self.algorithm == "dpsgd" and self.alpha != HyperParams.alpha:
+        if self.algorithm == "dpsgd" and self.alpha != RunConfig.alpha:
             raise ConfigurationError("dpsgd takes no alpha: it mixes no cross-gradients")
         if self.model == "mlp" and self.hidden_dim < 1:
             raise ConfigurationError("mlp needs a positive hidden_dim")
@@ -153,10 +155,14 @@ class RunConfig:
             raise ConfigurationError("val_per_class must be positive")
         if self.dataset != "synthetic" and not 0.0 < self.val_fraction < 1.0:
             raise ConfigurationError("val_fraction must lie in (0, 1)")
-        self.hyper_params()  # range-checks alpha/beta/eta/gamma
-
-    def hyper_params(self) -> HyperParams:
-        return HyperParams(self.alpha, self.beta, self.eta, self.gamma, self.schedule)
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigurationError(f"alpha {self.alpha} outside [0, 1]")
+        if not 0.0 <= self.beta < 1.0:
+            raise ConfigurationError(f"beta {self.beta} outside [0, 1)")
+        if not 0.0 <= self.eta < np.inf:
+            raise ConfigurationError(f"eta {self.eta} must be finite and nonnegative")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigurationError(f"gamma {self.gamma} outside (0, 1]")
 
 
 @dataclass
@@ -224,7 +230,7 @@ class StackedState:
     """
 
     def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str,
-                 alpha: float = HyperParams.alpha):
+                 alpha: float = RunConfig.alpha):
         if algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r}")
         self.states = states
@@ -267,13 +273,15 @@ def exchange_cross_gradients(read, index, out: np.ndarray) -> np.ndarray:
     return read(index, out)
 
 
-def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
+def run_round(stack: StackedState, config: RunConfig, eta: float,
               ledger: CommLedger | None = None):
     """One synchronous round on the run's rows, in place; returns (losses, bias).
 
-    bias is (eps_l1, omega_l1), the mean over agents of the l1 norms of
-    the model- and data-variant clusters' W-weighted deviations from the
-    self gradient (omega is 0 when alpha = 0); both are 0 for dpsgd.
+    config gives the batch size, alpha, beta and gamma; eta is the round's
+    step, config.eta after the schedule. bias is (eps_l1, omega_l1), the
+    mean over agents of the l1 norms of the model- and data-variant
+    clusters' W-weighted deviations from the self gradient (omega is 0
+    when alpha = 0); both are 0 for dpsgd.
     """
     states, slots, x, v, grads = stack.states, stack.slots, stack.x, stack.v, stack.grads
     cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
@@ -286,7 +294,7 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
 
     losses = []
     for i, (state, links) in enumerate(zip(states, slots.links)):
-        batch = state.draw_batch(batch_size)
+        batch = state.draw_batch(config.batch_size)
         losses.append(loss_and_gradient(spec, x[i], state.data, batch, grads[i])[0])
         if messages is not None:
             decompress(ef_step(grads[i], err_self[i], out=err_self[i], work=work)[0], grads[i])
@@ -299,23 +307,23 @@ def run_round(stack: StackedState, hp: HyperParams, batch_size: int,
 
     norms = np.zeros((2, len(x)))
     if stack.algorithm == "dpsgd":
-        dpsgd_prepare(x, v, grads, hp)
+        dpsgd_prepare(x, v, grads, config, eta)
     read_sent = partial(slot_rows, cross) if messages is None else partial(message_rows, messages)
     read_back = partial(exchange_cross_gradients, read_sent)
     read_x = partial(exchange_params, x)
     for blk in slots.blocks:  # no block reads another's gradient rows; x waits for apply
         own = grads[blk.rows]
         if stack.algorithm != "dpsgd":
-            ngc_update(blk, own, read_sent, read_back, v[blk.rows], hp, stack.scratch,
+            ngc_update(blk, own, read_sent, read_back, v[blk.rows], config, eta, stack.scratch,
                        norms[:, blk.rows])
-        gossip_rows(blk, x[blk.rows], read_x, own, stack.scratch[0, :blk.size], hp.gamma)
+        gossip_rows(blk, x[blk.rows], read_x, own, stack.scratch[0, :blk.size], config.gamma)
 
     cross_msg_bytes = 0
     if stack.algorithm == "dpsgd":
         dpsgd_finalize(x, grads)
     else:
         ngc_apply(x, v, grads)
-        if hp.alpha != 0.0:
+        if config.alpha != 0.0:
             cross_msg_bytes = wire_size_bytes(dim) if messages is not None else 4 * dim
     if ledger is not None:
         ledger.record_round(slots.edges, 4 * dim, cross_msg_bytes)
@@ -357,7 +365,6 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
     and one read-only zero momentum until the run's StackedState stacks
     them.
     """
-    config.validate()
     w = build_mixing_matrix(TopologySpec(config.topology, config.agents, config.torus_rows))
     train, val = _load_data(config)
     stream = partial(np.random.SeedSequence, config.seed)
@@ -383,7 +390,6 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 def run(config: RunConfig) -> RunResult:
     """Execute one full training run; deterministic in config alone."""
     states, w, val = initial_states(config)
-    hp = config.hyper_params()
     spec = states[0].spec
 
     rounds_per_epoch = min(s.shard.size // config.batch_size for s in states)
@@ -411,11 +417,11 @@ def run(config: RunConfig) -> RunResult:
 
     round_idx = 0
     for epoch in range(config.epochs):
-        hp_eff = replace(hp, eta=apply_lr_schedule(hp, epoch, config.epochs))
+        eta = apply_lr_schedule(config, epoch)
         sums = np.zeros(3)  # train loss, eps_l1, omega_l1
         for _ in range(rounds_per_epoch):
             round_idx += 1
-            losses, bias = run_round(stack, hp_eff, config.batch_size, ledger=ledger)
+            losses, bias = run_round(stack, config, eta, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
             sums += (np.add.reduce(losses) / len(losses), *bias)

@@ -17,7 +17,7 @@ from decentsim.algorithms import compngc_prepare, ngc_prepare
 from decentsim.topology import neighbors
 
 
-def reference_round(states, w, hp, algorithm, batch_size):
+def reference_round(states, w, config, eta, algorithm):
     """One round agent by agent from the per-agent rules, every operand a copy.
 
     Each agent prepares with ngc_prepare (compngc_prepare under compngc;
@@ -32,16 +32,16 @@ def reference_round(states, w, hp, algorithm, batch_size):
     x = [s.params.copy() for s in states]
     prepare = compngc_prepare if algorithm == "compngc" else ngc_prepare
     work = [prepare(s, {} if algorithm == "dpsgd" else {j: x[j] for j in peers[i]},
-                    hp, batch_size) for i, s in enumerate(states)]
+                    config) for i, s in enumerate(states)]
     losses = [wk.batch_loss for wk in work]
     if algorithm == "dpsgd":
         tilde = []
         for i, (s, wk) in enumerate(zip(states, work)):
-            s.momentum = momentum_update(s.momentum, wk.self_grad, hp.beta, hp.eta)
+            s.momentum = momentum_update(s.momentum, wk.self_grad, config.beta, eta)
             tilde.append(x[i] + s.momentum)
         for i, s in enumerate(states):
             operands = {j: tilde[j].copy() for j in weights[i]}
-            s.params = gossip_step(tilde[i], i, operands, weights[i], hp.gamma)
+            s.params = gossip_step(tilde[i], i, operands, weights[i], config.gamma)
         return losses, None
 
     def received(i, j):
@@ -53,15 +53,15 @@ def reference_round(states, w, hp, algorithm, batch_size):
         data_variant = {j: received(i, j) for j in peers[i] if i in work[j].outgoing}
         bundles.append(GradientBundle(i, wk.self_grad, wk.model_variant, data_variant,
                                       weights[i]))
-        s.momentum = momentum_update(s.momentum, ngc_mix(bundles[-1], hp.alpha),
-                                     hp.beta, hp.eta)
+        s.momentum = momentum_update(s.momentum, ngc_mix(bundles[-1], config.alpha),
+                                     config.beta, eta)
     for i, s in enumerate(states):
         operands = {j: x[j].copy() for j in weights[i]}
-        s.params = gossip_step(x[i] + s.momentum, i, operands, weights[i], hp.gamma)
+        s.params = gossip_step(x[i] + s.momentum, i, operands, weights[i], config.gamma)
     return losses, bundles
 
 
-def round_with_bundles(stack, w, hp, batch_size, ledger=None):
+def round_with_bundles(stack, w, config, eta, ledger=None):
     """run_round, plus each agent's GradientBundle as the round mixes it; w is the stack's W.
 
     The round fills the self-gradient rows with the gossip pulls after
@@ -86,7 +86,7 @@ def round_with_bundles(stack, w, hp, batch_size, ledger=None):
     mix = simulator.ngc_update
     simulator.ngc_update = spy
     try:
-        losses, bias = run_round(stack, hp, batch_size, ledger)
+        losses, bias = run_round(stack, config, eta, ledger=ledger)
     finally:
         simulator.ngc_update = mix
     if not taken:
@@ -96,7 +96,7 @@ def round_with_bundles(stack, w, hp, batch_size, ledger=None):
     for i, links in enumerate(slots.links):
         model_variant = {j: cross[e] for j, e in links}
         data_variant = ({j: cross[slots.back[e]] for j, e in links}
-                        if hp.alpha != 0.0 else {})
+                        if config.alpha != 0.0 else {})
         weights = {j: float(w[i, j]) for j in sorted([i, *model_variant])}
         bundles.append(GradientBundle(i, grads[i], model_variant, data_variant, weights))
     return losses, bias, bundles
@@ -122,7 +122,7 @@ def bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
+def assert_rounds_match(stack, ref, w, config, eta, algorithm, rounds=3):
     """Run the engine's stack and the reference agents side by side, comparing bits.
 
     Every round the batch losses, params, momenta and error-feedback rows
@@ -130,8 +130,8 @@ def assert_rounds_match(stack, ref, w, hp, algorithm, batch_size, rounds=3):
     norms, which are (0.0, 0.0) for dpsgd.
     """
     for _ in range(rounds):
-        losses, bias, got_bundles = round_with_bundles(stack, w, hp, batch_size)
-        want_losses, bundles = reference_round(ref, w, hp, algorithm, batch_size)
+        losses, bias, got_bundles = round_with_bundles(stack, w, config, eta)
+        want_losses, bundles = reference_round(ref, w, config, eta, algorithm)
         assert bits(losses) == bits(want_losses)
         for a, b in zip(stack.states, ref):
             assert bits(a.params) == bits(b.params)

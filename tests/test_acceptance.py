@@ -15,7 +15,6 @@ from decentsim import (
     BENCHMARK_SEEDS,
     ConfigurationError,
     GradientBundle,
-    HyperParams,
     ModelSpec,
     RunConfig,
     StackedState,
@@ -183,7 +182,7 @@ def test_criterion_04_compression_identities():
 # ------------------------------- 5: single-node and pure-gossip reductions
 
 
-def heavyball_oracle(spec, data, shard, seed, hp, steps, batch_size):
+def heavyball_oracle(spec, data, shard, seed, beta, eta, steps, batch_size):
     """Independent single-node momentum-SGD recurrence."""
     rng = np.random.default_rng(seed)
     params = init_params(spec, np.random.default_rng(99))
@@ -196,7 +195,7 @@ def heavyball_oracle(spec, data, shard, seed, hp, steps, batch_size):
             queue = [perm[k * batch_size:(k + 1) * batch_size] for k in range(count)]
         batch = queue.pop(0)
         _, g = loss_and_gradient(spec, params, data, batch)
-        v = hp.beta * v - hp.eta * g
+        v = beta * v - eta * g
         params = params + v
     return params
 
@@ -204,15 +203,15 @@ def heavyball_oracle(spec, data, shard, seed, hp, steps, batch_size):
 def test_criterion_05_single_node_and_pure_gossip_reductions():
     data = generate_synthetic(3, 4, 30, 0.3, 7)
     spec = ModelSpec(4, 3, hidden_dim=6)
-    hp = HyperParams(alpha=1.0, beta=0.9, eta=0.05, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
     shard = np.arange(data.n)
     worst = 0.0
     for algorithm in ("ngc", "dpsgd"):
         states = make_states(1, spec, data, [shard], seed=99, shared_rng_seed=1234)
         stack = StackedState(states, np.ones((1, 1)), algorithm)
         for _ in range(100):
-            run_round(stack, hp, batch_size=10)
-        oracle = heavyball_oracle(spec, data, shard, 1234, hp, 100, 10)
+            run_round(stack, config, 0.05)
+        oracle = heavyball_oracle(spec, data, shard, 1234, 0.9, 0.05, 100, 10)
         denom = max(np.abs(oracle).max(), 1e-12)
         worst = max(worst, float(np.abs(states[0].params - oracle).max() / denom))
     assert worst <= 1e-12, f"single-node trajectory off by rel {worst:.3e}"
@@ -224,14 +223,13 @@ def test_criterion_05_single_node_and_pure_gossip_reductions():
     rng = np.random.default_rng(3)
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
-    gossip_hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0,
-                            schedule="constant")
+    gossip = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=5)
     mean_before = np.mean([s.params for s in states], axis=0)
     stack = StackedState(states, w, "dpsgd")
     err = consensus_error(stack.x)
     worst_contract = 0.0
     for _ in range(8):
-        run_round(stack, gossip_hp, batch_size=5)
+        run_round(stack, gossip, 0.0)
         new_err = consensus_error(stack.x)
         worst_contract = max(worst_contract, new_err / err)
         err = new_err
@@ -386,9 +384,8 @@ def test_criterion_09_variance_bound_diagnostic():
 
 def round_zero_bias(config: RunConfig) -> tuple[float, float]:
     states, w, _ = initial_states(config)
-    hp = config.hyper_params()
     stack = StackedState(states, w, "ngc")
-    bundles = round_with_bundles(stack, w, hp, config.batch_size)[2]
+    bundles = round_with_bundles(stack, w, config, config.eta)[2]
     eps_max = 0.0
     omega_l1 = 0.0
     for bundle in bundles:

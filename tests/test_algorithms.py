@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from decentsim import (
     ConfigurationError,
     GradientBundle,
-    HyperParams,
     ModelSpec,
     ProtocolError,
+    RunConfig,
     StackedState,
     TopologySpec,
     algorithms,
@@ -63,39 +63,41 @@ def random_bundle(rng, num_peers: int, dim: int = 6, agent_id: int = 0, uniform:
 
 
 def test_hyperparams_ranges():
-    HyperParams(0.0, 0.0, 1e-3, 1.0)
-    HyperParams(1.0, 0.99, 0.1, 0.01)
-    with pytest.raises(ConfigurationError):
-        HyperParams(alpha=1.5)
-    with pytest.raises(ConfigurationError):
-        HyperParams(alpha=-0.1)
-    with pytest.raises(ConfigurationError):
-        HyperParams(beta=1.0)
-    with pytest.raises(ConfigurationError):
-        HyperParams(eta=-0.01)
-    with pytest.raises(ConfigurationError):
-        HyperParams(gamma=0.0)
-    with pytest.raises(ConfigurationError):
-        HyperParams(gamma=1.5)
-    with pytest.raises(ConfigurationError):
-        HyperParams(schedule="linear")
+    # A RunConfig range-checks the update rule's constants when it is built.
+    RunConfig(alpha=0.0, beta=0.0, eta=1e-3, gamma=1.0)
+    RunConfig(alpha=1.0, beta=0.99, eta=0.1, gamma=0.01)
+    RunConfig(eta=0.0)
+    cases = [({"alpha": 1.5}, "alpha 1.5 outside [0, 1]"),
+             ({"alpha": -0.1}, "alpha -0.1 outside [0, 1]"),
+             ({"beta": 1.0}, "beta 1.0 outside [0, 1)"),
+             ({"eta": -0.01}, "eta -0.01 must be finite and nonnegative"),
+             ({"eta": np.inf}, "eta inf must be finite and nonnegative"),
+             ({"eta": -np.inf}, "eta -inf must be finite and nonnegative"),
+             ({"eta": np.nan}, "eta nan must be finite and nonnegative"),
+             ({"gamma": 0.0}, "gamma 0.0 outside (0, 1]"),
+             ({"gamma": 1.5}, "gamma 1.5 outside (0, 1]"),
+             ({"schedule": "linear"}, "unknown schedule 'linear' (choose from step, constant)")]
+    for fields, message in cases:
+        with pytest.raises(ConfigurationError) as exc_info:
+            RunConfig(**fields)
+        assert str(exc_info.value) == message
 
 
 def test_step_schedule_decays_at_half_and_three_quarters():
-    hp = HyperParams(eta=0.04, schedule="step")
-    assert apply_lr_schedule(hp, 0, 100) == 0.04
-    assert apply_lr_schedule(hp, 49, 100) == 0.04
-    assert apply_lr_schedule(hp, 50, 100) == pytest.approx(0.004)
-    assert apply_lr_schedule(hp, 74, 100) == pytest.approx(0.004)
-    assert apply_lr_schedule(hp, 75, 100) == pytest.approx(0.0004)
-    assert apply_lr_schedule(hp, 99, 100) == pytest.approx(0.0004)
+    config = RunConfig(eta=0.04, schedule="step", epochs=100)
+    assert apply_lr_schedule(config, 0) == 0.04
+    assert apply_lr_schedule(config, 49) == 0.04
+    assert apply_lr_schedule(config, 50) == pytest.approx(0.004)
+    assert apply_lr_schedule(config, 74) == pytest.approx(0.004)
+    assert apply_lr_schedule(config, 75) == pytest.approx(0.0004)
+    assert apply_lr_schedule(config, 99) == pytest.approx(0.0004)
 
 
 def test_constant_schedule_never_decays():
-    hp = HyperParams(eta=0.04, schedule="constant")
-    assert all(apply_lr_schedule(hp, e, 10) == 0.04 for e in range(10))
-    with pytest.raises(ConfigurationError, match="^total_epochs must be positive$"):
-        apply_lr_schedule(hp, 0, 0)
+    config = RunConfig(eta=0.04, schedule="constant", epochs=10)
+    assert all(apply_lr_schedule(config, e) == 0.04 for e in range(10))
+    with pytest.raises(ConfigurationError, match="^epochs must be positive$"):
+        RunConfig(eta=0.04, schedule="constant", epochs=0)
 
 
 # ------------------------------------------------------------------ ngc_mix
@@ -350,7 +352,7 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
     rng = np.random.default_rng(seed)
     n, dim = graph[1], 7
     w, slots = slot_tables(*graph, dim, block_rows)
-    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5)
     own = edge_rows(rng, (n, dim))
     cross = edge_rows(rng, (slots.edges, dim))
     v = edge_rows(rng, (n, dim))
@@ -365,8 +367,8 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
         read_sent = partial(slot_rows, cross)
     read_back = partial(simulator.exchange_cross_gradients, read_sent)
     for blk in slots.blocks:
-        ngc_update(blk, own[blk.rows], read_sent, read_back, v[blk.rows], hp, scratch,
-                   norms[:, blk.rows])
+        ngc_update(blk, own[blk.rows], read_sent, read_back, v[blk.rows], config, 0.05,
+                   scratch, norms[:, blk.rows])
     assert own.tobytes() == own_before.tobytes()
     for i in range(n):
         links = slots.links[i]
@@ -374,7 +376,7 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
             i, own_before[i], {j: cross[e] for j, e in links},
             {j: cross[slots.back[e]] for j, e in links} if alpha != 0.0 else {},
             {j: float(w[i, j]) for j in neighbors(w, i)})
-        want = momentum_update(v_before[i], ngc_mix(bundle, alpha), hp.beta, hp.eta)
+        want = momentum_update(v_before[i], ngc_mix(bundle, alpha), config.beta, 0.05)
         assert v[i].tobytes() == want.tobytes()
         eps, omega = bias_terms(bundle)
         want_norms = [np.add.reduce(np.abs(eps)), np.add.reduce(np.abs(omega))]
@@ -384,7 +386,7 @@ def test_ngc_update_gives_ngc_mix_and_momentum_updates_bits(graph, seed, block_r
 # ----------------------------------------------------- single-agent rounds
 
 
-def momentum_sgd_oracle(spec, data, shard, seed, hp, steps, batch_size):
+def momentum_sgd_oracle(spec, data, shard, seed, beta, eta, steps, batch_size):
     """Single-node heavy-ball SGD, written independently of the round code."""
     rng = np.random.default_rng(seed)
     params = np.zeros(spec.param_count)
@@ -400,7 +402,7 @@ def momentum_sgd_oracle(spec, data, shard, seed, hp, steps, batch_size):
             queue = [perm[k * batch_size:(k + 1) * batch_size] for k in range(count)]
         batch = queue.pop(0)
         _, g = loss_and_gradient(spec, params, data, batch)
-        v = hp.beta * v - hp.eta * g
+        v = beta * v - eta * g
         params = params + v
     return params
 
@@ -410,15 +412,15 @@ W_ONE_AGENT = np.ones((1, 1))
 
 @pytest.mark.parametrize("algorithm", ["ngc", "dpsgd"])
 def test_single_agent_round_reduces_to_momentum_sgd(algorithm, small_data, small_spec):
-    hp = HyperParams(alpha=1.0, beta=0.9, eta=0.05, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
     shard = np.arange(small_data.n)
     states = make_states(1, small_spec, small_data, [shard], seed=99,
                          shared_rng_seed=1234)
     stack = StackedState(states, W_ONE_AGENT, algorithm)
     for _ in range(100):
-        run_round(stack, hp, batch_size=10)
+        run_round(stack, config, 0.05)
     [state] = states
-    oracle = momentum_sgd_oracle(small_spec, small_data, shard, 1234, hp, 100, 10)
+    oracle = momentum_sgd_oracle(small_spec, small_data, shard, 1234, 0.9, 0.05, 100, 10)
     denom = max(np.abs(oracle).max(), 1e-12)
     assert np.abs(state.params - oracle).max() / denom <= 1e-12
 
@@ -426,7 +428,7 @@ def test_single_agent_round_reduces_to_momentum_sgd(algorithm, small_data, small
 def test_single_agent_compressed_round_differs_from_uncompressed():
     data = generate_synthetic(3, 4, 30, 0.3, 7)
     spec = ModelSpec(4, 3, hidden_dim=6)
-    hp = HyperParams(1.0, 0.9, 0.05, 1.0, "constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
     a = make_states(1, spec, data, [np.arange(data.n)], seed=1,
                     shared_rng_seed=5)
     b = make_states(1, spec, data, [np.arange(data.n)], seed=1,
@@ -434,25 +436,25 @@ def test_single_agent_compressed_round_differs_from_uncompressed():
     stack_a = StackedState(a, W_ONE_AGENT, "compngc")
     stack_b = StackedState(b, W_ONE_AGENT, "ngc")
     for _ in range(5):
-        run_round(stack_a, hp, batch_size=10)
-        run_round(stack_b, hp, batch_size=10)
+        run_round(stack_a, config, 0.05)
+        run_round(stack_b, config, 0.05)
     assert not np.allclose(a[0].params, b[0].params)
 
 
 def test_round_outbox_empty_when_alpha_zero(small_data, small_spec):
-    hp = HyperParams(alpha=0.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=0.0, batch_size=10)
     shards = [np.arange(0, 45), np.arange(45, 90)]
     states = make_states(2, small_spec, small_data, shards, seed=3)
-    work = ngc_prepare(states[0], {1: states[1].params}, hp, batch_size=10)
+    work = ngc_prepare(states[0], {1: states[1].params}, config)
     assert work.outgoing == {}
     assert set(work.model_variant) == {1}
 
 
 def test_round_outbox_addresses_every_neighbor_when_alpha_set(small_data, small_spec):
-    hp = HyperParams(alpha=1.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=1.0, batch_size=10)
     shards = [np.arange(0, 45), np.arange(45, 90)]
     states = make_states(2, small_spec, small_data, shards, seed=3)
-    outbox = ngc_prepare(states[0], {1: states[1].params}, hp, batch_size=10).outgoing
+    outbox = ngc_prepare(states[0], {1: states[1].params}, config).outgoing
     assert set(outbox) == {1}
     assert outbox[1].shape == (small_spec.param_count,)
 
@@ -474,9 +476,9 @@ def test_compngc_prepare_is_ngc_prepare_through_error_feedback(small_data, small
         return np.asarray(x, dtype=np.float64).tobytes()
 
     for alpha in (1.0, 0.0, 1.0):
-        hp = HyperParams(alpha=alpha, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
-        work = compngc_prepare(comp, params_in, hp, batch_size=10)
-        ref = ngc_prepare(plain, params_in, hp, batch_size=10)
+        config = RunConfig(alpha=alpha, batch_size=10)
+        work = compngc_prepare(comp, params_in, config)
+        ref = ngc_prepare(plain, params_in, config)
         assert bits(work.batch_loss) == bits(ref.batch_loss)
         delta, err_self = ef_step(ref.self_grad, err_self)
         assert bits(work.self_grad) == bits(decompress(delta))
@@ -518,12 +520,12 @@ def test_draw_batch_rejects_oversized_batches(small_data, small_spec):
 
 
 def test_ngc_prepare_computes_cross_gradients_at_neighbor_params(small_data, small_spec):
-    hp = HyperParams(alpha=1.0, beta=0.0, eta=0.01, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=1.0, batch_size=45)
     shards = [np.arange(0, 45), np.arange(45, 90)]
     states = make_states(2, small_spec, small_data, shards, seed=3,
                          shared_rng_seed=77)
     foreign = states[1].params + 0.5
-    work = ngc_prepare(states[0], {1: foreign}, hp, batch_size=45)
+    work = ngc_prepare(states[0], {1: foreign}, config)
     # Full-shard batch makes the draw deterministic: compare directly.
     from decentsim import loss_and_gradient
     _, expect = loss_and_gradient(small_spec, foreign, small_data, np.arange(0, 45))

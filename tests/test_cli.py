@@ -126,6 +126,15 @@ def test_eta_zero_is_accepted_as_pure_gossip():
     assert config.eta == 0.0
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_a_non_finite_eta_flag_exits_2_naming_finiteness(text, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_main([f"--eta={text}", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: eta {float(text)} "
+                                       "must be finite and nonnegative\n")
+    assert not out.exists()
+
+
 def test_seeds_flag_parses_a_comma_list():
     _, seeds, _ = parse_config(["--seeds", "3,5,8"])
     assert seeds == [3, 5, 8]
@@ -232,7 +241,7 @@ def test_dataset_the_echo_cannot_carry_back_is_rejected(dataset, tmp_path, capsy
     # lines. Before the check, "a\nagents=99" echoed and read back as
     # agents=99 and "runs/my data #2.csv" as "runs/my data".
     with pytest.raises(ConfigurationError, match="cannot be echoed"):
-        RunConfig(dataset=dataset).validate()
+        RunConfig(dataset=dataset)
     out = tmp_path / "out"
     assert run_main(["--dataset", dataset, "--out-dir", str(out)]) == 2
     assert "cannot be echoed" in capsys.readouterr().err
@@ -245,7 +254,6 @@ def test_dataset_the_echo_cannot_carry_back_is_rejected(dataset, tmp_path, capsy
 ])
 def test_dataset_the_echo_carries_back_is_accepted(dataset, tmp_path):
     config = RunConfig(dataset=dataset)
-    config.validate()
     path = tmp_path / "config.txt"
     write_config_file(config, str(path))
     assert RunConfig(**read_config_file(str(path))) == config
@@ -274,23 +282,23 @@ _FIELD_VALUES = {f.name: _field_values(f) for f in dataclasses.fields(RunConfig)
 
 
 @st.composite
-def hostile_configs(draw):
-    """A RunConfig whose dataset and up to four other fields are drawn, the rest defaults."""
+def hostile_fields(draw):
+    """RunConfig fields: a drawn dataset and up to four other drawn fields."""
     others = sorted(set(_FIELD_VALUES) - {"dataset"})
     names = draw(st.lists(st.sampled_from(others), max_size=4, unique=True))
-    return RunConfig(**{name: draw(_FIELD_VALUES[name]) for name in ["dataset", *names]})
+    return {name: draw(_FIELD_VALUES[name]) for name in ["dataset", *names]}
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=hostile_configs())
-@example(config=RunConfig(algorithm="dpsgd", alpha=0.5))
-def test_every_config_validate_accepts_reads_back_from_its_echo(config, tmp_path_factory):
-    # Either validate rejects the config, or write_config_file then
-    # read_config_file gives it back. reprs are compared, which tells -0.0
-    # from 0.0 and reads nan as equal to itself. A dpsgd echo holds
+@given(fields=hostile_fields())
+@example(fields={"algorithm": "dpsgd", "alpha": 0.5})
+def test_every_config_validate_accepts_reads_back_from_its_echo(fields, tmp_path_factory):
+    # Either the config is rejected as it is built, or write_config_file
+    # then read_config_file gives it back. reprs are compared, which tells
+    # -0.0 from 0.0 and reads nan as equal to itself. A dpsgd echo holds
     # alpha=1.0 like any other, and validate rejects every other alpha there.
     try:
-        config.validate()
+        config = RunConfig(**fields)
     except ConfigurationError:
         return
     path = tmp_path_factory.getbasetemp() / "echo-config.txt"
@@ -336,11 +344,6 @@ def _outcome(resolve) -> str | tuple:
         return type(exc), str(exc)
 
 
-def _validated(config: RunConfig) -> RunConfig:
-    config.validate()
-    return config
-
-
 @settings(max_examples=150, deadline=None)
 @given(fields=flagged_fields())
 @example(fields={"algorithm": "dpsgd", "alpha": 1.0})
@@ -351,7 +354,7 @@ def test_the_front_door_and_the_library_agree_on_every_flagged_value(fields, tmp
     # fail with validate's error type and message or resolve to the config
     # that the library accepts.
     texts = {name: repr(v) if isinstance(v, float) else str(v) for name, v in fields.items()}
-    library = _outcome(lambda: _validated(RunConfig(**fields)))
+    library = _outcome(lambda: RunConfig(**fields))
     argv = [f"--{name.replace('_', '-')}={text}" for name, text in texts.items()]
     assert _outcome(lambda: parse_config(argv)[0]) == library
     if all(map(_one_line, fields.values())):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -16,7 +17,6 @@ from decentsim import (
     CommLedger,
     ConfigurationError,
     Dataset,
-    HyperParams,
     ModelSpec,
     RunAbortError,
     RunConfig,
@@ -149,7 +149,6 @@ def test_the_smallest_valid_data_seed_and_validation_set_run(field, value):
     # The lower edges RunConfig.validate accepts: data seed 0, and one
     # validation sample per class.
     config = tiny_config(epochs=1, **{field: value})
-    config.validate()
     result = run(config)
     assert [row.epoch for row in result.rows] == [0, 1]
     assert result.val_data.n == config.classes * config.val_per_class
@@ -160,14 +159,14 @@ def test_two_identical_agents_stay_bitwise_identical():
     data = generate_synthetic(3, 4, 30, 0.3, 11)
     spec = ModelSpec(4, 3, hidden_dim=5)
     w = np.full((2, 2), 0.5)
-    hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=10)
     shard = np.arange(data.n)
     for alg in ("dpsgd", "ngc", "compngc"):
         states = make_states(2, spec, data, [shard, shard], seed=4,
                              shared_rng_seed=321)
         stack = StackedState(states, w, alg)
         for _ in range(10):
-            run_round(stack, hp, batch_size=10)
+            run_round(stack, config, 0.05)
             assert (states[0].params == states[1].params).all()
 
 
@@ -216,16 +215,35 @@ def test_run_round_updates_every_agent_in_place(alg):
     data = generate_synthetic(4, 6, 24, 0.3, 2)
     spec = ModelSpec(6, 4, hidden_dim=5)
     w = build_mixing_matrix(TopologySpec("ring", 4))
-    hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
     states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
     before = list(states)
     x0 = states[0].params
     stack = StackedState(states, w, alg)
-    run_round(stack, hp, batch_size=8)
+    run_round(stack, config, 0.05)
     assert stack.states is states
     assert all(a is b for a, b in zip(states, before))
     assert states[0].params is not x0 and not (states[0].params == x0).all()
     assert all(np.shares_memory(s.params, stack.x[i]) for i, s in enumerate(states))
+
+
+@pytest.mark.parametrize("alg", ["dpsgd", "ngc", "compngc"])
+def test_the_round_takes_its_step_from_eta_never_from_config_eta(alg):
+    # config.eta is the base step; run passes each epoch's scheduled step as
+    # eta, so a round whose config holds another base step gives the same bits.
+    data = generate_synthetic(4, 6, 24, 0.3, 2)
+    spec = ModelSpec(6, 4, hidden_dim=5)
+    w = build_mixing_matrix(TopologySpec("ring", 4))
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
+    stacks = []
+    for cfg in (config, replace(config, eta=123.0)):
+        states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
+        stacks.append(StackedState(states, w, alg))
+        for _ in range(3):
+            run_round(stacks[-1], cfg, 0.05)
+    a, b = stacks
+    assert np.abs(a.v).sum() > 0.0
+    assert a.x.tobytes() == b.x.tobytes() and a.v.tobytes() == b.v.tobytes()
 
 
 # Hidden widths that put d = 8 * hidden + 3 above BLOCK_ELEMS (2**15), so
@@ -269,7 +287,7 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     if block_rows is not None:
         monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     w = build_mixing_matrix(TopologySpec(kind, n))
-    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
     shards = np.array_split(np.arange(data.n), n)
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
@@ -279,7 +297,7 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
         assert max(sizes) == block_rows
     if hidden == EDGE_HIDDEN:
         assert spec.param_count == BLOCK_ELEMS + 3 and sizes == {1}
-    assert_rounds_match(stack, ref, w, hp, algorithm, 10,
+    assert_rounds_match(stack, ref, w, config, 0.05, algorithm,
                         rounds=2 if graph in SCALE_GRAPHS else 3)
 
 
@@ -329,7 +347,7 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
     n = w.shape[0]
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3, hidden_dim=hidden, activation=activation)
-    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
     shards = np.array_split(np.arange(data.n), n)
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
@@ -341,7 +359,7 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
         assert spec.param_count > BLOCK_ELEMS and sizes == {1}
     if block_rows is not None:
         assert max(sizes) <= block_rows
-    assert_rounds_match(stack, ref, w, hp, algorithm, 10)
+    assert_rounds_match(stack, ref, w, config, 0.05, algorithm)
 
 
 # Rows of d floats a StackedState allocates, for N agents, E directed edges
@@ -391,11 +409,11 @@ def test_a_compngc_round_allocates_no_float_table_of_its_messages(alpha):
     w = build_mixing_matrix(TopologySpec("ring", n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
     stack = StackedState(states, w, "compngc", alpha)
-    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
-    run_round(stack, hp, 10)
+    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
+    run_round(stack, config, 0.05)
     tracemalloc.start()
     try:
-        run_round(stack, hp, 10)
+        run_round(stack, config, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -415,11 +433,11 @@ def test_a_compngc_round_allocates_nothing_d_sized_but_its_sign_bytes(alpha):
     w = build_mixing_matrix(TopologySpec("ring", n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
     stack = StackedState(states, w, "compngc", alpha)
-    hp = HyperParams(alpha, 0.9, 0.05, 0.5, "constant")
-    run_round(stack, hp, batch)
+    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=batch)
+    run_round(stack, config, 0.05)
     tracemalloc.start()
     try:
-        run_round(stack, hp, batch)
+        run_round(stack, config, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -494,9 +512,9 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
         monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=4)
     stack = StackedState(states, w, "ngc", 0.5)
-    hp = HyperParams(0.5, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=0.5, beta=0.9, gamma=0.5, batch_size=10)
     for _ in range(2):
-        _, bias, bundles = round_with_bundles(stack, w, hp, 10)
+        _, bias, bundles = round_with_bundles(stack, w, config, 0.05)
     assert bits(bias) == bits(bias_norms(bundles))
 
 
@@ -513,7 +531,7 @@ def test_round_returns_the_bias_norms_on_every_w():
         stack = StackedState(states, w, algorithm, alpha)
         for _ in range(2):
             _, bias, bundles = round_with_bundles(
-                stack, w, HyperParams(alpha, 0.9, 0.05, 0.5, "constant"), 10)
+                stack, w, RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10), 0.05)
         return bundles, bias
 
     for kind in ("ring", "chain"):
@@ -534,7 +552,7 @@ def test_round_zero_model_variant_bias_is_exactly_zero_on_a_chain_and_a_torus(al
                              agents=agents, partition="iid", batch_size=4)
         states, w, _ = simulator.initial_states(config)
         stack = StackedState(states, w, algorithm, config.alpha)
-        _, bias, bundles = round_with_bundles(stack, w, config.hyper_params(), 4)
+        _, bias, bundles = round_with_bundles(stack, w, config, config.eta)
         assert bias[0] == 0.0 and bias[1] > 0.0, topology_kind
         assert bits(bias) == bits(bias_norms(bundles))
 
@@ -543,7 +561,7 @@ def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
     data = generate_synthetic(4, 6, 30, 0.3, 2)
     spec = ModelSpec(6, 4, hidden_dim=5)
     w = build_mixing_matrix(TopologySpec("chain", 5))
-    hp = HyperParams(1.0, 0.9, 0.05, 0.5, "constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
     states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=6)
     stack = StackedState(states, w, "compngc")
     err_self, err_out = stack.err_self, stack.err_out
@@ -551,7 +569,7 @@ def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
     assert err_out.shape == (stack.slots.edges, spec.param_count)
     views = [(s.err_self, dict(s.err_out)) for s in states]
     for _ in range(3):
-        run_round(stack, hp, 8)
+        run_round(stack, config, 0.05)
         assert stack.err_self is err_self and stack.err_out is err_out
         for state, links, (own, out) in zip(states, stack.slots.links, views):
             assert state.err_self is own and own.base is err_self
@@ -578,9 +596,9 @@ def test_ring5_param_exchange_is_4000_bytes_per_round_at_d100():
     w = build_mixing_matrix(TopologySpec("ring", 5))
     shards = np.array_split(np.arange(data.n), 5)
     states = make_states(5, spec, data, shards, seed=0)
-    hp = HyperParams(0.0, 0.0, 0.01, 1.0, "constant")
+    config = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=4)
     ledger = CommLedger()
-    run_round(StackedState(states, w, "ngc"), hp, batch_size=4, ledger=ledger)
+    run_round(StackedState(states, w, "ngc"), config, 0.01, ledger=ledger)
     assert ledger.param_bytes == 4000  # 10 directed edges * 4 bytes * d=100
     assert ledger.crossgrad_bytes == 0  # alpha == 0 sends nothing
     assert ledger.messages == 10
@@ -646,12 +664,12 @@ def test_pure_gossip_preserves_mean_and_contracts_by_rho(alg):
     rng = np.random.default_rng(3)
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
-    hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=5)
     mean_before = np.mean([s.params for s in states], axis=0)
     stack = StackedState(states, w, alg)
     err = consensus_error(stack.x)
     for _ in range(8):
-        run_round(stack, hp, batch_size=5)
+        run_round(stack, config, 0.0)
         new_err = consensus_error(stack.x)
         assert new_err <= (rho + 1e-6) * err
         err = new_err
@@ -690,9 +708,9 @@ def test_pure_gossip_scales_each_eigenmode_of_w_by_its_closed_form(kind, n):
     x0 = np.outer(u, np.linspace(-1.0, 2.0, spec.param_count))
     stack.x[:] = x0
     gamma, rounds = 0.5, 4
-    hp = HyperParams(alpha=1.0, beta=0.9, eta=0.0, gamma=gamma, schedule="constant")
+    config = RunConfig(alpha=1.0, beta=0.9, gamma=gamma, batch_size=2)
     for _ in range(rounds):
-        run_round(stack, hp, batch_size=2)
+        run_round(stack, config, 0.0)
     want = (1 - gamma + gamma * lam) ** rounds * x0
     assert np.abs(stack.x - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -706,9 +724,9 @@ def test_pure_gossip_on_a_full_graph_reaches_consensus_in_one_round():
     rng = np.random.default_rng(4)
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
-    hp = HyperParams(alpha=0.0, beta=0.0, eta=0.0, gamma=1.0, schedule="constant")
+    config = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=5)
     stack = StackedState(states, w, "dpsgd")
-    run_round(stack, hp, batch_size=5)
+    run_round(stack, config, 0.0)
     assert consensus_error(stack.x) <= 1e-24
 
 
@@ -732,17 +750,17 @@ def test_batch_size_larger_than_smallest_shard_is_rejected():
 
 def test_invalid_configs_are_rejected():
     with pytest.raises(ConfigurationError):
-        tiny_config(algorithm="sgd").validate()
+        tiny_config(algorithm="sgd")
     with pytest.raises(ConfigurationError):
-        tiny_config(partition="dirichlet").validate()
+        tiny_config(partition="dirichlet")
     with pytest.raises(ConfigurationError):
-        tiny_config(alpha=2.0).validate()
+        tiny_config(alpha=2.0)
     with pytest.raises(ConfigurationError):
-        tiny_config(epochs=0).validate()
+        tiny_config(epochs=0)
     with pytest.raises(ConfigurationError):
-        tiny_config(workers=0).validate()
+        tiny_config(workers=0)
     with pytest.raises(ConfigurationError, match="workers"):
-        tiny_config(workers=2).validate()
+        tiny_config(workers=2)
 
 
 # ---------------------------------------------------------------- CSV input
