@@ -30,20 +30,12 @@ from .compression import compress, decode, decompress, ef_step, encode, wire_siz
 from .errors import DecentsimError, ParseError, RunAbortError, UsageError
 from .metrics import MetricsRow
 from .models import evaluate, numbered_lines
-from .simulator import CHOICES, COMMENT, RunConfig, run
+from .simulator import CHOICES, COMMENT, FIELD_TYPES, RunConfig, run
 
 SCHEMA_LINE = "# decentsim metrics schema v1"
 _ROW_HINTS = typing.get_type_hints(MetricsRow)
 _COLUMNS = [(f.name, _ROW_HINTS[f.name]) for f in dataclasses.fields(MetricsRow)]
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
-
-
-def _scalar(hint):
-    """The value type behind an annotation: int for `int | None`."""
-    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
-
-
-_FIELD_TYPES = {name: _scalar(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def read_config_file(path: str) -> dict:
@@ -56,12 +48,12 @@ def read_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path} line {lineno}: expected key=value")
         key, _, raw = map(str.strip, stripped.partition("="))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise UsageError(f"{path} line {lineno}: unknown key {key!r}")
         if seen.setdefault(key, lineno) != lineno:
             raise UsageError(f"{path} line {lineno}: key {key!r} repeats line {seen[key]}")
         try:
-            overrides[key] = _FIELD_TYPES[key](raw)
+            overrides[key] = FIELD_TYPES[key](raw)
         except ValueError as exc:
             raise UsageError(f"{path} line {lineno}: {exc}") from None
     return overrides
@@ -91,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("algorithm", "agents", "topology", "partition", "alpha", "beta", "eta",
                  "gamma", "epochs", "batch_size", "dataset"):  # typed as in RunConfig
         choices = CHOICES.get(name)
-        p.add_argument("--" + name.replace("_", "-"), type=_FIELD_TYPES[name],
+        p.add_argument("--" + name.replace("_", "-"), type=FIELD_TYPES[name],
                        metavar=choices and "{" + ",".join(choices) + "}",
                        help="'synthetic' or a CSV path" if name == "dataset" else None)
     p.add_argument("--seeds", "--seed", help="comma-separated seed list")
@@ -107,7 +99,7 @@ def parse_config(argv) -> tuple[RunConfig, list[int], argparse.Namespace]:
     args = _build_parser().parse_args(argv)
     overrides = read_config_file(args.config) if args.config else {}
     overrides.update({key: val for key, val in vars(args).items()
-                      if key in _FIELD_TYPES and val is not None})
+                      if key in FIELD_TYPES and val is not None})
 
     seeds = [overrides.get("seed", RunConfig.seed)]
     if args.seeds is not None:

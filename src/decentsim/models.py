@@ -273,9 +273,8 @@ def class_centers(num_classes: int, dim: int) -> np.ndarray:
     raise ConfigurationError("dim 1 supports only two classes")
 
 
-def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float,
-                       seed: int) -> Dataset:
-    """Gaussian mixture, one isotropic cluster per class, class-major, drawn in one call."""
+def check_synthetic(num_classes: int, dim: int, per_class: int, spread: float):
+    """Raise ConfigurationError unless generate_synthetic can draw with these arguments."""
     if num_classes < 2:
         raise ConfigurationError("need at least two classes")
     if per_class < 1:
@@ -284,6 +283,12 @@ def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float
         raise ConfigurationError(f"spread must be positive and finite, got {spread}")
     if dim < 1:
         raise ConfigurationError("dim must be positive")
+
+
+def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float,
+                       seed: int) -> Dataset:
+    """Gaussian mixture, one isotropic cluster per class, class-major, drawn in one call."""
+    check_synthetic(num_classes, dim, per_class, spread)
     centers = class_centers(num_classes, dim)
     feats = np.empty((num_classes, per_class, dim))
     # The generator fills in C order, so each class block gets the draws

@@ -3,8 +3,8 @@
 Set-up (`initial_states`) builds W, the data and the agents, deriving each
 seed stream where it is used from SeedSequence(seed, spawn_key=k).
 A run owns its agents' state as one StackedState, built once per run
-from the agents, W and the algorithm; `run_round` runs on it and on
-nothing else. It holds the parameters x and momenta v as (N, d) arrays,
+from the agents, W and the run's RunConfig; `run_round` runs on it and
+on its config alone. It holds the parameters x and momenta v as (N, d) arrays,
 each AgentState's params and momentum being views of its rows. Under
 compngc it also holds the error-feedback residuals, zero at the start:
 err_self as (N, d) and err_out as (E, d), one row per directed edge in
@@ -48,6 +48,7 @@ costs its serialized size. Self-loops are local and cost nothing.
 from __future__ import annotations
 
 import re
+import typing
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -74,6 +75,7 @@ from .models import (
     Dataset,
     ModelSpec,
     batch_loss,
+    check_synthetic,
     cross_gradient,
     evaluate,
     generate_synthetic,
@@ -130,6 +132,11 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for name, kind in FIELD_TYPES.items():  # a float field takes an int; none takes a bool
+            value = getattr(self, name)
+            if not ((value is None and name in _NULLABLE) or (not isinstance(value, bool)
+                    and isinstance(value, (int, float) if kind is float else kind))):
+                raise ConfigurationError(f"{name} must be {kind.__name__}, got {value!r}")
         for key, allowed in CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigurationError(f"unknown {key} {getattr(self, key)!r} "
@@ -163,6 +170,15 @@ class RunConfig:
             raise ConfigurationError(f"eta {self.eta} must be finite and nonnegative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError(f"gamma {self.gamma} outside (0, 1]")
+        TopologySpec(self.topology, self.agents, self.torus_rows)
+        if self.dataset == "synthetic":
+            check_synthetic(self.classes, self.dim, self.per_class, self.spread)
+
+
+_HINTS = typing.get_type_hints(RunConfig)
+_NULLABLE = {name for name, hint in _HINTS.items() if type(None) in typing.get_args(hint)}
+# Each field's type, int for `int | None`: its flag's, its config line's and validate's.
+FIELD_TYPES = {n: typing.get_args(h)[0] if n in _NULLABLE else h for n, h in _HINTS.items()}
 
 
 @dataclass
@@ -215,7 +231,7 @@ class RunResult:
 class StackedState:
     """A run's agent state as rows, and the tables a round of its algorithm needs.
 
-    Built once per run from the agents, W and the algorithm: params x and
+    Built once per run from the agents, W and the run's config: params x and
     momenta v, both (N, d), whose rows become the agents' params and
     momentum views; W's slot tables; the (N, d) self-gradient rows, which
     a round mixes from and then fills with the gossip pulls; for ngc the
@@ -229,10 +245,8 @@ class StackedState:
     consensus error's deviations, and scratch[0, 0] the emission's centre.
     """
 
-    def __init__(self, states: list[AgentState], w: np.ndarray, algorithm: str,
-                 alpha: float = RunConfig.alpha):
-        if algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    def __init__(self, states: list[AgentState], w: np.ndarray, config: RunConfig):
+        self.config = config
         self.states = states
         self.x = np.stack([s.params for s in states])
         self.v = np.stack([s.momentum for s in states])
@@ -243,18 +257,17 @@ class StackedState:
         self.grads = np.empty_like(self.x)
         # The first N*d bytes of the gradient rows, as one flag per element.
         self.finite = self.grads.reshape(-1).view(bool)[:self.x.size].reshape(self.x.shape)
-        self.algorithm = algorithm
         self.cross = self.err_self = self.err_out = None
-        if algorithm == "ngc":
+        if config.algorithm == "ngc":
             self.cross = np.empty((slots.edges, dim))
-        if algorithm == "compngc":
+        if config.algorithm == "compngc":
             self.err_self = np.zeros(self.x.shape)
             self.err_out = np.zeros((slots.edges, dim))
             for state, links, row in zip(states, slots.links, self.err_self):
                 state.err_self = row
                 state.err_out = {j: self.err_out[e] for j, e in links}
         rows = max(blk.size for blk in slots.blocks)
-        buffers = 1 if algorithm == "dpsgd" else 5 if 0.0 < alpha < 1.0 else 4
+        buffers = 1 if config.algorithm == "dpsgd" else 5 if 0.0 < config.alpha < 1.0 else 4
         self.scratch = np.empty((buffers, rows, dim))
 
 
@@ -273,18 +286,17 @@ def exchange_cross_gradients(read, index, out: np.ndarray) -> np.ndarray:
     return read(index, out)
 
 
-def run_round(stack: StackedState, config: RunConfig, eta: float,
-              ledger: CommLedger | None = None):
+def run_round(stack: StackedState, eta: float, ledger: CommLedger | None = None):
     """One synchronous round on the run's rows, in place; returns (losses, bias).
 
-    config gives the batch size, alpha, beta and gamma; eta is the round's
-    step, config.eta after the schedule. bias is (eps_l1, omega_l1), the
-    mean over agents of the l1 norms of the model- and data-variant
-    clusters' W-weighted deviations from the self gradient (omega is 0
-    when alpha = 0); both are 0 for dpsgd.
+    stack.config, the run's, gives the algorithm, batch size, alpha, beta
+    and gamma; eta is the round's step, config.eta after the schedule.
+    bias is (eps_l1, omega_l1), the mean over agents of the l1 norms of the
+    model- and data-variant clusters' W-weighted deviations from the self
+    gradient (omega is 0 when alpha = 0); both are 0 for dpsgd.
     """
-    states, slots, x, v, grads = stack.states, stack.slots, stack.x, stack.v, stack.grads
-    cross, err_self, err_out = stack.cross, stack.err_self, stack.err_out
+    config, states, slots, x, v = stack.config, stack.states, stack.slots, stack.x, stack.v
+    grads, cross, err_self, err_out = stack.grads, stack.cross, stack.err_self, stack.err_out
     spec = states[0].spec
     dim = x.shape[1]
     # Under compngc the round keeps only the messages, by edge row; each cross-gradient
@@ -306,20 +318,20 @@ def run_round(stack: StackedState, config: RunConfig, eta: float,
                 cross_gradient(spec, x[j], state.data, batch, cross[e])
 
     norms = np.zeros((2, len(x)))
-    if stack.algorithm == "dpsgd":
+    if config.algorithm == "dpsgd":
         dpsgd_prepare(x, v, grads, config, eta)
     read_sent = partial(slot_rows, cross) if messages is None else partial(message_rows, messages)
     read_back = partial(exchange_cross_gradients, read_sent)
     read_x = partial(exchange_params, x)
     for blk in slots.blocks:  # no block reads another's gradient rows; x waits for apply
         own = grads[blk.rows]
-        if stack.algorithm != "dpsgd":
+        if config.algorithm != "dpsgd":
             ngc_update(blk, own, read_sent, read_back, v[blk.rows], config, eta, stack.scratch,
                        norms[:, blk.rows])
         gossip_rows(blk, x[blk.rows], read_x, own, stack.scratch[0, :blk.size], config.gamma)
 
     cross_msg_bytes = 0
-    if stack.algorithm == "dpsgd":
+    if config.algorithm == "dpsgd":
         dpsgd_finalize(x, grads)
     else:
         ngc_apply(x, v, grads)
@@ -396,7 +408,7 @@ def run(config: RunConfig) -> RunResult:
     if rounds_per_epoch < 1:
         raise ConfigurationError("batch_size exceeds the smallest shard")
 
-    stack = StackedState(states, w, config.algorithm, config.alpha)
+    stack = StackedState(states, w, config)
     ledger = CommLedger()
 
     rows: list[MetricsRow] = []
@@ -421,7 +433,7 @@ def run(config: RunConfig) -> RunResult:
         sums = np.zeros(3)  # train loss, eps_l1, omega_l1
         for _ in range(rounds_per_epoch):
             round_idx += 1
-            losses, bias = run_round(stack, config, eta, ledger=ledger)
+            losses, bias = run_round(stack, eta, ledger=ledger)
             if not np.isfinite(stack.x, out=stack.finite).all():
                 raise RunAbortError(round_idx)
             sums += (np.add.reduce(losses) / len(losses), *bias)

@@ -29,6 +29,8 @@ class TopologySpec:
             raise ConfigurationError(f"unknown topology {self.kind!r}")
         if self.num_agents < 1:
             raise ConfigurationError("num_agents must be positive")
+        if self.num_agents >= 2**30:  # so n * n * 8 bytes, W's size, fits numpy's index range
+            raise ConfigurationError("num_agents must be below 2**30: W is a dense (n, n) array")
         if self.kind in ("ring", "chain") and self.num_agents < 2:
             raise ConfigurationError(f"{self.kind} needs at least two agents")
         if self.kind == "torus":

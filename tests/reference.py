@@ -17,19 +17,20 @@ from decentsim.algorithms import compngc_prepare, ngc_prepare
 from decentsim.topology import neighbors
 
 
-def reference_round(states, w, config, eta, algorithm):
+def reference_round(states, w, config, eta):
     """One round agent by agent from the per-agent rules, every operand a copy.
 
-    Each agent prepares with ngc_prepare (compngc_prepare under compngc;
-    under dpsgd with no neighbour params) and reads its data-variant terms
-    from its peers' outgoing messages. Every update finishes before any
-    gossip, and gossip reads the copies of the pre-round (or, for dpsgd,
-    x_tilde) params.
+    config.algorithm picks the rules. Each agent prepares with ngc_prepare
+    (compngc_prepare under compngc; under dpsgd with no neighbour params)
+    and reads its data-variant terms from its peers' outgoing messages.
+    Every update finishes before any gossip, and gossip reads the copies of
+    the pre-round (or, for dpsgd, x_tilde) params.
     """
     n = len(states)
     weights = [{j: float(w[i, j]) for j in neighbors(w, i)} for i in range(n)]
     peers = [[j for j in weights[i] if j != i] for i in range(n)]
     x = [s.params.copy() for s in states]
+    algorithm = config.algorithm
     prepare = compngc_prepare if algorithm == "compngc" else ngc_prepare
     work = [prepare(s, {} if algorithm == "dpsgd" else {j: x[j] for j in peers[i]},
                     config) for i, s in enumerate(states)]
@@ -61,7 +62,7 @@ def reference_round(states, w, config, eta, algorithm):
     return losses, bundles
 
 
-def round_with_bundles(stack, w, config, eta, ledger=None):
+def round_with_bundles(stack, w, eta, ledger=None):
     """run_round, plus each agent's GradientBundle as the round mixes it; w is the stack's W.
 
     The round fills the self-gradient rows with the gossip pulls after
@@ -70,8 +71,8 @@ def round_with_bundles(stack, w, config, eta, ledger=None):
     also reads every edge row at once: the rows of stack.cross under ngc,
     the round's messages decompressed under compngc. Row e is then the
     message on edge e as its sender mixes it; agent i's data-variant terms
-    are the rows of its edges' reverses, none when alpha = 0. Returns
-    (losses, bias, bundles), bundles None for dpsgd.
+    are the rows of its edges' reverses, none when stack.config.alpha = 0.
+    Returns (losses, bias, bundles), bundles None for dpsgd.
     """
     slots = stack.slots
     taken = []
@@ -86,7 +87,7 @@ def round_with_bundles(stack, w, config, eta, ledger=None):
     mix = simulator.ngc_update
     simulator.ngc_update = spy
     try:
-        losses, bias = run_round(stack, config, eta, ledger=ledger)
+        losses, bias = run_round(stack, eta, ledger=ledger)
     finally:
         simulator.ngc_update = mix
     if not taken:
@@ -96,7 +97,7 @@ def round_with_bundles(stack, w, config, eta, ledger=None):
     for i, links in enumerate(slots.links):
         model_variant = {j: cross[e] for j, e in links}
         data_variant = ({j: cross[slots.back[e]] for j, e in links}
-                        if config.alpha != 0.0 else {})
+                        if stack.config.alpha != 0.0 else {})
         weights = {j: float(w[i, j]) for j in sorted([i, *model_variant])}
         bundles.append(GradientBundle(i, grads[i], model_variant, data_variant, weights))
     return losses, bias, bundles
@@ -122,16 +123,16 @@ def bits(a) -> bytes:
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
-def assert_rounds_match(stack, ref, w, config, eta, algorithm, rounds=3):
+def assert_rounds_match(stack, ref, w, eta, rounds=3):
     """Run the engine's stack and the reference agents side by side, comparing bits.
 
-    Every round the batch losses, params, momenta and error-feedback rows
-    must agree, and so must each agent's gradient bundle and the bias
-    norms, which are (0.0, 0.0) for dpsgd.
+    Both run under stack.config. Every round the batch losses, params,
+    momenta and error-feedback rows must agree, and so must each agent's
+    gradient bundle and the bias norms, which are (0.0, 0.0) for dpsgd.
     """
     for _ in range(rounds):
-        losses, bias, got_bundles = round_with_bundles(stack, w, config, eta)
-        want_losses, bundles = reference_round(ref, w, config, eta, algorithm)
+        losses, bias, got_bundles = round_with_bundles(stack, w, eta)
+        want_losses, bundles = reference_round(ref, w, stack.config, eta)
         assert bits(losses) == bits(want_losses)
         for a, b in zip(stack.states, ref):
             assert bits(a.params) == bits(b.params)

@@ -203,14 +203,14 @@ def heavyball_oracle(spec, data, shard, seed, beta, eta, steps, batch_size):
 def test_criterion_05_single_node_and_pure_gossip_reductions():
     data = generate_synthetic(3, 4, 30, 0.3, 7)
     spec = ModelSpec(4, 3, hidden_dim=6)
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
     shard = np.arange(data.n)
     worst = 0.0
     for algorithm in ("ngc", "dpsgd"):
+        config = RunConfig(algorithm=algorithm, alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
         states = make_states(1, spec, data, [shard], seed=99, shared_rng_seed=1234)
-        stack = StackedState(states, np.ones((1, 1)), algorithm)
+        stack = StackedState(states, np.ones((1, 1)), config)
         for _ in range(100):
-            run_round(stack, config, 0.05)
+            run_round(stack, 0.05)
         oracle = heavyball_oracle(spec, data, shard, 1234, 0.9, 0.05, 100, 10)
         denom = max(np.abs(oracle).max(), 1e-12)
         worst = max(worst, float(np.abs(states[0].params - oracle).max() / denom))
@@ -223,13 +223,13 @@ def test_criterion_05_single_node_and_pure_gossip_reductions():
     rng = np.random.default_rng(3)
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
-    gossip = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=5)
+    gossip = RunConfig(algorithm="dpsgd", beta=0.0, gamma=1.0, batch_size=5)
     mean_before = np.mean([s.params for s in states], axis=0)
-    stack = StackedState(states, w, "dpsgd")
+    stack = StackedState(states, w, gossip)
     err = consensus_error(stack.x)
     worst_contract = 0.0
     for _ in range(8):
-        run_round(stack, gossip, 0.0)
+        run_round(stack, 0.0)
         new_err = consensus_error(stack.x)
         worst_contract = max(worst_contract, new_err / err)
         err = new_err
@@ -384,8 +384,8 @@ def test_criterion_09_variance_bound_diagnostic():
 
 def round_zero_bias(config: RunConfig) -> tuple[float, float]:
     states, w, _ = initial_states(config)
-    stack = StackedState(states, w, "ngc")
-    bundles = round_with_bundles(stack, w, config, config.eta)[2]
+    stack = StackedState(states, w, config)
+    bundles = round_with_bundles(stack, w, config.eta)[2]
     eps_max = 0.0
     omega_l1 = 0.0
     for bundle in bundles:

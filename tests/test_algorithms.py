@@ -412,13 +412,13 @@ W_ONE_AGENT = np.ones((1, 1))
 
 @pytest.mark.parametrize("algorithm", ["ngc", "dpsgd"])
 def test_single_agent_round_reduces_to_momentum_sgd(algorithm, small_data, small_spec):
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
+    config = RunConfig(algorithm=algorithm, alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
     shard = np.arange(small_data.n)
     states = make_states(1, small_spec, small_data, [shard], seed=99,
                          shared_rng_seed=1234)
-    stack = StackedState(states, W_ONE_AGENT, algorithm)
+    stack = StackedState(states, W_ONE_AGENT, config)
     for _ in range(100):
-        run_round(stack, config, 0.05)
+        run_round(stack, 0.05)
     [state] = states
     oracle = momentum_sgd_oracle(small_spec, small_data, shard, 1234, 0.9, 0.05, 100, 10)
     denom = max(np.abs(oracle).max(), 1e-12)
@@ -428,16 +428,16 @@ def test_single_agent_round_reduces_to_momentum_sgd(algorithm, small_data, small
 def test_single_agent_compressed_round_differs_from_uncompressed():
     data = generate_synthetic(3, 4, 30, 0.3, 7)
     spec = ModelSpec(4, 3, hidden_dim=6)
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
+    config = dict(alpha=1.0, beta=0.9, gamma=1.0, batch_size=10)
     a = make_states(1, spec, data, [np.arange(data.n)], seed=1,
                     shared_rng_seed=5)
     b = make_states(1, spec, data, [np.arange(data.n)], seed=1,
                     shared_rng_seed=5)
-    stack_a = StackedState(a, W_ONE_AGENT, "compngc")
-    stack_b = StackedState(b, W_ONE_AGENT, "ngc")
+    stack_a = StackedState(a, W_ONE_AGENT, RunConfig(algorithm="compngc", **config))
+    stack_b = StackedState(b, W_ONE_AGENT, RunConfig(algorithm="ngc", **config))
     for _ in range(5):
-        run_round(stack_a, config, 0.05)
-        run_round(stack_b, config, 0.05)
+        run_round(stack_a, 0.05)
+        run_round(stack_b, 0.05)
     assert not np.allclose(a[0].params, b[0].params)
 
 

@@ -28,7 +28,6 @@ from decentsim import (
     run,
 )
 from decentsim.cli import (
-    _FIELD_TYPES,
     _build_parser,
     compress_self_check,
     emit_metrics_csv,
@@ -39,7 +38,7 @@ from decentsim.cli import (
     run_sweep,
     write_config_file,
 )
-from decentsim.simulator import CHOICES
+from decentsim.simulator import CHOICES, FIELD_TYPES
 
 
 def test_empty_invocation_resolves_to_documented_defaults():
@@ -192,10 +191,10 @@ def test_config_flags_take_their_runconfig_types_and_leave_values_to_validate():
     # annotation and checks no value itself, so RunConfig.validate is the
     # one check for flags and config files alike.
     hints = typing.get_type_hints(RunConfig)
-    actions = {a.dest: a for a in _build_parser()._actions if a.dest in _FIELD_TYPES}
+    actions = {a.dest: a for a in _build_parser()._actions if a.dest in FIELD_TYPES}
     assert list(actions) == CONFIG_FLAGS
     for name, action in actions.items():
-        assert action.type is hints[name] is _FIELD_TYPES[name], name
+        assert action.type is hints[name] is FIELD_TYPES[name], name
         assert action.choices is None, name
         assert action.option_strings == ["--" + name.replace("_", "-")]
 
@@ -268,7 +267,7 @@ _KNOWN = {**CHOICES, "dataset": ("synthetic", "runs/data#2.csv", "my data.csv")}
 
 
 def _field_values(field):
-    kind = _FIELD_TYPES[field.name]
+    kind = FIELD_TYPES[field.name]
     if kind is str:
         values = st.sampled_from(_KNOWN[field.name]) | _HOSTILE_TEXT
     elif kind is float:
@@ -332,7 +331,7 @@ def flagged_fields(draw):
     """Up to four of the fields the CLI has flags for, each drawn valid or hostile."""
     names = draw(st.lists(st.sampled_from(CONFIG_FLAGS), max_size=4, unique=True))
     return {name: draw(st.sampled_from(_KNOWN[name]) | _LINE_TEXT | _HOSTILE_TEXT
-                       if _FIELD_TYPES[name] is str else _FIELD_VALUES[name])
+                       if FIELD_TYPES[name] is str else _FIELD_VALUES[name])
             for name in names}
 
 
@@ -560,24 +559,25 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("workers=2", "workers must be 1: the round engine is serial"),
     ("hidden_dim=0", "mlp needs a positive hidden_dim"),
     ("batch_size=0", "batch_size must be positive"),
-    # Only set-up (data, partition, W, shard sizes) finds these.
     ("spread=-1", "spread must be positive"),
-    ("spread=1e308", "spread 1e+308 overflows the synthetic features"),
     ("spread=nan", "spread must be positive and finite"),
     ("spread=inf", "spread must be positive and finite"),
     ("agents=1", "ring needs at least two agents"),
     ("classes=1", "need at least two classes"),
     ("per_class=0", "per_class must be positive"),
     ("dim=0", "dim must be positive"),
+    ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
+    # Only set-up (the drawn data, its partition and shard sizes) finds these.
+    ("spread=1e308", "spread 1e+308 overflows the synthetic features"),
     ("agents=20\nclasses=10\nper_class=1", "class 0 has fewer samples than 2 holders"),
     ("batch_size=500", "batch_size exceeds the smallest shard"),
-    ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
     # read_config_file must catch the bare key and the repeated one, and
     # RunConfig.validate, the one value check for flags and config files,
-    # the next eight, before run_sweep creates any directory; the rest
-    # fail in set-up, before a seed directory is written.
+    # the next sixteen, as the config is built, before run_sweep creates
+    # any directory; the last three fail in set-up, before a seed
+    # directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")
     out = tmp_path / "badout"
@@ -613,7 +613,7 @@ _CLI_INTS = {"agents": (2, 4), "torus_rows": (2, 3), "epochs": (1, 1),
 _CLI_FLOATS = {"alpha": (0.0, 1.0), "beta": (0.0, 0.99), "eta": (0.0, 1.0),
                "gamma": (1e-3, 1.0), "spread": (1e-3, 1e308), "val_fraction": (0.05, 0.5)}
 _CLI_BASE = {"epochs": "1", "agents": "3", "per_class": "20", "val_per_class": "5"}
-_CLI_FLAGS = [name for name in vars(_build_parser().parse_args([])) if name in _FIELD_TYPES]
+_CLI_FLAGS = [name for name in vars(_build_parser().parse_args([])) if name in FIELD_TYPES]
 _CLI_JUNK = st.sampled_from(["", "sgd", "1.5", "0x10", "nan", "-inf", "1e308", "-"])
 
 
@@ -642,11 +642,11 @@ def test_cli_on_hostile_files_and_flags_exits_0_2_or_3_and_exit_2_writes_nothing
     # one time in four. main returns 0, 2 or 3 and raises nothing; on
     # exit 2 the out-dir does not exist, otherwise
     # summary.json does.
-    assert {*_CLI_INTS, *_CLI_FLOATS, *CHOICES, "dataset"} == set(_FIELD_TYPES)
+    assert {*_CLI_INTS, *_CLI_FLOATS, *CHOICES, "dataset"} == set(FIELD_TYPES)
     tmp = tmp_path_factory.mktemp("cli")
     csv = tmp / "data.csv"
     csv.write_text("".join(f"{k % 3},{k * 0.1},{-k * 0.2}\n" for k in range(30)))
-    values = {name: _cli_values(name, str(csv)) for name in _FIELD_TYPES}
+    values = {name: _cli_values(name, str(csv)) for name in FIELD_TYPES}
     names = data.draw(st.lists(st.sampled_from(sorted(values)), max_size=6, unique=True))
     names += data.draw(st.integers(0, 3).map(lambda k: names[:1] if k == 0 else []))
     lines = [(name, data.draw(values[name], name)) for name in names]

@@ -82,11 +82,11 @@ def test_bias_norms_and_consensus_error_leave_their_inputs_unchanged(algorithm, 
     # Both reduce in place on arrays they allocate themselves; a bundle or
     # params array written through would corrupt the next round.
     states, w = skewed_states()
-    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=7)
-    stack = StackedState(states, w, algorithm, alpha)
+    config = RunConfig(algorithm=algorithm, alpha=alpha, beta=0.9, gamma=0.5, batch_size=7)
+    stack = StackedState(states, w, config)
     for _ in range(2):
-        run_round(stack, config, 0.05)
-    bundles = round_with_bundles(stack, w, config, 0.05)[2]
+        run_round(stack, 0.05)
+    bundles = round_with_bundles(stack, w, 0.05)[2]
 
     def arrays():
         out = [stack.x]
@@ -145,9 +145,9 @@ def test_variance_bound_holds_at_shared_initial_params():
 def test_variance_bound_holds_after_some_training():
     states, w = skewed_states()
     config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=7)
-    stack = StackedState(states, w, "ngc")
+    stack = StackedState(states, w, config)
     for _ in range(20):
-        run_round(stack, config, 0.01)
+        run_round(stack, 0.01)
     report = variance_bound_check(states, w, batch_size=7, sample_count=150, seed=4)
     assert report.passed
 

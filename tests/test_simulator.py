@@ -164,9 +164,9 @@ def test_two_identical_agents_stay_bitwise_identical():
     for alg in ("dpsgd", "ngc", "compngc"):
         states = make_states(2, spec, data, [shard, shard], seed=4,
                              shared_rng_seed=321)
-        stack = StackedState(states, w, alg)
+        stack = StackedState(states, w, replace(config, algorithm=alg))
         for _ in range(10):
-            run_round(stack, config, 0.05)
+            run_round(stack, 0.05)
             assert (states[0].params == states[1].params).all()
 
 
@@ -177,7 +177,7 @@ def test_compngc_error_feedback_rows_start_at_zero():
     shards = np.array_split(np.arange(data.n), 4)
     states = make_states(4, spec, data, shards, seed=6)
     assert states[0].err_self is None and states[0].err_out == {}
-    stack = StackedState(states, w, "compngc")
+    stack = StackedState(states, w, RunConfig(algorithm="compngc"))
     d = spec.param_count
     assert stack.err_self.shape == (4, d)
     assert stack.err_out.shape == (stack.slots.edges, d) == (8, d)
@@ -192,19 +192,10 @@ def test_compngc_error_feedback_rows_start_at_zero():
             assert state.err_out[j].tobytes() == bytes(8 * d)
     for alg in ("dpsgd", "ngc"):
         other = make_states(4, spec, data, shards, seed=6)
-        stack = StackedState(other, w, alg)
+        stack = StackedState(other, w, RunConfig(algorithm=alg))
         assert stack.err_self is None and stack.err_out is None
         assert other[0].err_self is None and other[0].err_out == {}
         assert (stack.cross is None) == (alg == "dpsgd")
-
-
-def test_stacked_state_rejects_an_unknown_algorithm():
-    data = generate_synthetic(4, 6, 24, 0.3, 2)
-    spec = ModelSpec(6, 4, hidden_dim=5)
-    w = build_mixing_matrix(TopologySpec("ring", 4))
-    states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
-    with pytest.raises(ConfigurationError, match="unknown algorithm 'sgd'"):
-        StackedState(states, w, "sgd")
 
 
 # ------------------------------------------------------ in-place rounds
@@ -215,12 +206,12 @@ def test_run_round_updates_every_agent_in_place(alg):
     data = generate_synthetic(4, 6, 24, 0.3, 2)
     spec = ModelSpec(6, 4, hidden_dim=5)
     w = build_mixing_matrix(TopologySpec("ring", 4))
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
+    config = RunConfig(algorithm=alg, alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
     states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
     before = list(states)
     x0 = states[0].params
-    stack = StackedState(states, w, alg)
-    run_round(stack, config, 0.05)
+    stack = StackedState(states, w, config)
+    run_round(stack, 0.05)
     assert stack.states is states
     assert all(a is b for a, b in zip(states, before))
     assert states[0].params is not x0 and not (states[0].params == x0).all()
@@ -234,13 +225,13 @@ def test_the_round_takes_its_step_from_eta_never_from_config_eta(alg):
     data = generate_synthetic(4, 6, 24, 0.3, 2)
     spec = ModelSpec(6, 4, hidden_dim=5)
     w = build_mixing_matrix(TopologySpec("ring", 4))
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
+    config = RunConfig(algorithm=alg, alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
     stacks = []
     for cfg in (config, replace(config, eta=123.0)):
         states = make_states(4, spec, data, np.array_split(np.arange(data.n), 4), seed=6)
-        stacks.append(StackedState(states, w, alg))
+        stacks.append(StackedState(states, w, cfg))
         for _ in range(3):
-            run_round(stacks[-1], cfg, 0.05)
+            run_round(stacks[-1], 0.05)
     a, b = stacks
     assert np.abs(a.v).sum() > 0.0
     assert a.x.tobytes() == b.x.tobytes() and a.v.tobytes() == b.v.tobytes()
@@ -287,18 +278,17 @@ def test_ngc_round_matches_a_reference_with_copied_inboxes(graph, algorithm, alp
     if block_rows is not None:
         monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     w = build_mixing_matrix(TopologySpec(kind, n))
-    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
+    config = RunConfig(algorithm=algorithm, alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
     shards = np.array_split(np.arange(data.n), n)
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
-    stack = StackedState(engine, w, algorithm, alpha)
+    stack = StackedState(engine, w, config)
     sizes = {blk.size for blk in stack.slots.blocks}
     if block_rows is not None:
         assert max(sizes) == block_rows
     if hidden == EDGE_HIDDEN:
         assert spec.param_count == BLOCK_ELEMS + 3 and sizes == {1}
-    assert_rounds_match(stack, ref, w, config, 0.05, algorithm,
-                        rounds=2 if graph in SCALE_GRAPHS else 3)
+    assert_rounds_match(stack, ref, w, 0.05, rounds=2 if graph in SCALE_GRAPHS else 3)
 
 
 def metropolis_weights(n: int, edges) -> np.ndarray:
@@ -343,23 +333,26 @@ def test_engine_matches_the_reference_on_random_metropolis_graphs(w, algorithm, 
                                                                   hidden):
     # The parity test above on graphs the named topologies never make:
     # irregular degrees, non-uniform W and slots that are not slices. The
-    # explicit example is a star whose d exceeds BLOCK_ELEMS.
+    # explicit example is a star whose d exceeds BLOCK_ELEMS. dpsgd takes
+    # no alpha, so its draws run at the default.
     n = w.shape[0]
     data = generate_synthetic(3, 4, 10 * n, 0.3, 3)
     spec = ModelSpec(4, 3, hidden_dim=hidden, activation=activation)
-    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
+    config = RunConfig(algorithm=algorithm,
+                       alpha=RunConfig.alpha if algorithm == "dpsgd" else alpha,
+                       beta=0.9, gamma=0.5, batch_size=10)
     shards = np.array_split(np.arange(data.n), n)
     engine = make_states(n, spec, data, shards, seed=9)
     ref = make_states(n, spec, data, shards, seed=9)
     elems = BLOCK_ELEMS if block_rows is None else block_rows * spec.param_count
     with mock.patch.object(algorithms, "BLOCK_ELEMS", elems):
-        stack = StackedState(engine, w, algorithm, alpha)
+        stack = StackedState(engine, w, config)
     sizes = {blk.size for blk in stack.slots.blocks}
     if hidden == WIDE_HIDDEN:
         assert spec.param_count > BLOCK_ELEMS and sizes == {1}
     if block_rows is not None:
         assert max(sizes) <= block_rows
-    assert_rounds_match(stack, ref, w, config, 0.05, algorithm)
+    assert_rounds_match(stack, ref, w, 0.05)
 
 
 # Rows of d floats a StackedState allocates, for N agents, E directed edges
@@ -384,17 +377,18 @@ def test_stacked_state_allocates_its_closed_form_of_table_rows(algorithm, kind, 
     spec = ModelSpec(4, 3, hidden_dim=hidden)
     w = build_mixing_matrix(TopologySpec(kind, n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
-    stack = StackedState(states, w, algorithm)
+    stack = StackedState(states, w, RunConfig(algorithm=algorithm))
     assert (stack.cross is None) == (algorithm != "ngc")
     arrays = [a for a in vars(stack).values() if isinstance(a, np.ndarray)]
     owned = [a for a in arrays if a.base is None]
     assert all(any(np.shares_memory(a, o) for o in owned) for a in arrays)
     rows = TABLE_ROWS[algorithm](n, np.count_nonzero(w) - n, m)
     assert sum(a.nbytes for a in owned) == rows * spec.param_count * 8
-    # Only 0 < alpha < 1 takes one more block buffer: the data-variant cluster's.
-    for alpha, extra in ((0.0, 0), (0.5, int(algorithm != "dpsgd")), (1.0, 0)):
+    # Only 0 < alpha < 1 takes one more block buffer: the data-variant
+    # cluster's. dpsgd takes no alpha.
+    for alpha, extra in ((0.0, 0), (0.5, 1), (1.0, 0)) if algorithm != "dpsgd" else ():
         other = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
-        scratch = StackedState(other, w, algorithm, alpha).scratch
+        scratch = StackedState(other, w, RunConfig(algorithm=algorithm, alpha=alpha)).scratch
         assert scratch.nbytes == stack.scratch.nbytes + extra * m * spec.param_count * 8
 
 
@@ -408,12 +402,12 @@ def test_a_compngc_round_allocates_no_float_table_of_its_messages(alpha):
     spec = ModelSpec(4, 3, hidden_dim=EDGE_HIDDEN)
     w = build_mixing_matrix(TopologySpec("ring", n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
-    stack = StackedState(states, w, "compngc", alpha)
-    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
-    run_round(stack, config, 0.05)
+    config = RunConfig(algorithm="compngc", alpha=alpha, beta=0.9, gamma=0.5, batch_size=10)
+    stack = StackedState(states, w, config)
+    run_round(stack, 0.05)
     tracemalloc.start()
     try:
-        run_round(stack, config, 0.05)
+        run_round(stack, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -432,12 +426,12 @@ def test_a_compngc_round_allocates_nothing_d_sized_but_its_sign_bytes(alpha):
     spec = ModelSpec(64, 3, hidden_dim=hidden)
     w = build_mixing_matrix(TopologySpec("ring", n))
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=1)
-    stack = StackedState(states, w, "compngc", alpha)
-    config = RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=batch)
-    run_round(stack, config, 0.05)
+    config = RunConfig(algorithm="compngc", alpha=alpha, beta=0.9, gamma=0.5, batch_size=batch)
+    stack = StackedState(states, w, config)
+    run_round(stack, 0.05)
     tracemalloc.start()
     try:
-        run_round(stack, config, 0.05)
+        run_round(stack, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -511,10 +505,9 @@ def test_slot_reads_give_the_gathered_rows_bits(graph, block_rows, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(algorithms, "BLOCK_ELEMS", block_rows * spec.param_count)
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n), seed=4)
-    stack = StackedState(states, w, "ngc", 0.5)
-    config = RunConfig(alpha=0.5, beta=0.9, gamma=0.5, batch_size=10)
+    stack = StackedState(states, w, RunConfig(alpha=0.5, beta=0.9, gamma=0.5, batch_size=10))
     for _ in range(2):
-        _, bias, bundles = round_with_bundles(stack, w, config, 0.05)
+        _, bias, bundles = round_with_bundles(stack, w, 0.05)
     assert bits(bias) == bits(bias_norms(bundles))
 
 
@@ -528,10 +521,10 @@ def test_round_returns_the_bias_norms_on_every_w():
     def two_rounds(topology_kind, algorithm, alpha):
         w = build_mixing_matrix(TopologySpec(topology_kind, 5))
         states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=4)
-        stack = StackedState(states, w, algorithm, alpha)
+        stack = StackedState(states, w, RunConfig(algorithm=algorithm, alpha=alpha, beta=0.9,
+                                                  gamma=0.5, batch_size=10))
         for _ in range(2):
-            _, bias, bundles = round_with_bundles(
-                stack, w, RunConfig(alpha=alpha, beta=0.9, gamma=0.5, batch_size=10), 0.05)
+            _, bias, bundles = round_with_bundles(stack, w, 0.05)
         return bundles, bias
 
     for kind in ("ring", "chain"):
@@ -551,8 +544,8 @@ def test_round_zero_model_variant_bias_is_exactly_zero_on_a_chain_and_a_torus(al
         config = tiny_config(algorithm=algorithm, alpha=0.5, topology=topology_kind,
                              agents=agents, partition="iid", batch_size=4)
         states, w, _ = simulator.initial_states(config)
-        stack = StackedState(states, w, algorithm, config.alpha)
-        _, bias, bundles = round_with_bundles(stack, w, config, config.eta)
+        stack = StackedState(states, w, config)
+        _, bias, bundles = round_with_bundles(stack, w, config.eta)
         assert bias[0] == 0.0 and bias[1] > 0.0, topology_kind
         assert bits(bias) == bits(bias_norms(bundles))
 
@@ -561,15 +554,15 @@ def test_error_feedback_rows_stay_views_of_the_run_owned_arrays():
     data = generate_synthetic(4, 6, 30, 0.3, 2)
     spec = ModelSpec(6, 4, hidden_dim=5)
     w = build_mixing_matrix(TopologySpec("chain", 5))
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
+    config = RunConfig(algorithm="compngc", alpha=1.0, beta=0.9, gamma=0.5, batch_size=8)
     states = make_states(5, spec, data, np.array_split(np.arange(data.n), 5), seed=6)
-    stack = StackedState(states, w, "compngc")
+    stack = StackedState(states, w, config)
     err_self, err_out = stack.err_self, stack.err_out
     assert err_self.shape == (5, spec.param_count)
     assert err_out.shape == (stack.slots.edges, spec.param_count)
     views = [(s.err_self, dict(s.err_out)) for s in states]
     for _ in range(3):
-        run_round(stack, config, 0.05)
+        run_round(stack, 0.05)
         assert stack.err_self is err_self and stack.err_out is err_out
         for state, links, (own, out) in zip(states, stack.slots.links, views):
             assert state.err_self is own and own.base is err_self
@@ -598,7 +591,7 @@ def test_ring5_param_exchange_is_4000_bytes_per_round_at_d100():
     states = make_states(5, spec, data, shards, seed=0)
     config = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=4)
     ledger = CommLedger()
-    run_round(StackedState(states, w, "ngc"), config, 0.01, ledger=ledger)
+    run_round(StackedState(states, w, config), 0.01, ledger=ledger)
     assert ledger.param_bytes == 4000  # 10 directed edges * 4 bytes * d=100
     assert ledger.crossgrad_bytes == 0  # alpha == 0 sends nothing
     assert ledger.messages == 10
@@ -664,12 +657,13 @@ def test_pure_gossip_preserves_mean_and_contracts_by_rho(alg):
     rng = np.random.default_rng(3)
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
-    config = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=5)
+    config = RunConfig(algorithm=alg, alpha=RunConfig.alpha if alg == "dpsgd" else 0.0,
+                       beta=0.0, gamma=1.0, batch_size=5)
     mean_before = np.mean([s.params for s in states], axis=0)
-    stack = StackedState(states, w, alg)
+    stack = StackedState(states, w, config)
     err = consensus_error(stack.x)
     for _ in range(8):
-        run_round(stack, config, 0.0)
+        run_round(stack, 0.0)
         new_err = consensus_error(stack.x)
         assert new_err <= (rho + 1e-6) * err
         err = new_err
@@ -704,13 +698,13 @@ def test_pure_gossip_scales_each_eigenmode_of_w_by_its_closed_form(kind, n):
     data = generate_synthetic(2, 2, n, 0.3, 1)
     spec = ModelSpec(2, 2)
     states = make_states(n, spec, data, np.array_split(np.arange(data.n), n))
-    stack = StackedState(states, build_mixing_matrix(TopologySpec(kind, n)), "dpsgd")
+    gamma, rounds = 0.5, 4
+    config = RunConfig(algorithm="dpsgd", alpha=1.0, beta=0.9, gamma=gamma, batch_size=2)
+    stack = StackedState(states, build_mixing_matrix(TopologySpec(kind, n)), config)
     x0 = np.outer(u, np.linspace(-1.0, 2.0, spec.param_count))
     stack.x[:] = x0
-    gamma, rounds = 0.5, 4
-    config = RunConfig(alpha=1.0, beta=0.9, gamma=gamma, batch_size=2)
     for _ in range(rounds):
-        run_round(stack, config, 0.0)
+        run_round(stack, 0.0)
     want = (1 - gamma + gamma * lam) ** rounds * x0
     assert np.abs(stack.x - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -724,9 +718,9 @@ def test_pure_gossip_on_a_full_graph_reaches_consensus_in_one_round():
     rng = np.random.default_rng(4)
     for s in states:
         s.params = rng.standard_normal(spec.param_count)
-    config = RunConfig(alpha=0.0, beta=0.0, gamma=1.0, batch_size=5)
-    stack = StackedState(states, w, "dpsgd")
-    run_round(stack, config, 0.0)
+    config = RunConfig(algorithm="dpsgd", beta=0.0, gamma=1.0, batch_size=5)
+    stack = StackedState(states, w, config)
+    run_round(stack, 0.0)
     assert consensus_error(stack.x) <= 1e-24
 
 
@@ -761,6 +755,42 @@ def test_invalid_configs_are_rejected():
         tiny_config(workers=0)
     with pytest.raises(ConfigurationError, match="workers"):
         tiny_config(workers=2)
+
+
+SET_UP_FAILURES = [
+    ({"epochs": 2.5}, "epochs must be int, got 2.5"),
+    ({"eta": "0.1"}, "eta must be float, got '0.1'"),
+    ({"batch_size": True}, "batch_size must be int, got True"),
+    ({"alpha": False}, "alpha must be float, got False"),
+    ({"seed": None}, "seed must be int, got None"),
+    ({"dataset": None}, "dataset must be str, got None"),
+    ({"agents": -3}, "num_agents must be positive"),
+    ({"agents": 2**30}, "num_agents must be below 2**30: W is a dense (n, n) array"),
+    ({"classes": 0}, "need at least two classes"),
+    ({"per_class": 0}, "per_class must be positive"),
+    ({"dim": 0}, "dim must be positive"),
+    ({"topology": "torus", "agents": 7}, "7 agents admit no torus grid with sides >= 2"),
+    ({"agents": -3, "alpha": 2.0}, "alpha 2.0 outside [0, 1]"),  # the older check first
+]
+
+
+@pytest.mark.parametrize("fields, message", SET_UP_FAILURES,
+                         ids=[",".join(f"{k}={v}" for k, v in f.items())
+                              for f, _ in SET_UP_FAILURES])
+def test_a_config_that_set_up_would_fail_is_rejected_as_it_is_built(fields, message):
+    # Each field takes its annotation's type, and every check that needs no
+    # data runs in validate, after the value checks, so no message changed
+    # its precedence.
+    with pytest.raises(ConfigurationError) as exc_info:
+        RunConfig(**fields)
+    assert str(exc_info.value) == message
+
+
+def test_a_config_takes_ints_in_float_fields_none_where_annotated_and_csv_classes():
+    config = RunConfig(alpha=1, beta=0, data_seed=None, torus_rows=None)
+    assert (config.alpha, config.beta) == (1, 0)
+    # The synthetic-data checks apply only to synthetic data.
+    assert RunConfig(dataset="data.csv", classes=0, dim=0, per_class=0, spread=-1.0)
 
 
 # ---------------------------------------------------------------- CSV input

@@ -140,6 +140,18 @@ def test_unknown_kind_and_tiny_graphs_are_rejected():
         TopologySpec("full", 0)
 
 
+def test_agent_counts_no_dense_w_can_hold_are_rejected_before_any_torus_search():
+    # n * n * 8 bytes passes numpy's index range from n = 2**30 on. The cap
+    # also bounds the torus grid search, which tries up to sqrt(n) row counts:
+    # at 2**63 - 1 that took over two minutes.
+    for kind in TOPOLOGIES:
+        with pytest.raises(ConfigurationError, match=r"must be below 2\*\*30"):
+            TopologySpec(kind, 2**30)
+    with pytest.raises(ConfigurationError, match=r"must be below 2\*\*30"):
+        TopologySpec("torus", 2**63 - 1)
+    assert TopologySpec("torus", 2**30 - 1).torus_dims() == (32767, 32769)
+
+
 def accepted_specs(kind, max_agents=64):
     """Every TopologySpec of this kind that set-up accepts, up to max_agents.
 
