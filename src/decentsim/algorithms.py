@@ -217,7 +217,7 @@ class AgentState:
 
 @dataclass(frozen=True)
 class NgcWork:
-    batch_loss: float
+    loss: float
     self_grad: np.ndarray
     model_variant: dict[int, np.ndarray]
     outgoing: dict
@@ -255,7 +255,7 @@ def compngc_prepare(state: AgentState, params_in: dict[int, np.ndarray],
         deltas[j], state.err_out[j] = ef_step(grad, state.err_out.get(j, zero))
     model_variant = {j: decompress(delta) for j, delta in deltas.items()}
     outgoing = deltas if config.alpha != 0.0 else {}
-    return NgcWork(raw.batch_loss, decompress(delta_self), model_variant, outgoing)
+    return NgcWork(raw.loss, decompress(delta_self), model_variant, outgoing)
 
 
 # ------------------------------------------------------------ slot tables

@@ -7,7 +7,9 @@ treat every model as an ndarray of length d. The flat layout is defined
 once, on `ModelSpec`: layer by layer, the weights (row-major, fan-in by
 fan-out) and then the bias. Logistic regression is the one-layer case,
 so the gradient kernel has one path: an optional hidden layer, then the
-output layer. All math is 64-bit and deterministic.
+output layer. All math is 64-bit and deterministic. Two entry points run
+it: `loss_and_gradient` trains (`cross_gradient` wraps it) and `evaluate`
+scores every row of a Dataset, with the kernel's loss bit for bit.
 
 The gradient kernel runs at numpy's per-call floor, so it keeps a buffer
 discipline: the forward pass and the log-softmax work in place on arrays
@@ -212,14 +214,6 @@ def loss_and_gradient(spec: ModelSpec, params: np.ndarray, data: Dataset,
     return float(loss), grad
 
 
-def batch_loss(spec: ModelSpec, params: np.ndarray, data: Dataset, batch: np.ndarray) -> float:
-    """loss_and_gradient's loss from the forward pass alone, bit for bit."""
-    batch = _check_batch(data, batch)
-    logp, _, _ = _forward(spec, params, data.features.take(batch, axis=0))
-    _log_softmax_(logp)
-    return float(_mean_nll(logp, _label_index(spec, data, data.labels.take(batch))))
-
-
 def cross_gradient(spec: ModelSpec, foreign_params: np.ndarray, data: Dataset,
                    batch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of this data's batch loss evaluated at another agent's params."""
@@ -260,17 +254,17 @@ def class_centers(num_classes: int, dim: int) -> np.ndarray:
 
     Adjacent classes sit 2*sin(pi/C) apart, so the pairwise margins shrink
     as the class count grows and boundary placement stays non-trivial even
-    in high-dimensional feature spaces.
+    in high-dimensional feature spaces. At dim 1, which check_synthetic
+    allows two classes only, the centers are -1 and 1.
     """
-    if dim >= 2:
-        angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
-        centers = np.zeros((num_classes, dim))
-        centers[:, 0] = np.cos(angles)
-        centers[:, 1] = np.sin(angles)
-        return centers
-    if num_classes == 2:
+    if dim == 1:
+        check_synthetic(num_classes, dim, 1, 1.0)
         return np.array([[-1.0], [1.0]])
-    raise ConfigurationError("dim 1 supports only two classes")
+    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
+    centers = np.zeros((num_classes, dim))
+    centers[:, 0] = np.cos(angles)
+    centers[:, 1] = np.sin(angles)
+    return centers
 
 
 def check_synthetic(num_classes: int, dim: int, per_class: int, spread: float):
@@ -283,6 +277,8 @@ def check_synthetic(num_classes: int, dim: int, per_class: int, spread: float):
         raise ConfigurationError(f"spread must be positive and finite, got {spread}")
     if dim < 1:
         raise ConfigurationError("dim must be positive")
+    if dim == 1 and num_classes > 2:
+        raise ConfigurationError("dim 1 supports only two classes")
 
 
 def generate_synthetic(num_classes: int, dim: int, per_class: int, spread: float,

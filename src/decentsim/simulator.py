@@ -74,7 +74,6 @@ from .models import (
     ACTIVATIONS,
     Dataset,
     ModelSpec,
-    batch_loss,
     check_synthetic,
     cross_gradient,
     evaluate,
@@ -95,6 +94,7 @@ CHOICES = {"algorithm": ALGORITHMS, "topology": TOPOLOGIES, "partition": PARTITI
 # Config lines are `key=value`, stripped; `#` at a line start or after whitespace opens a comment.
 COMMENT = re.compile(r"(?:^|\s)#")
 _VAL_SEED_OFFSET = 10_000_019
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,19 @@ class RunConfig:
             raise ConfigurationError(f"eta {self.eta} must be finite and nonnegative")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError(f"gamma {self.gamma} outside (0, 1]")
-        TopologySpec(self.topology, self.agents, self.torus_rows)
+        topology = TopologySpec(self.topology, self.agents, self.torus_rows)
         if self.dataset == "synthetic":
             check_synthetic(self.classes, self.dim, self.per_class, self.spread)
+            # Set-up's arrays must fit numpy's index range, as the agent cap keeps W's:
+            # the features, and the stack's (N, d) rows and any (E, d) edge rows.
+            samples = self.classes * max(self.per_class, self.val_per_class)
+            model = ModelSpec(self.dim, self.classes, self.hidden_dim if self.model == "mlp" else 0)
+            rows = max(self.agents, 0 if self.algorithm == "dpsgd" else topology.edges)
+            for what, shape in (("synthetic features", (samples, self.dim)),
+                                ("parameter tables", (rows, model.param_count))):
+                if 8 * shape[0] * shape[1] > _MAX_BYTES:
+                    raise ConfigurationError(f"{what} of shape {shape} need more than the "
+                                             f"{_MAX_BYTES} bytes a numpy array can hold")
 
 
 _HINTS = typing.get_type_hints(RunConfig)
@@ -401,14 +411,16 @@ def initial_states(config: RunConfig) -> tuple[list[AgentState], np.ndarray, Dat
 
 def run(config: RunConfig) -> RunResult:
     """Execute one full training run; deterministic in config alone."""
-    states, w, val = initial_states(config)
+    try:  # validate bounds every array by numpy's range, not by what this host can allocate
+        states, w, val = initial_states(config)
+        stack = StackedState(states, w, config)
+    except MemoryError as exc:
+        raise ConfigurationError(f"set-up cannot allocate its arrays: {exc}") from None
     spec = states[0].spec
 
     rounds_per_epoch = min(s.shard.size // config.batch_size for s in states)
     if rounds_per_epoch < 1:
         raise ConfigurationError("batch_size exceeds the smallest shard")
-
-    stack = StackedState(states, w, config)
     ledger = CommLedger()
 
     rows: list[MetricsRow] = []
@@ -424,7 +436,10 @@ def run(config: RunConfig) -> RunResult:
             param_bytes=ledger.param_bytes, crossgrad_bytes=ledger.crossgrad_bytes,
         ))
 
-    init_loss = float(np.mean([batch_loss(spec, s.params, s.data, s.shard) for s in states]))
+    # Row 0's loss is each agent's shard scored at x0, as every row scores val.
+    init_loss = float(np.mean([evaluate(spec, s.params, Dataset(
+        s.data.features[s.shard], s.data.labels[s.shard], s.data.num_classes))[0]
+        for s in states]))
     emit(0, 0, init_loss, 0.0, 0.0)
 
     round_idx = 0

@@ -49,6 +49,18 @@ class TopologySpec:
                 return rows, n // rows
         raise ConfigurationError(f"{n} agents admit no torus grid with sides >= 2")
 
+    @property
+    def edges(self) -> int:
+        """Directed peer links, self-loops left out: E, W's off-diagonal nonzeros."""
+        n = self.num_agents
+        if self.kind == "full":
+            return n * (n - 1)
+        if self.kind == "chain":
+            return 2 * (n - 1)
+        # Each ring or torus axis gives two peers, or one when it has two agents.
+        sides = self.torus_dims() if self.kind == "torus" else (n,)
+        return n * sum(1 if side == 2 else 2 for side in sides)
+
 
 @dataclass(frozen=True)
 class StochasticityReport:

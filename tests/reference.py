@@ -34,7 +34,7 @@ def reference_round(states, w, config, eta):
     prepare = compngc_prepare if algorithm == "compngc" else ngc_prepare
     work = [prepare(s, {} if algorithm == "dpsgd" else {j: x[j] for j in peers[i]},
                     config) for i, s in enumerate(states)]
-    losses = [wk.batch_loss for wk in work]
+    losses = [wk.loss for wk in work]
     if algorithm == "dpsgd":
         tilde = []
         for i, (s, wk) in enumerate(zip(states, work)):

@@ -566,17 +566,27 @@ def test_main_runtime_abort_exit_three(tmp_path, capsys):
     ("classes=1", "need at least two classes"),
     ("per_class=0", "per_class must be positive"),
     ("dim=0", "dim must be positive"),
+    ("dim=1\nclasses=3", "dim 1 supports only two classes"),
     ("topology=torus\nagents=8\ntorus_rows=3", "torus_rows 3 does not factor 8 agents"),
+    (f"classes={10**15}", "synthetic features of shape"),
+    (f"dim={10**15}", "synthetic features of shape"),
+    (f"per_class={10**18}", "synthetic features of shape"),
+    (f"hidden_dim={10**18}", "parameter tables of shape"),
     # Only set-up (the drawn data, its partition and shard sizes) finds these.
     ("spread=1e308", "spread 1e+308 overflows the synthetic features"),
     ("agents=20\nclasses=10\nper_class=1", "class 0 has fewer samples than 2 holders"),
     ("batch_size=500", "batch_size exceeds the smallest shard"),
+    # Each fits numpy's range but not the address space, so it fails before a page is touched.
+    (f"agents={2**30 - 1}", "set-up cannot allocate its arrays: Unable to allocate 8.00 EiB"),
+    (f"per_class={10**15}", "set-up cannot allocate its arrays: Unable to allocate"),
+    (f"val_per_class={10**15}", "set-up cannot allocate its arrays: Unable to allocate"),
+    (f"hidden_dim={10**15}", "set-up cannot allocate its arrays: Unable to allocate"),
 ])
 def test_bad_config_file_value_exits_two_and_writes_nothing(line, message, tmp_path, capsys):
     # read_config_file must catch the bare key and the repeated one, and
     # RunConfig.validate, the one value check for flags and config files,
-    # the next sixteen, as the config is built, before run_sweep creates
-    # any directory; the last three fail in set-up, before a seed
+    # the next twenty-one, as the config is built, before run_sweep creates
+    # any directory; the last seven fail in set-up, before a seed
     # directory is written.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\nepochs=1\n")

@@ -24,7 +24,7 @@ from decentsim import (
     loss_and_gradient,
     unflatten,
 )
-from decentsim.models import _log_softmax_, batch_loss
+from decentsim.models import _log_softmax_
 
 
 def rel_err(a, b):
@@ -76,7 +76,7 @@ def test_gradient_is_deterministic():
     assert (out1[1] == out2[1]).all()
 
 
-def test_one_small_step_decreases_batch_loss():
+def test_one_small_step_decreases_the_loss_on_its_batch():
     spec = ModelSpec(4, 3, hidden_dim=6)
     data = generate_synthetic(3, 4, 20, 0.3, 3)
     params = init_params(spec, np.random.default_rng(0))
@@ -230,11 +230,12 @@ def test_kernel_is_bitwise_the_plain_form(case):
 
 @given(kernel_cases())
 @settings(max_examples=150, deadline=None)
-def test_batch_loss_is_bitwise_the_kernels_loss(case):
-    # The run's initial loss row takes the forward pass alone.
+def test_evaluate_on_a_batchs_rows_is_bitwise_the_kernels_loss(case):
+    # The run's first metrics row scores each agent's shard this way.
     spec, data, params, batch = case
     before = params.tobytes()
-    assert _bits(batch_loss(spec, params, data, batch)) == _bits(
+    rows = Dataset(data.features[batch], data.labels[batch], data.num_classes)
+    assert _bits(evaluate(spec, params, rows)[0]) == _bits(
         loss_and_gradient(spec, params, data, batch)[0])
     assert params.tobytes() == before
 
@@ -298,7 +299,6 @@ def test_labels_of_more_classes_than_the_model_has_outputs_are_rejected():
     data = generate_synthetic(4, 2, 2, 0.3, 0)
     params = init_params(spec, np.random.default_rng(0))
     for call in (lambda: loss_and_gradient(spec, params, data, np.arange(data.n)),
-                 lambda: batch_loss(spec, params, data, np.arange(data.n)),
                  lambda: evaluate(spec, params, data)):
         with pytest.raises(ShapeError, match="4 classes of labels for 3 outputs"):
             call()

@@ -769,6 +769,14 @@ SET_UP_FAILURES = [
     ({"classes": 0}, "need at least two classes"),
     ({"per_class": 0}, "per_class must be positive"),
     ({"dim": 0}, "dim must be positive"),
+    ({"dim": 1, "classes": 3}, "dim 1 supports only two classes"),
+    # Past numpy's index range: 2**63 - 1 bytes.
+    ({"per_class": 10**18}, "synthetic features of shape (10000000000000000000, 16) need more "
+                            "than the 9223372036854775807 bytes a numpy array can hold"),
+    ({"dim": 10**15}, "synthetic features of shape (2000, 1000000000000000) need more "
+                      "than the 9223372036854775807 bytes a numpy array can hold"),
+    ({"hidden_dim": 10**18}, "parameter tables of shape (10, 27000000000000000010) need more "
+                             "than the 9223372036854775807 bytes a numpy array can hold"),
     ({"topology": "torus", "agents": 7}, "7 agents admit no torus grid with sides >= 2"),
     ({"agents": -3, "alpha": 2.0}, "alpha 2.0 outside [0, 1]"),  # the older check first
 ]
@@ -784,6 +792,34 @@ def test_a_config_that_set_up_would_fail_is_rejected_as_it_is_built(fields, mess
     with pytest.raises(ConfigurationError) as exc_info:
         RunConfig(**fields)
     assert str(exc_info.value) == message
+
+
+def test_parameter_tables_count_the_edge_rows_only_where_the_algorithm_keeps_them():
+    # A 5-agent ring has E = 10 edge rows: ngc keeps them, dpsgd keeps only N = 5.
+    d = ModelSpec(16, 10, 6 * 10**15).param_count
+    assert 8 * 5 * d <= 2**63 - 1 < 8 * 10 * d
+    assert RunConfig(algorithm="dpsgd", hidden_dim=6 * 10**15)
+    with pytest.raises(ConfigurationError, match=r"parameter tables of shape \(10, "):
+        RunConfig(hidden_dim=6 * 10**15)
+
+
+@given(classes=st.integers(2, 5), dim=st.integers(1, 3), per_class=st.integers(1, 3),
+       spread=st.sampled_from([1e-3, 0.15, 1.0, 1e300]))
+@settings(max_examples=120, deadline=None)
+def test_every_synthetic_config_that_builds_draws_its_data(classes, dim, per_class, spread):
+    # validate runs the mixture's own check, so the two agree on every argument.
+    try:
+        config = RunConfig(classes=classes, dim=dim, per_class=per_class, spread=spread,
+                           val_per_class=per_class)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as drawn:
+            generate_synthetic(classes, dim, per_class, spread, 0)
+        assert str(drawn.value) == str(exc)
+        return
+    data = generate_synthetic(config.classes, config.dim, config.per_class, config.spread,
+                              config.seed)
+    assert data.features.shape == (classes * per_class, dim)
+    assert np.isfinite(data.features).all()
 
 
 def test_a_config_takes_ints_in_float_fields_none_where_annotated_and_csv_classes():

@@ -183,6 +183,14 @@ def test_every_accepted_graph_is_doubly_stochastic_and_connected(kind):
         assert reached == set(range(spec.num_agents)), spec
 
 
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_edges_count_the_peer_links_of_every_accepted_graph(kind):
+    # RunConfig.validate sizes the (E, d) edge rows from edges, before any W exists.
+    for spec in accepted_specs(kind):
+        w = build_mixing_matrix(spec)
+        assert spec.edges == np.count_nonzero(w) - spec.num_agents, spec
+
+
 def test_validator_flags_a_row_stochastic_only_matrix():
     w = np.array([[0.6, 0.4], [0.5, 0.5]])
     report = validate_doubly_stochastic(w)
